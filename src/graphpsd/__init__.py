@@ -36,10 +36,12 @@ from .experiments import (
     ExperimentResult,
     FilterSpec,
     GraphSpec,
+    Setting,
     compression_sweep,
     emit_plot_data,
     load_config,
     load_pattern,
+    prepare,
     rank_threshold_scan,
     run_experiment,
     run_property_suites,

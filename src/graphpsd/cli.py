@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import os
 import sys
 
 import numpy as np
@@ -84,39 +84,11 @@ def _cmd_design(args):
     cfg = _config_from_args(args)
     if cfg.output_dir is None:
         raise ConfigError("design needs an output directory (--out or output_dir)")
-    import os
-
-    from . import design as design_mod
-    from . import spectral as spectral_mod
-    from . import sampling as sampling_mod
-
-    graph = cfg.graph.build()
-    shift = graphs_mod.build_shift_operator(graph, cfg.shift_kind)
-    basis = spectral_mod.eigendecompose(shift)
-    q = cfg.q
-    if q is None and cfg.domain == "vertex":
-        filt = cfg.filter.build(basis)
-        q = sampling_mod.required_q(filt.length, graph.n_vertices)
-    if cfg.sampler == "greedy":
-        objective = exp._build_objective(cfg, basis, shift, q)
-        pattern, trace = design_mod.greedy_design(objective, cfg.k)
-    elif cfg.sampler == "random":
-        pattern, trace, objective = design_mod.random_design(graph.n_vertices, cfg.k, cfg.seed), None, None
-    else:
+    if cfg.sampler == "file":
         raise ConfigError("design supports greedy or random samplers")
+    pattern, trace, epsilon = exp.prepare(cfg).design()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    exp.save_pattern(pattern, f"{cfg.output_dir}/{exp.PATTERN_JSON}")
-    if trace is not None:
-        exp._write_json(
-            f"{cfg.output_dir}/{exp.TRACE_JSON}",
-            {
-                "chosen": list(trace.chosen),
-                "gains": list(trace.gains),
-                "final_value": trace.final_value,
-                "epsilon": objective.epsilon,
-                "objective_kind": cfg.objective_kind,
-            },
-        )
+    exp._write_design(cfg.output_dir, cfg.objective_kind, pattern, trace, epsilon)
     print(f"designed pattern of {pattern.k} vertices -> {cfg.output_dir}")
     return 0
 
@@ -157,12 +129,8 @@ def _cmd_sweep(args):
 def _cmd_check(args):
     report = exp.run_property_suites(seed=args.seed or 0, trials=args.trials)
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
-        with open(f"{args.out}/check.json", "w", encoding="utf-8") as fh:
-            json.dump(exp._jsonable(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        exp._write_json(f"{args.out}/check.json", report)
     for name, section in report.items():
         if isinstance(section, dict):
             print(f"{'PASS' if section['ok'] else 'FAIL'} {name}")

@@ -9,8 +9,10 @@ results plus gnuplot-ready plot data.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -147,34 +149,10 @@ class ExperimentConfig:
         return self
 
     def to_dict(self):
-        return {
-            "graph": {
-                "n": self.graph.n,
-                "k_neighbors": self.graph.k_neighbors,
-                "seed": self.graph.seed,
-                "path": self.graph.path,
-            },
-            "shift_kind": self.shift_kind,
-            "filter": {
-                "profile": self.filter.profile,
-                "rate": self.filter.rate,
-                "length": self.filter.length,
-                "coefficients": list(self.filter.coefficients)
-                if self.filter.coefficients is not None
-                else None,
-            },
-            "n_snapshots": self.n_snapshots,
-            "domain": self.domain,
-            "k": self.k,
-            "q": self.q,
-            "sampler": self.sampler,
-            "pattern_path": self.pattern_path,
-            "objective_kind": self.objective_kind,
-            "epsilon": self.epsilon,
-            "use_population_covariance": self.use_population_covariance,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        data = dataclasses.asdict(self)
+        if self.filter.coefficients is not None:
+            data["filter"]["coefficients"] = list(self.filter.coefficients)
+        return data
 
     @classmethod
     def from_dict(cls, data):
@@ -187,27 +165,11 @@ class ExperimentConfig:
                 length=filt.get("length", 7),
                 coefficients=tuple(filt["coefficients"]) if filt.get("coefficients") else None,
             )
-            known = {
-                k: data[k]
-                for k in (
-                    "shift_kind",
-                    "n_snapshots",
-                    "domain",
-                    "k",
-                    "q",
-                    "sampler",
-                    "pattern_path",
-                    "objective_kind",
-                    "epsilon",
-                    "use_population_covariance",
-                    "seed",
-                    "output_dir",
-                )
-                if k in data
-            }
-            unknown = set(data) - set(known) - {"graph", "filter"}
+            names = {f.name for f in dataclasses.fields(cls)}
+            unknown = set(data) - names
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            known = {k: data[k] for k in names - {"graph", "filter"} if k in data}
             return cls(graph=graph, filter=filt, **known).validate()
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -277,24 +239,113 @@ class _StageTimer:
         return False
 
 
-def _build_objective(cfg, basis, shift, q):
-    if cfg.domain == sampling_mod.SPECTRAL:
-        return design_mod.DesignObjective.spectral(
-            basis, kind=cfg.objective_kind, epsilon=cfg.epsilon
-        )
-    return design_mod.DesignObjective.vertex(
-        shift, q, kind=cfg.objective_kind, epsilon=cfg.epsilon
-    )
+@dataclass(frozen=True, eq=False)
+class Setting:
+    """The stationary setting every pipeline entry point starts from.
 
+    Built by :func:`prepare`: the graph, its shift operator and Fourier
+    basis, the filter and the true spectrum.  The setting owns the choice
+    between the spectral- and the vertex-domain model, so callers ask it for
+    a design, a covariance, a model or an estimate and never branch on the
+    domain themselves.
+    """
 
-def _design_pattern(cfg, basis, shift, q):
-    if cfg.sampler == "greedy":
-        objective = _build_objective(cfg, basis, shift, q)
-        pattern, trace = design_mod.greedy_design(objective, cfg.k)
+    config: ExperimentConfig
+    graph: graphs_mod.Graph
+    shift: graphs_mod.ShiftOperator
+    basis: spectral_mod.SpectralBasis
+    filter: spectral_mod.GraphFilter
+    p_true: np.ndarray
+
+    @property
+    def spectral(self):
+        return self.config.domain == sampling_mod.SPECTRAL
+
+    @property
+    def q(self):
+        """Vertex-domain polynomial order: as configured, else exact for the filter."""
+        if self.config.q is not None:
+            return self.config.q
+        return sampling_mod.required_q(self.filter.length, self.graph.n_vertices)
+
+    def greedy(self, k):
+        """Greedy design of ``k`` vertices: ``(pattern, trace, epsilon)``.
+
+        The objective holds an N x N x M tensor, so it lives only for this call.
+        """
+        cfg = self.config
+        if self.spectral:
+            objective = design_mod.DesignObjective.spectral(
+                self.basis, kind=cfg.objective_kind, epsilon=cfg.epsilon
+            )
+        else:
+            objective = design_mod.DesignObjective.vertex(
+                self.shift, self.q, kind=cfg.objective_kind, epsilon=cfg.epsilon
+            )
+        pattern, trace = design_mod.greedy_design(objective, k)
         return pattern, trace, objective.epsilon
-    if cfg.sampler == "random":
-        return design_mod.random_design(shift.n, cfg.k, seed=cfg.seed), None, None
-    return load_pattern(cfg.pattern_path), None, None
+
+    def design(self):
+        """The configured sampler's ``(pattern, trace, epsilon)``; greedy only has a trace."""
+        cfg = self.config
+        if cfg.sampler == "greedy":
+            return self.greedy(cfg.k)
+        if cfg.sampler == "random":
+            return design_mod.random_design(self.graph.n_vertices, cfg.k, seed=cfg.seed), None, None
+        return load_pattern(cfg.pattern_path), None, None
+
+    def covariance(self, seed):
+        """The population covariance, or the sample covariance of snapshots drawn with ``seed``."""
+        if self.config.use_population_covariance:
+            return self._population_covariance
+        snapshots = spectral_mod.synthesize(
+            self.filter, self.basis, self.config.n_snapshots, seed=seed
+        )
+        return spectral_mod.sample_covariance(snapshots)
+
+    @functools.cached_property
+    def _population_covariance(self):
+        return spectral_mod.true_covariance(self.filter, self.basis)
+
+    def model(self, pattern):
+        if self.spectral:
+            return sampling_mod.build_spectral_model(self.basis, pattern)
+        return sampling_mod.build_vertex_model(self.shift, pattern, self.q)
+
+    def estimate(self, cov_sub, model):
+        """Least-squares estimate from a subsampled covariance, and its NMSE."""
+        if self.spectral:
+            est = sampling_mod.estimate_spectrum_spectral(cov_sub, model)
+        else:
+            est = sampling_mod.estimate_spectrum_vertex(cov_sub, model, self.basis)
+        nmse = float(np.sum((est.p_hat - self.p_true) ** 2) / np.sum(self.p_true**2))
+        return est, nmse
+
+
+def prepare(cfg, timer=None):
+    """Build the :class:`Setting` of ``cfg``.
+
+    Checks ``k`` (unless the pattern comes from a file) and ``q`` against
+    the built graph, so a graph file that is too small is a
+    :class:`ConfigError`, as a generated one is.  ``timer`` records the
+    ``graph``, ``basis`` and ``filter`` stages.
+    """
+    cfg.validate()
+    timer = timer or _StageTimer()
+    with timer.stage("graph"):
+        graph = cfg.graph.build()
+    n = graph.n_vertices
+    if cfg.sampler != "file" and cfg.k > n:
+        raise ConfigError(f"k={cfg.k} exceeds the graph's {n} vertices")
+    if cfg.q is not None and cfg.q > n:
+        raise ConfigError(f"q={cfg.q} exceeds the graph's {n} vertices")
+    with timer.stage("basis"):
+        shift = graphs_mod.build_shift_operator(graph, cfg.shift_kind)
+        basis = spectral_mod.eigendecompose(shift)
+    with timer.stage("filter"):
+        filt = cfg.filter.build(basis)
+        p_true = spectral_mod.true_power_spectrum(filt, basis)
+    return Setting(cfg, graph, shift, basis, filt, p_true)
 
 
 def run_experiment(cfg):
@@ -309,56 +360,30 @@ def run_experiment(cfg):
     """
     cfg.validate()
     timer = _StageTimer()
-    out = None
-    if cfg.output_dir is not None:
-        import os
-
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        out = cfg.output_dir
+    out = cfg.output_dir
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
     try:
-        with timer.stage("graph"):
-            graph = cfg.graph.build()
-        with timer.stage("basis"):
-            shift = graphs_mod.build_shift_operator(graph, cfg.shift_kind)
-            basis = spectral_mod.eigendecompose(shift)
-        with timer.stage("filter"):
-            filt = cfg.filter.build(basis)
-            p_true = spectral_mod.true_power_spectrum(filt, basis)
-        q = cfg.q
-        if q is None and cfg.domain == sampling_mod.VERTEX:
-            q = sampling_mod.required_q(filt.length, graph.n_vertices)
+        setting = prepare(cfg, timer)
         with timer.stage("covariance"):
-            if cfg.use_population_covariance:
-                cov = spectral_mod.true_covariance(filt, basis)
-            else:
-                snapshots = spectral_mod.synthesize(filt, basis, cfg.n_snapshots, seed=cfg.seed)
-                cov = spectral_mod.sample_covariance(snapshots)
+            cov = setting.covariance(cfg.seed)
         with timer.stage("design"):
-            pattern, trace, epsilon = _design_pattern(cfg, basis, shift, q)
+            pattern, trace, epsilon = setting.design()
         with timer.stage("model"):
             cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
-            if cfg.domain == sampling_mod.SPECTRAL:
-                model = sampling_mod.build_spectral_model(basis, pattern)
-            else:
-                model = sampling_mod.build_vertex_model(shift, pattern, q)
+            model = setting.model(pattern)
         with timer.stage("estimate"):
-            if cfg.domain == sampling_mod.SPECTRAL:
-                estimate = sampling_mod.estimate_spectrum_spectral(cov_sub, model)
-            else:
-                estimate = sampling_mod.estimate_spectrum_vertex(cov_sub, model, basis)
-        nmse = float(
-            np.sum((estimate.p_hat - p_true) ** 2) / np.sum(p_true**2)
-        )
+            estimate, nmse = setting.estimate(cov_sub, model)
         result = ExperimentResult(
-            graph=graph,
+            graph=setting.graph,
             pattern=pattern,
-            p_true=p_true,
+            p_true=setting.p_true,
             p_hat=estimate.p_hat,
             estimate=estimate,
             nmse=nmse,
             trace=trace,
             objective_epsilon=epsilon,
-            eigenvalues=basis.eigenvalues,
+            eigenvalues=setting.basis.eigenvalues,
             config=cfg,
             runtimes=timer.runtimes,
         )
@@ -375,6 +400,22 @@ def run_experiment(cfg):
     return result
 
 
+def _write_design(out_dir, objective_kind, pattern, trace, epsilon):
+    """Write ``pattern.json`` and, for a greedy design, ``trace.json``."""
+    save_pattern(pattern, f"{out_dir}/{PATTERN_JSON}")
+    if trace is not None:
+        _write_json(
+            f"{out_dir}/{TRACE_JSON}",
+            {
+                "chosen": list(trace.chosen),
+                "gains": list(trace.gains),
+                "final_value": trace.final_value,
+                "epsilon": epsilon,
+                "objective_kind": objective_kind,
+            },
+        )
+
+
 def _write_result(result, out_dir):
     cfg = result.config
     with open(f"{out_dir}/{SPECTRUM_CSV}", "w", encoding="utf-8") as fh:
@@ -383,7 +424,9 @@ def _write_result(result, out_dir):
             zip(result.eigenvalues, result.p_true, result.p_hat)
         ):
             fh.write(f"{i},{_fmt(lam)},{_fmt(pt)},{_fmt(ph)}\n")
-    save_pattern(result.pattern, f"{out_dir}/{PATTERN_JSON}")
+    _write_design(
+        out_dir, cfg.objective_kind, result.pattern, result.trace, result.objective_epsilon
+    )
     est = result.estimate
     _write_json(
         f"{out_dir}/{METRICS_JSON}",
@@ -405,17 +448,6 @@ def _write_result(result, out_dir):
             "nmse": result.nmse,
         },
     )
-    if result.trace is not None:
-        _write_json(
-            f"{out_dir}/{TRACE_JSON}",
-            {
-                "chosen": list(result.trace.chosen),
-                "gains": list(result.trace.gains),
-                "final_value": result.trace.final_value,
-                "epsilon": result.objective_epsilon,
-                "objective_kind": cfg.objective_kind,
-            },
-        )
     emit_plot_data(result, out_dir)
 
 
@@ -449,27 +481,15 @@ def rank_threshold_scan(cfg, k_range):
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
         raise ConfigError("empty k range")
-    cfg = dataclasses.replace(cfg, k=k_values[-1]).validate()
-    graph = cfg.graph.build()
-    if k_values[-1] > graph.n_vertices or k_values[0] < 1:
+    if k_values[0] < 1:
         raise ConfigError("k range outside [1, n]")
-    shift = graphs_mod.build_shift_operator(graph, cfg.shift_kind)
-    basis = spectral_mod.eigendecompose(shift)
-    filt = cfg.filter.build(basis)
-    q = cfg.q
-    if q is None and cfg.domain == sampling_mod.VERTEX:
-        q = sampling_mod.required_q(filt.length, graph.n_vertices)
-    objective = _build_objective(cfg, basis, shift, q)
-    _, trace = design_mod.greedy_design(objective, k_values[-1])
+    setting = prepare(dataclasses.replace(cfg, k=k_values[-1], sampler="greedy"))
+    _, trace, _ = setting.greedy(k_values[-1])
+    n = setting.graph.n_vertices
     rows = []
     for k in k_values:
-        prefix = sampling_mod.SamplingPattern(graph.n_vertices, trace.chosen[:k])
-        if cfg.domain == sampling_mod.SPECTRAL:
-            model = sampling_mod.build_spectral_model(basis, prefix)
-        else:
-            model = sampling_mod.build_vertex_model(shift, prefix, q)
-        _, rank_ok = sampling_mod.model_rank(model)
-        rows.append((k, rank_ok))
+        model = setting.model(sampling_mod.SamplingPattern(n, trace.chosen[:k]))
+        rows.append((k, sampling_mod.model_rank(model)[1]))
     return rows
 
 
@@ -478,66 +498,43 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
 
     For every K in ``k_list`` runs ``n_seeds`` seeded pipelines per sampler
     and aggregates mean NMSE and the fraction of runs whose model had full
-    column rank.  Returns the rows and optionally writes ``sweep.csv``.
+    column rank.  Each seed's covariance is computed once and shared by all
+    budgets.  Returns the rows and optionally writes ``sweep.csv``.
     """
     k_values = [int(k) for k in k_list]
     if not k_values:
         raise ConfigError("empty k list")
     if n_seeds < 1:
         raise ConfigError("need at least one seed")
-    cfg = dataclasses.replace(cfg, k=max(k_values)).validate()
-    graph = cfg.graph.build()
-    if min(k_values) < 1 or max(k_values) > graph.n_vertices:
+    if min(k_values) < 1:
         raise ConfigError("k outside [1, n]")
-    shift = graphs_mod.build_shift_operator(graph, cfg.shift_kind)
-    basis = spectral_mod.eigendecompose(shift)
-    filt = cfg.filter.build(basis)
-    p_true = spectral_mod.true_power_spectrum(filt, basis)
-    q = cfg.q
-    if q is None and cfg.domain == sampling_mod.VERTEX:
-        q = sampling_mod.required_q(filt.length, graph.n_vertices)
-    objective = _build_objective(cfg, basis, shift, q)
-    _, trace = design_mod.greedy_design(objective, max(k_values))
-
-    def estimate_for(pattern, cov):
-        cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
-        if cfg.domain == sampling_mod.SPECTRAL:
-            model = sampling_mod.build_spectral_model(basis, pattern)
-            est = sampling_mod.estimate_spectrum_spectral(cov_sub, model)
-        else:
-            model = sampling_mod.build_vertex_model(shift, pattern, q)
-            est = sampling_mod.estimate_spectrum_vertex(cov_sub, model, basis)
-        nmse = float(np.sum((est.p_hat - p_true) ** 2) / np.sum(p_true**2))
-        return est.rank_ok, nmse
-
-    rows = []
-    for k in k_values:
-        greedy_pattern = sampling_mod.SamplingPattern(graph.n_vertices, trace.chosen[:k])
-        stats = {"greedy": [], "random": []}
-        for seed_index in range(n_seeds):
-            seed = cfg.seed + seed_index
-            if cfg.use_population_covariance:
-                cov = spectral_mod.true_covariance(filt, basis)
-            else:
-                snapshots = spectral_mod.synthesize(filt, basis, cfg.n_snapshots, seed=seed)
-                cov = spectral_mod.sample_covariance(snapshots)
-            stats["greedy"].append(estimate_for(greedy_pattern, cov))
-            random_pattern = design_mod.random_design(graph.n_vertices, k, seed=seed)
-            stats["random"].append(estimate_for(random_pattern, cov))
-        for sampler in ("greedy", "random"):
-            ranks = [ok for ok, _ in stats[sampler]]
-            nmses = [nmse for _, nmse in stats[sampler]]
-            rows.append(
-                {
-                    "k": k,
-                    "sampler": sampler,
-                    "mean_nmse": float(np.mean(nmses)),
-                    "rank_ok_fraction": float(np.mean(ranks)),
-                }
-            )
+    setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
+    _, trace, _ = setting.greedy(max(k_values))
+    n = setting.graph.n_vertices
+    # runs[i][sampler] collects (rank_ok, nmse) of k_values[i], one entry per seed
+    runs = [{"greedy": [], "random": []} for _ in k_values]
+    for seed in range(cfg.seed, cfg.seed + n_seeds):
+        cov = setting.covariance(seed)
+        for k, cell in zip(k_values, runs):
+            patterns = {
+                "greedy": sampling_mod.SamplingPattern(n, trace.chosen[:k]),
+                "random": design_mod.random_design(n, k, seed=seed),
+            }
+            for sampler, pattern in patterns.items():
+                cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
+                est, nmse = setting.estimate(cov_sub, setting.model(pattern))
+                cell[sampler].append((est.rank_ok, nmse))
+    rows = [
+        {
+            "k": k,
+            "sampler": sampler,
+            "mean_nmse": float(np.mean([nmse for _, nmse in stats])),
+            "rank_ok_fraction": float(np.mean([ok for ok, _ in stats])),
+        }
+        for k, cell in zip(k_values, runs)
+        for sampler, stats in cell.items()
+    ]
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         with open(f"{out_dir}/sweep.csv", "w", encoding="utf-8") as fh:
             fh.write("k,sampler,mean_nmse,rank_ok_fraction\n")

@@ -103,6 +103,32 @@ class TestDesignAndEstimate:
             run_cli("estimate", "--n", "30", "--out", str(tmp_path))
 
 
+class TestBudgetAgainstGraphFile:
+    """Budgets that a graph file cannot hold are configuration errors."""
+
+    @pytest.fixture
+    def small_graph_cfg(self, tmp_path):
+        gpath = tmp_path / "g10.txt"
+        run_cli("gen-graph", "--n", "10", "--k-neighbors", "3", "--seed", "2", "--out", str(gpath))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graph": {"path": str(gpath)}, "n_snapshots": 200}))
+        return str(cfg_path)
+
+    def test_k_above_graph_size_exits_2(self, tmp_path, small_graph_cfg):
+        for verb in ("run", "design"):
+            out = tmp_path / verb
+            assert run_cli(verb, "--config", small_graph_cfg, "--k", "12", "--out", str(out)) == 2
+
+    def test_q_above_graph_size_exits_2(self, tmp_path, small_graph_cfg):
+        design_dir = tmp_path / "design"
+        assert run_cli("design", "--config", small_graph_cfg, "--k", "4", "--out", str(design_dir)) == 0
+        assert run_cli("run", "--config", small_graph_cfg, "--k", "4", "--domain", "vertex",
+                       "--q", "14", "--out", str(tmp_path / "run")) == 2
+        assert run_cli("estimate", "--config", small_graph_cfg, "--domain", "vertex", "--q", "14",
+                       "--pattern", str(design_dir / "pattern.json"),
+                       "--out", str(tmp_path / "estimate")) == 2
+
+
 class TestSweep:
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -141,3 +167,12 @@ class TestDeterminism:
         run_cli(*args, "--out", str(tmp_path / "b"))
         for name in ("spectrum.csv", "pattern.json", "metrics.json", "trace.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestDesignMatchesRun:
+    def test_design_and_run_write_the_same_pattern_and_trace(self, tmp_path):
+        args = ["--n", "30", "--k", "12", "--snapshots", "200", "--seed", "1"]
+        assert run_cli("design", *args, "--out", str(tmp_path / "design")) == 0
+        assert run_cli("run", *args, "--out", str(tmp_path / "run")) == 0
+        for name in ("pattern.json", "trace.json"):
+            assert (tmp_path / "design" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()

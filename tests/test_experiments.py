@@ -1,5 +1,6 @@
 """Pipeline runs, rank scans, sweeps, and deterministic outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from graphpsd import (
     run_property_suites,
     save_pattern,
 )
+from graphpsd import spectral as spectral_mod
 from graphpsd.experiments import DETERMINISTIC_OUTPUTS
 
 
@@ -29,6 +31,19 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's keyword arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestConfig:
@@ -247,6 +262,22 @@ class TestCompressionSweep:
         by_sampler = {r["sampler"]: r for r in rows}
         frac = by_sampler["random"]["rank_ok_fraction"]
         assert 0.0 <= frac <= 1.0
+
+    def test_one_sampled_covariance_per_seed(self, monkeypatch):
+        calls = count_calls(monkeypatch, spectral_mod, "synthesize")
+        compression_sweep(small_cfg(seed=4), [12, 20, 30], 2)
+        assert [kwargs["seed"] for kwargs in calls] == [4, 5]
+
+    def test_one_population_covariance_in_total(self, monkeypatch):
+        calls = count_calls(monkeypatch, spectral_mod, "true_covariance")
+        compression_sweep(small_cfg(use_population_covariance=True), [12, 30], 3)
+        assert len(calls) == 1
+
+    def test_greedy_row_matches_run_experiment(self):
+        cfg = small_cfg(seed=3)
+        rows = compression_sweep(cfg, [14], 1)
+        greedy = next(r for r in rows if r["sampler"] == "greedy")
+        assert greedy["mean_nmse"] == run_experiment(dataclasses.replace(cfg, k=14)).nmse
 
 
 class TestRandomSamplerStudy:
