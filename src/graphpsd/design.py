@@ -12,9 +12,11 @@ near-optimal pattern in practice.  A frame-potential objective (squared
 Frobenius norm of the Gram matrix) is available as an alternative cost.
 
 Marginal gains are evaluated through the Cholesky factor of the regularized
-Gram matrix: either as one block update via the matrix determinant lemma
-(default; one triangular solve per candidate) or as the equivalent sequence
-of 2|X|+1 rank-one factor updates.  Both paths agree to roundoff and are
+Gram matrix: either as block updates via the matrix determinant lemma
+(default; each greedy round whitens the new rows of all remaining candidates
+with one triangular solve and factors their small systems with one batched
+Cholesky, in blocks of about 1 MB) or as the equivalent sequence of 2|X|+1
+rank-one factor updates per candidate.  Both paths agree to roundoff and are
 cross-checked against from-scratch recomputation in tests.
 """
 
@@ -104,12 +106,23 @@ class DesignObjective:
 
     def rows_for_candidate(self, selected, candidate):
         """The 2|X|+1 new pair rows contributed by adding ``candidate``."""
-        parts = [self.pair_rows[candidate, candidate][None, :]]
+        return self.candidate_rows(selected, [candidate])[0]
+
+    def candidate_rows(self, selected, candidates):
+        """New pair rows of several candidates, as a (len(candidates), 2|X|+1, m) stack.
+
+        Each candidate's rows are ordered ``(s, s)``, then ``(s, j)`` and
+        ``(j, s)`` for ``j`` in ``selected``.
+        """
         idx = list(selected)
+        cands = np.asarray(candidates, dtype=int)
+        k = len(idx)
+        rows = np.empty((len(cands), 2 * k + 1, self.n_unknowns))
+        rows[:, 0] = self.pair_rows[cands, cands]
         if idx:
-            parts.append(self.pair_rows[candidate, idx])
-            parts.append(self.pair_rows[idx, candidate])
-        return np.concatenate(parts, axis=0)
+            rows[:, 1 : k + 1] = self.pair_rows[np.ix_(cands, idx)]
+            rows[:, k + 1 :] = self.pair_rows[np.ix_(idx, cands)].transpose(1, 0, 2)
+        return rows
 
     def gram(self, selected):
         """Regularization-free Gram matrix of a subset."""
@@ -209,17 +222,53 @@ def _gain_by_updates(factor, new_rows):
 
 
 def _gain_by_block(factor, new_rows):
-    """Log-det gain of a block of rows via the matrix determinant lemma.
+    """Log-det gains of a stack of row blocks via the matrix determinant lemma.
 
-    Identical (to roundoff) to applying the rows as successive rank-one
-    updates, but needs only one triangular solve against the current factor.
+    ``new_rows`` has shape (b, r, m): the r rows each of b candidates.  The
+    gain of one block equals (to roundoff) applying its rows as successive
+    rank-one updates; all b blocks share one triangular solve against the
+    current factor and one batched Cholesky of their r x r systems.
     """
+    b, r, m = new_rows.shape
     w = scipy.linalg.solve_triangular(
-        factor, new_rows.T, lower=True, check_finite=False
+        factor, new_rows.reshape(b * r, m).T, lower=True, check_finite=False
     )
-    small = w.T @ w
-    small[np.diag_indices_from(small)] += 1.0
-    return _logdet_cholesky(small)
+    w = w.T.reshape(b, r, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = w @ w.transpose(0, 2, 1)
+    small[:, np.arange(r), np.arange(r)] += 1.0
+    try:
+        small_factor = np.linalg.cholesky(small)
+    except np.linalg.LinAlgError as exc:
+        raise NonFinite(f"Gram matrix lost positive definiteness: {exc}") from exc
+    return 2.0 * np.sum(np.log(np.diagonal(small_factor, axis1=1, axis2=2)), axis=1)
+
+
+# Bytes of one block of candidates in a batched greedy round (the larger of
+# its rows and its small systems), so a round's working set stays small.
+_BLOCK_BYTES = 1 << 20
+
+
+def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):
+    """Marginal gains of adding each of ``candidates`` to ``chosen``.
+
+    ``value`` is the objective value of ``chosen`` and ``factor`` the
+    Cholesky factor of its regularized Gram matrix (log-det only).
+    """
+    if objective.kind == FRAME_POTENTIAL:
+        return np.array([objective_value(objective, chosen + [s]) - value for s in candidates])
+    if gain_method == "updates":
+        return np.array(
+            [_gain_by_updates(factor, objective.rows_for_candidate(chosen, s)) for s in candidates]
+        )
+    r = 2 * len(chosen) + 1
+    block = max(1, _BLOCK_BYTES // (8 * r * max(r, objective.n_unknowns)))
+    return np.concatenate(
+        [
+            _gain_by_block(factor, objective.candidate_rows(chosen, candidates[i : i + block]))
+            for i in range(0, len(candidates), block)
+        ]
+    )
 
 
 def greedy_gain(objective, selected, candidate, factor=None):
@@ -246,12 +295,18 @@ def greedy_gain(objective, selected, candidate, factor=None):
 def greedy_design(objective, k, gain_method="block", validate_gains=False):
     """Greedy maximization of the design objective under a cardinality budget.
 
-    Each round evaluates the marginal gain of every unselected vertex and
-    adds the best one, breaking ties toward the lowest index; the result is
-    deterministic.  ``gain_method`` picks the log-det gain evaluation
-    ("block" or "updates"); with ``validate_gains=True`` every candidate
-    gain is recomputed from scratch and the worst relative deviation is
-    recorded on the trace (slow; meant for small instances).
+    Each round scores every unselected vertex into one gain vector and adds
+    the first maximizer, so ties go to the lowest index and the result is
+    deterministic.  ``gain_method`` picks the log-det gain evaluation:
+    "block" whitens the new rows of all candidates of a round with one
+    triangular solve and factors their small systems with one batched
+    Cholesky, in blocks of about 1 MB; "updates" applies rank-one updates
+    per candidate (slow; an oracle).  A gain that is not finite raises
+    :class:`NonFinite` in the round where it appears.  With
+    ``validate_gains=True`` every candidate gain is recomputed from scratch
+    and the worst relative deviation of both the selecting gain and the
+    rank-one-update gain is recorded on the trace (slow; meant for small
+    instances).
 
     Returns ``(pattern, trace)`` where the pattern is the sorted vertex set
     and the trace records the selection order and per-step gains.
@@ -263,48 +318,42 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
         raise InvariantViolation(f"unknown gain method {gain_method!r}")
     logdet = objective.kind == LOGDET_EPS
     m = objective.n_unknowns
+    factor = None
     if logdet:
         gram = objective.epsilon * np.eye(m)
         factor = np.linalg.cholesky(gram)
     chosen = []
-    remaining = list(range(n))
+    remaining = np.arange(n)
     gains = []
     value = 0.0
     max_check_error = 0.0
     for _ in range(k):
-        best_gain = -np.inf
-        best_vertex = None
-        best_rows = None
-        for s in remaining:
-            rows = objective.rows_for_candidate(chosen, s)
-            if logdet:
-                if gain_method == "block":
-                    gain = _gain_by_block(factor, rows)
-                else:
-                    gain = _gain_by_updates(factor, rows)
-            else:
-                gain = objective_value(objective, chosen + [s]) - value
-            if validate_gains:
+        round_gains = _candidate_gains(objective, factor, chosen, value, remaining, gain_method)
+        bad = np.flatnonzero(~np.isfinite(round_gains))
+        if bad.size:
+            raise NonFinite(f"gain of vertex {remaining[bad[0]]} is not finite")
+        if validate_gains:
+            for s, gain in zip(remaining, round_gains):
                 reference = objective_value(objective, chosen + [s]) - value
+                checked = [gain]
                 if logdet:
-                    update_gain = _gain_by_updates(factor, rows)
-                else:
-                    update_gain = gain
-                scale = max(abs(reference), abs(update_gain), 1e-300)
-                max_check_error = max(
-                    max_check_error, abs(update_gain - reference) / scale
-                )
-            if gain > best_gain:
-                best_gain = gain
-                best_vertex = s
-                best_rows = rows
-        chosen.append(best_vertex)
-        remaining.remove(best_vertex)
-        gains.append(float(best_gain))
-        value += best_gain
+                    checked.append(
+                        _gain_by_updates(factor, objective.rows_for_candidate(chosen, s))
+                    )
+                for g in checked:
+                    scale = max(abs(reference), abs(g), 1e-300)
+                    max_check_error = max(max_check_error, abs(g - reference) / scale)
+        best = int(np.argmax(round_gains))
+        best_vertex = int(remaining[best])
+        best_gain = round_gains[best]
         if logdet:
+            best_rows = objective.rows_for_candidate(chosen, best_vertex)
             gram = gram + best_rows.T @ best_rows
             factor = np.linalg.cholesky(gram)
+        chosen.append(best_vertex)
+        remaining = np.delete(remaining, best)
+        gains.append(float(best_gain))
+        value += best_gain
     pattern = SamplingPattern(n_vertices=n, selected=tuple(chosen))
     trace = GreedyTrace(
         chosen=tuple(chosen),

@@ -499,7 +499,8 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     For every K in ``k_list`` runs ``n_seeds`` seeded pipelines per sampler
     and aggregates mean NMSE and the fraction of runs whose model had full
     column rank.  Each seed's covariance is computed once and shared by all
-    budgets.  Returns the rows and optionally writes ``sweep.csv``.
+    budgets; a repeated budget is estimated once and its rows repeated.
+    Returns the rows and optionally writes ``sweep.csv``.
     """
     k_values = [int(k) for k in k_list]
     if not k_values:
@@ -511,11 +512,12 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
     _, trace, _ = setting.greedy(max(k_values))
     n = setting.graph.n_vertices
-    # runs[i][sampler] collects (rank_ok, nmse) of k_values[i], one entry per seed
-    runs = [{"greedy": [], "random": []} for _ in k_values]
+    # runs[k][sampler] collects (rank_ok, nmse) of budget k, one entry per seed;
+    # a budget listed twice is estimated once and reported twice
+    runs = {k: {"greedy": [], "random": []} for k in k_values}
     for seed in range(cfg.seed, cfg.seed + n_seeds):
         cov = setting.covariance(seed)
-        for k, cell in zip(k_values, runs):
+        for k, cell in runs.items():
             patterns = {
                 "greedy": sampling_mod.SamplingPattern(n, trace.chosen[:k]),
                 "random": design_mod.random_design(n, k, seed=seed),
@@ -531,8 +533,8 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
             "mean_nmse": float(np.mean([nmse for _, nmse in stats])),
             "rank_ok_fraction": float(np.mean([ok for ok, _ in stats])),
         }
-        for k, cell in zip(k_values, runs)
-        for sampler, stats in cell.items()
+        for k in k_values
+        for sampler, stats in runs[k].items()
     ]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

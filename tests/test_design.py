@@ -1,6 +1,8 @@
 """Greedy sampler design: objective, gains, baselines, and set-function checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from graphpsd import (
     DesignObjective,
     Graph,
     InvariantViolation,
+    NonFinite,
     SamplingPattern,
     brute_force_design,
     build_laplacian,
@@ -19,10 +22,14 @@ from graphpsd import (
     greedy_gain,
     objective_value,
     random_design,
+    random_sensor_graph,
 )
+from graphpsd import design as design_mod
 from graphpsd.design import FRAME_POTENTIAL, LOGDET_EPS, default_epsilon
 
 from conftest import random_weighted_graph
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def dense_objective_oracle(objective, selected):
@@ -234,12 +241,90 @@ class TestGreedyDesign:
         assert trace.max_gain_check_error is not None
         assert trace.max_gain_check_error <= 1e-8
 
+    def test_validated_gains_cover_the_selecting_gain(self, monkeypatch):
+        """A wrong batched gain shows in the recorded check error, even
+        though the rank-one-update oracle is right (one round, so the
+        from-scratch reference does not inherit the wrong gain)."""
+        obj = spectral_objective(7, seed=22, epsilon=1e-6)
+        original = design_mod._gain_by_block
+        monkeypatch.setattr(
+            design_mod, "_gain_by_block", lambda f, rows: original(f, rows) * (1.0 + 1e-3)
+        )
+        _, trace = greedy_design(obj, 1, validate_gains=True)
+        assert trace.max_gain_check_error >= 0.9e-3
+
+    def test_nonfinite_gain_raises_in_its_round(self):
+        rows = np.full((3, 3, 2), 1e200)
+        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows, epsilon=1.0)
+        with pytest.raises(NonFinite):
+            greedy_design(obj, 2)
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: DesignObjective.vertex(
+                build_laplacian(random_weighted_graph(12, 0.4, seed=26)), 5), 7),
+            (lambda: spectral_objective(8, seed=27), 8),
+        ],
+        ids=["vertex-q5", "spectral-k-equals-n"],
+    )
+    def test_batched_gains_match_updates_oracle(self, make, k):
+        obj = make()
+        _, t_block = greedy_design(obj, k)
+        _, t_upd = greedy_design(obj, k, gain_method="updates")
+        assert t_block.chosen == t_upd.chosen
+        np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
+
+    def test_interchangeable_vertices_lowest_index_first(self):
+        rows = np.zeros((7, 7, 2))
+        rows[2, 2] = rows[5, 5] = (1.0, 0.5)
+        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows, epsilon=1.0)
+        _, trace = greedy_design(obj, 2)
+        assert trace.chosen == (2, 5)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_candidate_gain_count(self, monkeypatch, k):
+        """Round r scores the N - r unselected vertices: K*N - K(K-1)/2 in all."""
+        counted = []
+        original = design_mod._candidate_gains
+
+        def counting(objective, factor, chosen, value, candidates, gain_method):
+            counted.append(len(candidates))
+            return original(objective, factor, chosen, value, candidates, gain_method)
+
+        monkeypatch.setattr(design_mod, "_candidate_gains", counting)
+        obj = spectral_objective(9, seed=28)
+        greedy_design(obj, k)
+        assert sum(counted) == k * 9 - k * (k - 1) // 2
+
     def test_budget_validation(self):
         obj = spectral_objective(5, seed=23)
         with pytest.raises(InvariantViolation):
             greedy_design(obj, 0)
         with pytest.raises(InvariantViolation):
             greedy_design(obj, 6)
+
+
+class TestBenchmarkOrders:
+    """The greedy orders the benchmark checks every call against."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_reference_order(self, golden):
+        shift = build_laplacian(random_sensor_graph(100, 6, seed=1))
+        objective = DesignObjective.spectral(eigendecompose(shift))
+        _, trace = greedy_design(objective, 50)
+        assert list(trace.chosen) == golden["reference"]["chosen"]
+
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_vertex_large_order(self, golden, which):
+        graph_seed = golden["vertex_large"]["pool"][which]
+        shift = build_laplacian(random_sensor_graph(800, 6, seed=graph_seed))
+        objective = DesignObjective.vertex(shift, 13)
+        _, trace = greedy_design(objective, 20)
+        assert list(trace.chosen) == golden["vertex_large"]["chosen"][str(graph_seed)]
 
 
 class TestBruteForce:

@@ -18,6 +18,7 @@ from graphpsd import (
     run_property_suites,
     save_pattern,
 )
+from graphpsd import sampling as sampling_mod
 from graphpsd import spectral as spectral_mod
 from graphpsd.experiments import DETERMINISTIC_OUTPUTS
 
@@ -272,6 +273,15 @@ class TestCompressionSweep:
         calls = count_calls(monkeypatch, spectral_mod, "true_covariance")
         compression_sweep(small_cfg(use_population_covariance=True), [12, 30], 3)
         assert len(calls) == 1
+
+    def test_repeated_budget_estimated_once(self, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, sampling_mod, "estimate_spectrum_spectral")
+        rows = compression_sweep(small_cfg(), [12, 20, 7, 12], 2, out_dir=str(tmp_path))
+        assert len(calls) == 2 * 3 * 2  # seeds x distinct budgets x samplers
+        assert [r["k"] for r in rows] == [12, 12, 20, 20, 7, 7, 12, 12]
+        assert rows[6:] == rows[:2]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[7:] == lines[1:3]
 
     def test_greedy_row_matches_run_experiment(self):
         cfg = small_cfg(seed=3)
