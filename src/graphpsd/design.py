@@ -2,7 +2,10 @@
 
 Selecting vertex set X keeps the model-matrix rows indexed by all ordered
 pairs in X x X, so each new vertex contributes 2|X|+1 rank-one terms to the
-Gram matrix.  The objective
+Gram matrix.  The covariance is symmetric, so rows ``(s, j)`` and ``(j, s)``
+are the same row and their two terms equal one term of ``sqrt(2)`` times the
+row: greedy gains are scored with the |X|+1 rows ``(s, s)`` and
+``sqrt(2) (s, j)``, which carry the same Gram matrix.  The objective
 
     f(X) = logdet( sum_{(i,j) in XxX} psi_ij psi_ij^T + eps I ) - M log(eps)
 
@@ -13,11 +16,12 @@ Frobenius norm of the Gram matrix) is available as an alternative cost.
 
 Marginal gains are evaluated through the Cholesky factor of the regularized
 Gram matrix: either as block updates via the matrix determinant lemma
-(default; each greedy round whitens the new rows of all remaining candidates
-with one triangular solve and factors their small systems with one batched
-Cholesky, in blocks of about 1 MB) or as the equivalent sequence of 2|X|+1
-rank-one factor updates per candidate.  Both paths agree to roundoff and are
-cross-checked against from-scratch recomputation in tests.
+(default; each greedy round whitens the |X|+1 new rows of all remaining
+candidates with one triangular solve and factors their small systems with one
+batched Cholesky, in blocks of about 1 MB) or as the equivalent sequence of
+2|X|+1 rank-one factor updates per candidate over the ordered rows.  Both
+paths agree to roundoff and are cross-checked against from-scratch
+recomputation in tests.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ class DesignObjective:
 
     ``pair_rows[i, j]`` is the model-matrix row for vertex pair ``(i, j)``;
     the Gram matrix of a subset X sums the outer products of all rows with
-    both endpoints in X.
+    both endpoints in X.  ``pair_rows[i, j]`` and ``pair_rows[j, i]`` must be
+    the same row (the model of a symmetric covariance): the greedy gains
+    score one ``sqrt(2)``-weighted row per unordered pair, and
+    :func:`greedy_design` checks the pairs that enter its design.
     """
 
     kind: str
@@ -105,23 +112,29 @@ class DesignObjective:
         return self.pair_rows[np.ix_(idx, idx)].reshape(k * k, self.n_unknowns)
 
     def rows_for_candidate(self, selected, candidate):
-        """The 2|X|+1 new pair rows contributed by adding ``candidate``."""
-        return self.candidate_rows(selected, [candidate])[0]
+        """The 2|X|+1 new ordered pair rows contributed by adding ``candidate``.
+
+        Ordered ``(s, s)``, then ``(s, j)`` and ``(j, s)`` for ``j`` in ``selected``.
+        """
+        idx = list(selected)
+        rows = self.pair_rows
+        return np.concatenate(
+            [rows[candidate, candidate][None], rows[candidate, idx], rows[idx, candidate]]
+        )
 
     def candidate_rows(self, selected, candidates):
-        """New pair rows of several candidates, as a (len(candidates), 2|X|+1, m) stack.
+        """Gain rows of several candidates, as a (len(candidates), |X|+1, m) stack.
 
-        Each candidate's rows are ordered ``(s, s)``, then ``(s, j)`` and
-        ``(j, s)`` for ``j`` in ``selected``.
+        Each candidate's rows are ``(s, s)``, then ``sqrt(2) (s, j)`` for ``j``
+        in ``selected``: by the symmetry of the pair rows their Gram matrix is
+        that of the 2|X|+1 rows of :meth:`rows_for_candidate`.
         """
         idx = list(selected)
         cands = np.asarray(candidates, dtype=int)
-        k = len(idx)
-        rows = np.empty((len(cands), 2 * k + 1, self.n_unknowns))
+        rows = np.empty((len(cands), len(idx) + 1, self.n_unknowns))
         rows[:, 0] = self.pair_rows[cands, cands]
         if idx:
-            rows[:, 1 : k + 1] = self.pair_rows[np.ix_(cands, idx)]
-            rows[:, k + 1 :] = self.pair_rows[np.ix_(idx, cands)].transpose(1, 0, 2)
+            np.multiply(self.pair_rows[np.ix_(cands, idx)], math.sqrt(2.0), out=rows[:, 1:])
         return rows
 
     def gram(self, selected):
@@ -224,14 +237,16 @@ def _gain_by_updates(factor, new_rows):
 def _gain_by_block(factor, new_rows):
     """Log-det gains of a stack of row blocks via the matrix determinant lemma.
 
-    ``new_rows`` has shape (b, r, m): the r rows each of b candidates.  The
-    gain of one block equals (to roundoff) applying its rows as successive
+    ``new_rows`` has shape (b, r, m): the r rows each of b candidates, here
+    the r = |X|+1 rows of :meth:`DesignObjective.candidate_rows`.  The gain
+    of one block equals (to roundoff) applying its rows as successive
     rank-one updates; all b blocks share one triangular solve against the
-    current factor and one batched Cholesky of their r x r systems.
+    current factor and one batched Cholesky of their r x r systems.  The
+    solve may overwrite ``new_rows``.
     """
     b, r, m = new_rows.shape
     w = scipy.linalg.solve_triangular(
-        factor, new_rows.reshape(b * r, m).T, lower=True, check_finite=False
+        factor, new_rows.reshape(b * r, m).T, lower=True, check_finite=False, overwrite_b=True
     )
     w = w.T.reshape(b, r, m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -261,7 +276,7 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):
         return np.array(
             [_gain_by_updates(factor, objective.rows_for_candidate(chosen, s)) for s in candidates]
         )
-    r = 2 * len(chosen) + 1
+    r = len(chosen) + 1
     block = max(1, _BLOCK_BYTES // (8 * r * max(r, objective.n_unknowns)))
     return np.concatenate(
         [
@@ -269,6 +284,32 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):
             for i in range(0, len(candidates), block)
         ]
     )
+
+
+# Largest difference between rows (s, j) and (j, s) of a chosen pair, relative
+# to the largest entry of that unknown among the compared rows.  Dense powers
+# of a symmetric shift stay within about 1e-15.
+_SYMMETRY_RTOL = 1e-10
+
+
+def _check_symmetric_pairs(rows, vertex, selected):
+    """Raise unless the ``(s, X)`` and ``(X, s)`` halves of ordered rows agree.
+
+    ``rows`` are the ordered rows of :meth:`DesignObjective.rows_for_candidate`
+    for ``vertex`` against ``selected``.
+    """
+    k = len(selected)
+    if k == 0:
+        return
+    out_rows, in_rows = rows[1 : k + 1], rows[k + 1 :]
+    scale = np.maximum(np.abs(out_rows).max(axis=0), np.abs(in_rows).max(axis=0))
+    asymmetric = np.abs(out_rows - in_rows) > _SYMMETRY_RTOL * scale
+    if np.any(asymmetric):
+        j = selected[int(np.flatnonzero(asymmetric.any(axis=1))[0])]
+        raise InvariantViolation(
+            f"pair rows ({vertex}, {j}) and ({j}, {vertex}) differ; "
+            "the design objective needs symmetric pair rows"
+        )
 
 
 def greedy_gain(objective, selected, candidate, factor=None):
@@ -298,11 +339,15 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
     Each round scores every unselected vertex into one gain vector and adds
     the first maximizer, so ties go to the lowest index and the result is
     deterministic.  ``gain_method`` picks the log-det gain evaluation:
-    "block" whitens the new rows of all candidates of a round with one
-    triangular solve and factors their small systems with one batched
-    Cholesky, in blocks of about 1 MB; "updates" applies rank-one updates
-    per candidate (slow; an oracle).  A gain that is not finite raises
-    :class:`NonFinite` in the round where it appears.  With
+    "block" whitens the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)`` of all
+    candidates of a round with one triangular solve and factors their small
+    systems with one batched Cholesky, in blocks of about 1 MB; "updates"
+    applies the 2|X|+1 ordered rows as rank-one updates per candidate (slow;
+    an oracle).  The running Gram matrix adds the chosen vertex's ordered
+    rows, and those rows must be symmetric: an ``(s, j)`` row that differs
+    from its ``(j, s)`` row by more than 1e-10 of the largest entry of its
+    unknown raises :class:`InvariantViolation`.  A gain that is not finite
+    raises :class:`NonFinite` in the round where it appears.  With
     ``validate_gains=True`` every candidate gain is recomputed from scratch
     and the worst relative deviation of both the selecting gain and the
     rank-one-update gain is recorded on the trace (slow; meant for small
@@ -348,6 +393,7 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
         best_gain = round_gains[best]
         if logdet:
             best_rows = objective.rows_for_candidate(chosen, best_vertex)
+            _check_symmetric_pairs(best_rows, best_vertex, chosen)
             gram = gram + best_rows.T @ best_rows
             factor = np.linalg.cholesky(gram)
         chosen.append(best_vertex)

@@ -308,6 +308,12 @@ class Setting:
         return spectral_mod.true_covariance(self.filter, self.basis)
 
     def model(self, pattern):
+        """Model matrix of ``pattern``; a pattern of another vertex count is a ConfigError."""
+        n = self.graph.n_vertices
+        if pattern.n_vertices != n:
+            raise ConfigError(
+                f"the pattern is for {pattern.n_vertices} vertices, the graph has {n}"
+            )
         if self.spectral:
             return sampling_mod.build_spectral_model(self.basis, pattern)
         return sampling_mod.build_vertex_model(self.shift, pattern, self.q)
@@ -370,8 +376,8 @@ def run_experiment(cfg):
         with timer.stage("design"):
             pattern, trace, epsilon = setting.design()
         with timer.stage("model"):
-            cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
             model = setting.model(pattern)
+            cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
         with timer.stage("estimate"):
             estimate, nmse = setting.estimate(cov_sub, model)
         result = ExperimentResult(

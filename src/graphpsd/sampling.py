@@ -161,7 +161,8 @@ def build_vertex_model(shift, pattern, q_order, dedup=False):
     """Vertex-domain model: subsampled powers of the shift operator.
 
     Column q holds the vectorized K x K submatrix of ``S^q`` for
-    q = 0..Q-1, computed by iterated multiplication (no eigendecomposition).
+    q = 0..Q-1, computed by iterated multiplication (no eigendecomposition)
+    of the K selected columns only: ``S^q[:, X]`` is an N x K block.
     """
     n = shift.n
     if not (1 <= q_order <= n):
@@ -169,11 +170,11 @@ def build_vertex_model(shift, pattern, q_order, dedup=False):
     idx = list(pattern.selected)
     k = pattern.k
     cols = np.empty((k * k, q_order))
-    power = np.eye(n)
+    block = np.eye(n)[:, idx]
     for q in range(q_order):
-        cols[:, q] = power[np.ix_(idx, idx)].reshape(-1, order="F")
+        cols[:, q] = block[idx].reshape(-1, order="F")
         if q + 1 < q_order:
-            power = shift.matrix @ power
+            block = shift.matrix @ block
     if dedup:
         cols = cols[_upper_triangle_rows(k)]
     return CovarianceModelMatrix(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graphpsd import load_graph
+from graphpsd import SamplingPattern, load_graph, save_pattern
 from graphpsd.cli import main
 
 
@@ -127,6 +127,16 @@ class TestBudgetAgainstGraphFile:
         assert run_cli("estimate", "--config", small_graph_cfg, "--domain", "vertex", "--q", "14",
                        "--pattern", str(design_dir / "pattern.json"),
                        "--out", str(tmp_path / "estimate")) == 2
+
+    def test_pattern_of_another_graph_size_exits_2(self, tmp_path, small_graph_cfg, capsys):
+        pattern_path = tmp_path / "pattern.json"
+        save_pattern(SamplingPattern(100, (0, 5, 50)), pattern_path)
+        out = tmp_path / "estimate"
+        assert run_cli("estimate", "--config", small_graph_cfg, "--pattern", str(pattern_path),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "for 100 vertices" in err and "graph has 10" in err
+        assert json.loads((out / "failure.json").read_text())["stage"] == "model"
 
 
 class TestSweep:

@@ -275,6 +275,38 @@ class TestGreedyDesign:
         assert t_block.chosen == t_upd.chosen
         np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DesignObjective.vertex(
+                build_laplacian(random_weighted_graph(12, 0.4, seed=26)), 5),
+            lambda: spectral_objective(8, seed=27),
+        ],
+        ids=["vertex-q5", "spectral"],
+    )
+    def test_candidate_rows_carry_the_ordered_gram(self, make):
+        """|X|+1 rows, sqrt(2) on the cross rows, give the Gram of the 2|X|+1 ordered rows."""
+        obj = make()
+        selected = [6, 1, 3]
+        for s in (0, 2, 7):
+            halved = obj.candidate_rows(selected, [s])
+            assert halved.shape == (1, len(selected) + 1, obj.n_unknowns)
+            ordered = obj.rows_for_candidate(selected, s)
+            np.testing.assert_allclose(
+                halved[0].T @ halved[0], ordered.T @ ordered, rtol=1e-13
+            )
+
+    def test_asymmetric_pair_rows_rejected(self):
+        """Halved gains rely on rows (i, j) and (j, i) being equal; greedy
+        checks every pair it selects."""
+        rows = np.array(spectral_objective(6, seed=29).pair_rows)
+        rows[1, 4] += 1e-3 * np.abs(rows[1, 4]).max()
+        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows.copy())
+        with pytest.raises(InvariantViolation, match=r"\(1, 4\) and \(4, 1\) differ"):
+            greedy_design(obj, 6)
+        rows[1, 4] = rows[4, 1]
+        greedy_design(DesignObjective(kind=LOGDET_EPS, pair_rows=rows), 6)
+
     def test_interchangeable_vertices_lowest_index_first(self):
         rows = np.zeros((7, 7, 2))
         rows[2, 2] = rows[5, 5] = (1.0, 0.5)
