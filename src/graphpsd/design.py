@@ -22,16 +22,26 @@ batched Cholesky, in blocks of about 1 MB) or as the equivalent sequence of
 2|X|+1 rank-one factor updates per candidate over the ordered rows.  Both
 paths agree to roundoff and are cross-checked against from-scratch
 recomputation in tests.
+
+No objective on the pipeline path stores the N x N x M tensor of all pair
+rows (N^3 floats in the spectral domain).  Each objective reads its rows
+from a row source with two accessors, the diagonal rows ``(s, s)`` of some
+candidates and the block of rows ``(i, j)`` for ``i`` and ``j`` in two index
+lists: the spectral source multiplies rows of the Fourier basis, the vertex
+source keeps the diagonals of the powers ``S^q`` and builds the columns
+``S^q e_j`` of the vertices greedy chooses, by sparse products with the
+shift, and an explicit tensor is indexed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import InvariantViolation, NonFinite
 from .sampling import SamplingPattern
@@ -40,56 +50,191 @@ LOGDET_EPS = "logdet_eps"
 FRAME_POTENTIAL = "frame_potential"
 
 
-@dataclass(frozen=True)
-class DesignObjective:
-    """Set function over vertex subsets, backed by per-pair model rows.
+# Bytes of one block of work: the candidates of a batched greedy round (the
+# larger of their rows and their small systems), or the pairs of one chunk of
+# an objective's set-up, so a round's working set stays small.
+_BLOCK_BYTES = 1 << 20
 
-    ``pair_rows[i, j]`` is the model-matrix row for vertex pair ``(i, j)``;
-    the Gram matrix of a subset X sums the outer products of all rows with
-    both endpoints in X.  ``pair_rows[i, j]`` and ``pair_rows[j, i]`` must be
-    the same row (the model of a symmetric covariance): the greedy gains
-    score one ``sqrt(2)``-weighted row per unordered pair, and
-    :func:`greedy_design` checks the pairs that enter its design.
+
+class _RowSource:
+    """The pair rows of an objective, read a few at a time.
+
+    ``diagonal(cands)`` gives the rows ``(s, s)`` of the candidates as a
+    (len(cands), m) array; ``block(rows, cols)`` the rows ``(i, j)`` for
+    ``i`` in ``rows`` and ``j`` in ``cols`` as a (len(rows), len(cols), m)
+    array; ``default_epsilon()`` 1e-8 times the mean squared row norm, as
+    :func:`default_epsilon` of the whole tensor.  ``n`` and ``m`` are the
+    vertex and unknown counts.
     """
 
-    kind: str
-    pair_rows: np.ndarray
-    epsilon: float | None = None
 
-    def __post_init__(self):
-        rows = np.asarray(self.pair_rows, dtype=float)
+class _TensorRows(_RowSource):
+    """Rows indexed from an explicit (n, n, m) tensor."""
+
+    def __init__(self, pair_rows):
+        rows = np.asarray(pair_rows, dtype=float).view()
         if rows.ndim != 3 or rows.shape[0] != rows.shape[1]:
             raise InvariantViolation("pair_rows must have shape (n, n, m)")
         if not np.all(np.isfinite(rows)):
             raise InvariantViolation("pair_rows must be finite")
         rows.flags.writeable = False
-        object.__setattr__(self, "pair_rows", rows)
-        if self.kind == LOGDET_EPS:
-            eps = self.epsilon
-            if eps is None:
-                eps = default_epsilon(rows)
+        self.tensor = rows
+        self.n, _, self.m = rows.shape
+
+    def diagonal(self, cands):
+        return self.tensor[cands, cands]
+
+    def block(self, rows, cols):
+        return self.tensor[np.ix_(rows, cols)]
+
+    def default_epsilon(self):
+        return default_epsilon(self.tensor)
+
+
+class _SpectralRows(_RowSource):
+    """Row ``(i, j)`` is ``u_i * u_j`` for the rows ``u_i`` of the Fourier basis."""
+
+    def __init__(self, eigenvectors):
+        # |u_ik u_jk| <= max(u_ik^2, u_jk^2): finite squares make every row finite
+        with np.errstate(over="ignore"):
+            squares = eigenvectors * eigenvectors
+        if not np.all(np.isfinite(squares)):
+            raise InvariantViolation("pair_rows must be finite")
+        self.u = eigenvectors
+        self.n, self.m = eigenvectors.shape
+
+    def diagonal(self, cands):
+        u = self.u[cands]
+        return u * u
+
+    def block(self, rows, cols):
+        return self.u[rows][:, None, :] * self.u[cols][None, :, :]
+
+    def default_epsilon(self):
+        # default_epsilon's per-pair reduction, a chunk of i at a time
+        n = self.n
+        everything = np.arange(n)
+        chunk = max(1, _BLOCK_BYTES // (8 * n * n))
+        squared_norms = np.empty((n, n))
+        for i in range(0, n, chunk):
+            rows = self.block(everything[i : i + chunk], everything)
+            rows *= rows
+            np.sum(rows, axis=-1, out=squared_norms[i : i + chunk])
+        return 1e-8 * float(np.mean(squared_norms))
+
+
+class _VertexRows(_RowSource):
+    """Row ``(i, j)`` holds ``(S^q)_ij`` for q < Q, from sparse products with S.
+
+    One sweep over column chunks of the powers keeps their diagonals (n x Q)
+    and sums their squared Frobenius norms for the regularizer.  The columns
+    ``S^q e_j`` (n x Q) are computed for the ``j`` a block asks for only, and
+    kept: greedy asks for those of its chosen vertices.
+    """
+
+    def __init__(self, shift, q_order):
+        self.n, self.m = shift.n, q_order
+        self.shift = scipy.sparse.csr_array(shift.matrix)
+        self.diag = np.empty((self.n, q_order))
+        squared_norm = 0.0
+        # two power blocks are alive at a time: together half a block of work
+        chunk = max(1, _BLOCK_BYTES // (4 * 8 * self.n))
+        for start in range(0, self.n, chunk):
+            cols = np.arange(start, min(start + chunk, self.n))
+            for q, power in enumerate(self._powers(cols)):
+                self.diag[cols, q] = power[cols, np.arange(len(cols))]
+                squared_norm += float(np.einsum("ij,ij->", power, power))
+        if not np.isfinite(squared_norm):
+            raise InvariantViolation("pair_rows must be finite")
+        self._epsilon = 1e-8 * squared_norm / self.n**2
+        self._columns = {}
+
+    def _powers(self, cols):
+        """Yield the columns ``cols`` of ``S^q``, an (n, len(cols)) block, for q < Q."""
+        power = np.zeros((self.n, len(cols)))
+        power[cols, np.arange(len(cols))] = 1.0
+        for q in range(self.m):
+            yield power
+            if q + 1 < self.m:
+                power = self.shift @ power
+
+    def diagonal(self, cands):
+        return self.diag[cands]
+
+    def _column(self, j):
+        column = self._columns.get(j)
+        if column is None:
+            column = np.concatenate(list(self._powers([j])), axis=1)
+            self._columns[j] = column
+        return column
+
+    def block(self, rows, cols):
+        out = np.empty((len(rows), len(cols), self.m))
+        for t, j in enumerate(cols):
+            out[:, t] = self._column(j)[rows]
+        return out
+
+    def default_epsilon(self):
+        return self._epsilon
+
+
+@dataclass(frozen=True, init=False)
+class DesignObjective:
+    """Set function over vertex subsets, backed by per-pair model rows.
+
+    Row ``(i, j)`` is the model-matrix row for vertex pair ``(i, j)``; the
+    Gram matrix of a subset X sums the outer products of all rows with both
+    endpoints in X.  Rows ``(i, j)`` and ``(j, i)`` must be the same row (the
+    model of a symmetric covariance): the greedy gains score one
+    ``sqrt(2)``-weighted row per unordered pair, and :func:`greedy_design`
+    checks the pairs that enter its design.
+
+    ``pair_rows`` is an explicit (n, n, m) tensor, read by indexing (the
+    objective keeps a read-only view of it).  :meth:`spectral` and
+    :meth:`vertex` instead generate the rows they are asked for, from the
+    Fourier basis or from sparse powers of the shift, and never hold the
+    tensor; their :attr:`pair_rows` builds it on demand.
+    """
+
+    kind: str
+    epsilon: float | None
+    _rows: _RowSource = field(repr=False)
+
+    def __init__(self, kind, pair_rows, epsilon=None):
+        rows = pair_rows if isinstance(pair_rows, _RowSource) else _TensorRows(pair_rows)
+        if kind == LOGDET_EPS:
+            eps = rows.default_epsilon() if epsilon is None else epsilon
             if not (eps > 0.0 and np.isfinite(eps)):
                 raise InvariantViolation("epsilon must be positive and finite")
-            object.__setattr__(self, "epsilon", float(eps))
-        elif self.kind == FRAME_POTENTIAL:
-            object.__setattr__(self, "epsilon", None)
+            eps = float(eps)
+        elif kind == FRAME_POTENTIAL:
+            eps = None
         else:
-            raise InvariantViolation(f"unknown objective kind {self.kind!r}")
+            raise InvariantViolation(f"unknown objective kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def n_vertices(self):
-        return self.pair_rows.shape[0]
+        return self._rows.n
 
     @property
     def n_unknowns(self):
-        return self.pair_rows.shape[2]
+        return self._rows.m
+
+    @property
+    def pair_rows(self):
+        """The (n, n, m) tensor of all pair rows; built on demand unless it was given."""
+        if isinstance(self._rows, _TensorRows):
+            return self._rows.tensor
+        everything = np.arange(self.n_vertices)
+        return self._rows.block(everything, everything)
 
     @classmethod
     def spectral(cls, basis, kind=LOGDET_EPS, epsilon=None):
         """Objective over the full spectral-domain model (M = N columns)."""
-        u = basis.eigenvectors
-        rows = u[:, None, :] * u[None, :, :]
-        return cls(kind=kind, pair_rows=rows, epsilon=epsilon)
+        return cls(kind=kind, pair_rows=_SpectralRows(basis.eigenvectors), epsilon=epsilon)
 
     @classmethod
     def vertex(cls, shift, q_order, kind=LOGDET_EPS, epsilon=None):
@@ -97,19 +242,13 @@ class DesignObjective:
         n = shift.n
         if not (1 <= q_order <= n):
             raise InvariantViolation(f"need 1 <= Q <= {n}, got {q_order}")
-        rows = np.empty((n, n, q_order))
-        power = np.eye(n)
-        for q in range(q_order):
-            rows[:, :, q] = power
-            if q + 1 < q_order:
-                power = shift.matrix @ power
-        return cls(kind=kind, pair_rows=rows, epsilon=epsilon)
+        return cls(kind=kind, pair_rows=_VertexRows(shift, q_order), epsilon=epsilon)
 
     def rows_for_set(self, selected):
         """All pair rows with both endpoints in ``selected``, as a (k^2, m) array."""
         idx = list(selected)
         k = len(idx)
-        return self.pair_rows[np.ix_(idx, idx)].reshape(k * k, self.n_unknowns)
+        return self._rows.block(idx, idx).reshape(k * k, self.n_unknowns)
 
     def rows_for_candidate(self, selected, candidate):
         """The 2|X|+1 new ordered pair rows contributed by adding ``candidate``.
@@ -117,9 +256,10 @@ class DesignObjective:
         Ordered ``(s, s)``, then ``(s, j)`` and ``(j, s)`` for ``j`` in ``selected``.
         """
         idx = list(selected)
-        rows = self.pair_rows
+        rows = self._rows
         return np.concatenate(
-            [rows[candidate, candidate][None], rows[candidate, idx], rows[idx, candidate]]
+            [rows.diagonal([candidate]), rows.block([candidate], idx)[0],
+             rows.block(idx, [candidate])[:, 0]]
         )
 
     def candidate_rows(self, selected, candidates):
@@ -132,9 +272,9 @@ class DesignObjective:
         idx = list(selected)
         cands = np.asarray(candidates, dtype=int)
         rows = np.empty((len(cands), len(idx) + 1, self.n_unknowns))
-        rows[:, 0] = self.pair_rows[cands, cands]
+        rows[:, 0] = self._rows.diagonal(cands)
         if idx:
-            np.multiply(self.pair_rows[np.ix_(cands, idx)], math.sqrt(2.0), out=rows[:, 1:])
+            np.multiply(self._rows.block(cands, idx), math.sqrt(2.0), out=rows[:, 1:])
         return rows
 
     def gram(self, selected):
@@ -257,11 +397,6 @@ def _gain_by_block(factor, new_rows):
     except np.linalg.LinAlgError as exc:
         raise NonFinite(f"Gram matrix lost positive definiteness: {exc}") from exc
     return 2.0 * np.sum(np.log(np.diagonal(small_factor, axis1=1, axis2=2)), axis=1)
-
-
-# Bytes of one block of candidates in a batched greedy round (the larger of
-# its rows and its small systems), so a round's working set stays small.
-_BLOCK_BYTES = 1 << 20
 
 
 def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):

@@ -269,10 +269,7 @@ class Setting:
         return sampling_mod.required_q(self.filter.length, self.graph.n_vertices)
 
     def greedy(self, k):
-        """Greedy design of ``k`` vertices: ``(pattern, trace, epsilon)``.
-
-        The objective holds an N x N x M tensor, so it lives only for this call.
-        """
+        """Greedy design of ``k`` vertices: ``(pattern, trace, epsilon)``."""
         cfg = self.config
         if self.spectral:
             objective = design_mod.DesignObjective.spectral(

@@ -26,6 +26,8 @@ from graphpsd import (
 )
 from graphpsd import design as design_mod
 from graphpsd.design import FRAME_POTENTIAL, LOGDET_EPS, default_epsilon
+from graphpsd.graphs import LAPLACIAN, ShiftOperator
+from graphpsd.spectral import SpectralBasis
 
 from conftest import random_weighted_graph
 
@@ -335,6 +337,77 @@ class TestGreedyDesign:
             greedy_design(obj, 0)
         with pytest.raises(InvariantViolation):
             greedy_design(obj, 6)
+
+
+class TestGeneratedRows:
+    """The spectral and vertex objectives generate the rows an explicit tensor holds."""
+
+    @staticmethod
+    def spectral_pair(n=9, seed=50):
+        basis = eigendecompose(build_laplacian(random_weighted_graph(n, 0.4, seed)))
+        u = basis.eigenvectors
+        tensor = u[:, None, :] * u[None, :, :]
+        return DesignObjective.spectral(basis), DesignObjective(kind=LOGDET_EPS, pair_rows=tensor)
+
+    @staticmethod
+    def vertex_pair(n=12, q=5, seed=51):
+        shift = build_laplacian(random_weighted_graph(n, 0.4, seed))
+        tensor = np.empty((n, n, q))
+        power = np.eye(n)
+        for i in range(q):
+            tensor[:, :, i] = power
+            power = shift.matrix @ power
+        return DesignObjective.vertex(shift, q), DesignObjective(kind=LOGDET_EPS, pair_rows=tensor)
+
+    @staticmethod
+    def row_methods(obj, selected=(6, 1, 3), candidates=(0, 2, 7, 8)):
+        yield "candidate_rows", obj.candidate_rows(list(selected), list(candidates))
+        yield "candidate_rows, empty set", obj.candidate_rows([], list(candidates))
+        for s in candidates:
+            yield f"rows_for_candidate {s}", obj.rows_for_candidate(list(selected), s)
+        yield "rows_for_set", obj.rows_for_set(list(selected) + [candidates[0]])
+
+    def test_explicit_rows_stay_writeable(self):
+        rows = np.ones((3, 3, 2))
+        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows)
+        assert rows.flags.writeable
+        assert not obj.pair_rows.flags.writeable
+        rows[0, 0] = 5.0  # the caller's array stays theirs to edit
+
+    def test_spectral_rows_match_tensor_bit_for_bit(self):
+        generated, explicit = self.spectral_pair()
+        for (name, got), (_, want) in zip(self.row_methods(generated), self.row_methods(explicit)):
+            assert np.array_equal(got, want), name
+        assert generated.epsilon == explicit.epsilon
+        assert np.array_equal(generated.pair_rows, explicit.pair_rows)
+
+    def test_vertex_rows_match_tensor(self):
+        generated, explicit = self.vertex_pair()
+        scale = np.abs(explicit.pair_rows).max(axis=(0, 1))
+        for (name, got), (_, want) in zip(self.row_methods(generated), self.row_methods(explicit)):
+            assert got.shape == want.shape, name
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+        np.testing.assert_allclose(generated.epsilon, explicit.epsilon, rtol=1e-12)
+        assert np.all(np.abs(generated.pair_rows - explicit.pair_rows) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DesignObjective.spectral(
+                SpectralBasis(np.zeros(3), np.full((3, 3), 1e200))),
+            lambda: DesignObjective.vertex(ShiftOperator(LAPLACIAN, np.full((4, 4), 1e200)), 3),
+        ],
+        ids=["spectral", "vertex"],
+    )
+    def test_overflowing_rows_rejected(self, make):
+        """Rows that are not finite are refused when built, as for a tensor."""
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            make()
+
+    @pytest.mark.parametrize("pair, k", [("spectral_pair", 9), ("vertex_pair", 7)])
+    def test_greedy_order_matches_tensor(self, pair, k):
+        generated, explicit = getattr(self, pair)()
+        assert greedy_design(generated, k)[1].chosen == greedy_design(explicit, k)[1].chosen
 
 
 class TestBenchmarkOrders:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from graphpsd import (
     SamplingPattern,
     compression_sweep,
     load_pattern,
+    prepare,
     rank_threshold_scan,
     run_experiment,
     run_property_suites,
@@ -233,6 +235,35 @@ class TestRankThresholdScan:
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError):
             rank_threshold_scan(small_cfg(), [])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_greedy_full_rank_at_the_information_minimum(self, seed):
+        """The sampling law on sensor graphs of N=200: the greedy prefix has
+        full rank from K_min = min{K : K(K+1)/2 >= N} = 20 on, and not
+        before (K(K+1)/2 distinct equations cannot fix N unknowns)."""
+        n = 200
+        k_min = next(k for k in range(1, n + 1) if k * (k + 1) // 2 >= n)
+        assert k_min == 20
+        rows = rank_threshold_scan(ExperimentConfig(graph=GraphSpec(n=n, seed=seed)), range(17, 23))
+        assert rows == [(k, k >= k_min) for k in range(17, 23)]
+
+
+class TestDesignMemory:
+    @pytest.mark.parametrize("domain, q, m", [("spectral", None, 300), ("vertex", 13, 13)])
+    def test_greedy_never_builds_the_pair_tensor(self, domain, q, m):
+        """Greedy design at N=300 peaks below a tenth of the N x N x M tensor
+        of pair rows (216 MB spectral, 9.4 MB vertex at Q=13).  The setting's
+        own N x N arrays (graph, shift, basis) are built before measuring."""
+        n = 300
+        setting = prepare(ExperimentConfig(graph=GraphSpec(n=n), domain=domain, q=q, k=8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            setting.greedy(8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * m * 8 / 10
 
 
 class TestCompressionSweep:
