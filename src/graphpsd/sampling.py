@@ -16,12 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import InvalidSupport, InvariantViolation
+from .errors import InvalidSupport, InvariantViolation, NonFinite
 from .spectral import CovarianceEstimate, vandermonde
 
 SPECTRAL = "spectral"
 VERTEX = "vertex"
+# columns per block when gathering the solve rows
+_COLUMN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,12 @@ class CovarianceModelMatrix:
 
     ``domain`` is :data:`SPECTRAL` (N columns) or :data:`VERTEX` (Q columns).
     Rows are indexed by vertex pairs in column-major vectorization order;
-    with ``dedup=True`` only one row per unordered pair is kept (changes the
-    implicit least-squares weighting under noise, so it is off by default).
+    with ``dedup=True`` only one row per unordered pair is kept.  The
+    estimators solve the default K^2-row model on its K(K+1)/2 pair rows,
+    weighted by sqrt(2) off the diagonal, which is the same least-squares
+    problem.  So ``dedup=True`` differs from the default only by dropping
+    those weights: under noise it counts an off-diagonal pair once where
+    the default counts it twice.
     """
 
     domain: str
@@ -149,7 +156,8 @@ def build_spectral_model(basis, pattern, dedup=False):
     """
     u_sub = basis.eigenvectors[list(pattern.selected)]
     k = pattern.k
-    model = (u_sub[:, None, :] * u_sub[None, :, :]).reshape(k * k, basis.n, order="F")
+    # row i + j*k is the (i, j) entry; C order keeps each row contiguous
+    model = (u_sub[None, :, :] * u_sub[:, None, :]).reshape(k * k, basis.n)
     if dedup:
         model = model[_upper_triangle_rows(k)]
     return CovarianceModelMatrix(
@@ -182,34 +190,88 @@ def build_vertex_model(shift, pattern, q_order, dedup=False):
     )
 
 
-def _equilibrated_svd(matrix):
-    """SVD of the column-equilibrated matrix plus a numerical-rank decision.
+def _solved_rows(model):
+    """Rows of ``model`` that the solver factors, their transposed rows and weights.
 
-    Columns are scaled to unit norm before the SVD so the rank reflects
-    genuine dependence rather than column scaling (vertex models span many
-    orders of magnitude).  The rank tolerance is
-    ``max(rows, cols) * eps * (largest equilibrated column norm)``.
+    A K^2-row model holds each off-diagonal pair twice, as (i, j) and
+    (j, i).  Its K(K+1)/2 upper-triangle rows, the off-diagonal ones and
+    their right-hand sides (the mean over both orders) weighted by sqrt(2),
+    give the same normal equations, column norms, singular values and
+    residual norm.  A ``dedup`` model has one row per pair and is solved as
+    it is.
     """
-    rows, cols = matrix.shape
-    col_norms = np.linalg.norm(matrix, axis=0)
-    scale = np.where(col_norms > 0.0, col_norms, 1.0)
-    scaled = matrix / scale
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    tol = max(rows, cols) * np.finfo(float).eps * float(np.linalg.norm(scaled, axis=0).max())
-    rank = int(np.sum(s > tol))
-    return u, s, vt, scale, rank, float(tol)
+    rows = model.matrix.shape[0]
+    if model.dedup:
+        every = np.arange(rows)
+        return every, every, np.ones(rows)
+    k = model.pattern.k
+    upper = _upper_triangle_rows(k)
+    weights = np.where(upper % (k + 1) == 0, 1.0, np.sqrt(2.0))
+    return upper, (upper % k) * k + upper // k, weights
+
+
+def _equilibrated_r(matrix, model, rhs=None):
+    """R factor of the model's weighted, column-equilibrated solve rows.
+
+    ``matrix`` holds all of ``model``'s rows (``model.matrix`` or some of its
+    columns).  Columns are scaled to unit norm before the QR so the rank
+    reflects genuine dependence rather than column scaling (vertex models
+    span many orders of magnitude).  A column whose unscaled norm is at or
+    below ``max(rows, cols) * eps * (largest column norm)`` is scaled to
+    zero: it adds a zero singular value and gets a zero coefficient.  The
+    rank tolerance is ``max(rows, cols) * eps * (largest equilibrated column
+    norm)``; both count the model's own rows (K^2 unless ``dedup``).
+
+    Returns ``(r, qtb, scale, tol)``; ``qtb`` is ``Q^T`` times the weighted
+    ``rhs`` (None without one) and the solution is divided by ``scale``.
+    """
+    rows, transposed, weights = _solved_rows(model)
+    cols = matrix.shape[1]
+    eps_rows = max(matrix.shape[0], cols) * np.finfo(float).eps
+    # Work in column blocks, so that no temporary as large as the solve rows
+    # is made: they are gathered straight into Fortran order, which the QR
+    # then overwrites in place.
+    blocks = [slice(start, start + _COLUMN_BLOCK) for start in range(0, cols, _COLUMN_BLOCK)]
+    solve = np.empty((rows.size, cols), order="F")
+    for block in blocks:
+        solve[:, block] = matrix[rows, block] * weights[:, None]
+
+    def column_norms():
+        return np.concatenate([np.linalg.norm(solve[:, block], axis=0) for block in blocks])
+
+    col_norms = column_norms()
+    if not np.all(np.isfinite(col_norms)):
+        raise NonFinite("model matrix is not finite")
+    scale = np.where(col_norms > eps_rows * col_norms.max(), col_norms, np.inf)
+    solve /= scale
+    tol = eps_rows * float(column_norms().max())
+    if rhs is None:
+        (r,) = scipy.linalg.qr(solve, overwrite_a=True, mode="r")
+        return r, None, scale, tol
+    pair_rhs = (rhs[rows] + rhs[transposed]) / 2.0 * weights
+    if not np.all(np.isfinite(pair_rhs)):
+        raise NonFinite("covariance is not finite")
+    qtb, r = scipy.linalg.qr_multiply(solve, pair_rhs, mode="right", overwrite_a=True)
+    return r, qtb, scale, tol
 
 
 def model_rank(model):
     """Numerical rank of a model matrix and whether it has full column rank."""
-    _, _, _, _, rank, _ = _equilibrated_svd(model.matrix)
+    r, _, _, tol = _equilibrated_r(model.matrix, model)
+    rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
     return rank, rank == model.n_unknowns
 
 
-def _solve_least_squares(matrix, rhs):
-    """Minimum-norm least squares via the equilibrated SVD."""
-    u, s, vt, scale, rank, tol = _equilibrated_svd(matrix)
-    projected = u[:, :rank].T @ rhs
+def _solve_least_squares(matrix, rhs, model):
+    """Minimum-norm least squares via the SVD of the equilibrated R factor.
+
+    ``residual`` is ``||matrix @ solution - rhs||`` over all of the model's
+    rows.
+    """
+    r, qtb, scale, tol = _equilibrated_r(matrix, model, rhs)
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.sum(s > tol))
+    projected = u[:, :rank].T @ qtb
     solution = (vt[:rank].T @ (projected / s[:rank])) / scale
     residual = float(np.linalg.norm(matrix @ solution - rhs))
     return solution, rank, tol, residual
@@ -225,7 +287,7 @@ def estimate_spectrum_spectral(cov_sub, model):
     if model.domain != SPECTRAL:
         raise InvariantViolation("model is not spectral-domain")
     rhs = model.vectorize(cov_sub.matrix)
-    p_hat, rank, tol, residual = _solve_least_squares(model.matrix, rhs)
+    p_hat, rank, tol, residual = _solve_least_squares(model.matrix, rhs, model)
     return SpectrumEstimate(
         p_hat=p_hat,
         domain=SPECTRAL,
@@ -252,7 +314,7 @@ def estimate_spectrum_spectral_reduced(cov_sub, model, support):
         raise InvalidSupport(f"support index out of range for N={n}")
     rhs = model.vectorize(cov_sub.matrix)
     reduced = model.matrix[:, support]
-    coef, rank, tol, residual = _solve_least_squares(reduced, rhs)
+    coef, rank, tol, residual = _solve_least_squares(reduced, rhs, model)
     p_hat = np.zeros(n)
     p_hat[support] = coef
     return SpectrumEstimate(
@@ -275,7 +337,7 @@ def estimate_spectrum_vertex(cov_sub, model, basis):
     if model.domain != VERTEX:
         raise InvariantViolation("model is not vertex-domain")
     rhs = model.vectorize(cov_sub.matrix)
-    alpha_hat, rank, tol, residual = _solve_least_squares(model.matrix, rhs)
+    alpha_hat, rank, tol, residual = _solve_least_squares(model.matrix, rhs, model)
     p_hat = vandermonde(basis.eigenvalues, model.order) @ alpha_hat
     return SpectrumEstimate(
         p_hat=p_hat,

@@ -1,16 +1,23 @@
 """Subsampling, the two covariance models, and least-squares recovery."""
 
+import json
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphpsd import (
     CovarianceEstimate,
+    ExperimentConfig,
     Graph,
     GraphFilter,
     InvalidSupport,
     InvariantViolation,
+    NonFinite,
     SamplingPattern,
     build_laplacian,
+    build_shift_operator,
     build_spectral_model,
     build_vertex_model,
     eigendecompose,
@@ -20,6 +27,8 @@ from graphpsd import (
     greedy_design,
     model_rank,
     nonnegative_projection,
+    prepare,
+    random_sensor_graph,
     required_q,
     sample_covariance,
     subsample,
@@ -34,9 +43,34 @@ from graphpsd.design import DesignObjective
 from conftest import star_graph
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
 def vec(matrix):
     """Column-major vectorization, the convention used throughout."""
     return np.asarray(matrix).reshape(-1, order="F")
+
+
+def dense_svd_rank(matrix):
+    """Rank decision on every row of ``matrix``: SVD of the column-equilibrated
+    matrix, tolerance ``max(rows, cols) * eps * (largest equilibrated norm)``.
+    It has no rule for negligible columns; the cases compared have none.
+    Returns ``(u, s, vt, scale, rank, tolerance)``."""
+    rows, cols = matrix.shape
+    norms = np.linalg.norm(matrix, axis=0)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    scaled = matrix / scale
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    tol = max(rows, cols) * np.finfo(float).eps * np.linalg.norm(scaled, axis=0).max()
+    return u, s, vt, scale, int(np.sum(s > tol)), tol
+
+
+def dense_svd_solve(matrix, rhs):
+    """Minimum-norm least squares on every row of ``matrix``:
+    ``(solution, rank, tolerance, residual norm)``."""
+    u, s, vt, scale, rank, tol = dense_svd_rank(matrix)
+    x = (vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])) / scale
+    return x, rank, tol, np.linalg.norm(matrix @ x - rhs)
 
 
 class TestSamplingPattern:
@@ -400,6 +434,164 @@ class TestEstimatorAgreement:
         assert e_s.rank_ok and e_v.rank_ok
         scale = np.abs(p_true).max()
         assert np.abs(e_s.p_hat - e_v.p_hat).max() <= 1e-6 * scale
+
+
+class TestSolverMatchesDenseSvd:
+    """The estimator factors K(K+1)/2 sqrt(2)-weighted pair rows by QR; it
+    must give what a dense SVD of all K^2 rows gives.  The systems are well
+    conditioned, so the tolerances test the algebra, not the conditioning."""
+
+    @pytest.fixture(scope="class")
+    def case(self, sensor100, sensor100_basis, sensor100_filter):
+        pattern, _ = greedy_design(DesignObjective.spectral(sensor100_basis), 15)
+        x = synthesize(sensor100_filter, sensor100_basis, 200, seed=3)
+        cov_sub = subsampled_covariance(sample_covariance(x), pattern)
+        return build_laplacian(sensor100), pattern, cov_sub
+
+    def check(self, est, model_matrix, rhs, p_of=lambda c: c):
+        x, rank, tol, residual = dense_svd_solve(model_matrix, rhs)
+        assert est.rank == rank
+        # the largest equilibrated norm is 1 up to the rounding of its sum of squares
+        assert est.rank_tolerance == pytest.approx(tol, rel=1e-14)
+        p_ref = p_of(x)
+        assert np.abs(est.p_hat - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+        assert est.residual_norm == pytest.approx(residual, rel=1e-12)
+
+    def test_spectral(self, sensor100_basis, case):
+        _, pattern, cov_sub = case
+        model = build_spectral_model(sensor100_basis, pattern)
+        est = estimate_spectrum_spectral(cov_sub, model)
+        assert est.residual_norm > 0.0
+        self.check(est, model.matrix, vec(cov_sub.matrix))
+
+    def test_dedup(self, sensor100_basis, case):
+        _, pattern, cov_sub = case
+        model = build_spectral_model(sensor100_basis, pattern, dedup=True)
+        est = estimate_spectrum_spectral(cov_sub, model)
+        self.check(est, model.matrix, model.vectorize(cov_sub.matrix))
+
+    def test_reduced(self, sensor100_basis, case):
+        _, pattern, cov_sub = case
+        model = build_spectral_model(sensor100_basis, pattern)
+        support = list(range(0, 100, 3))
+        est = estimate_spectrum_spectral_reduced(cov_sub, model, support)
+
+        def zero_filled(coef):
+            p = np.zeros(100)
+            p[support] = coef
+            return p
+
+        self.check(est, model.matrix[:, support], vec(cov_sub.matrix), zero_filled)
+
+    def test_vertex(self, sensor100_basis, case):
+        shift, pattern, cov_sub = case
+        model = build_vertex_model(shift, pattern, 5)
+        est = estimate_spectrum_vertex(cov_sub, model, sensor100_basis)
+        self.check(
+            est,
+            model.matrix,
+            vec(cov_sub.matrix),
+            lambda alpha: vandermonde(sensor100_basis.eigenvalues, 5) @ alpha,
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 12, 13])
+    def test_model_rank_on_deficient_prefixes(self, sensor100_basis, case, k):
+        """K^2 < N up to K = 9; K(K+1)/2 < N up to K = 13."""
+        _, pattern, _ = case
+        prefix = SamplingPattern(100, pattern.selected[:k])
+        model = build_spectral_model(sensor100_basis, prefix)
+        rank = dense_svd_rank(model.matrix)[4]
+        assert model_rank(model) == (rank, False)
+        assert rank <= k * (k + 1) // 2
+
+
+class TestSolverMemory:
+    def test_estimate_peaks_below_twice_the_model(self):
+        """The K(K+1)/2 solve rows are gathered without a scaled copy of the
+        model and factored in place, and U of the K^2 x N system is never
+        formed (a dense SVD of the whole model peaks at about 3x its bytes)."""
+        basis = eigendecompose(build_laplacian(random_sensor_graph(300, 6, seed=1)))
+        pattern = SamplingPattern(300, tuple(range(0, 300, 5)))
+        model = build_spectral_model(basis, pattern)
+        cov_sub = subsampled_covariance(
+            true_covariance(GraphFilter([1.0, 0.5]), basis), pattern
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = estimate_spectrum_spectral(cov_sub, model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert est.rank_ok
+        assert peak < 2 * model.matrix.nbytes
+
+
+class TestNegligibleColumns:
+    def test_unobserved_localized_eigenvector_is_rank_deficient(self):
+        """A vertex tied to a path by a 1e-9 edge carries an adjacency
+        eigenvector that is ~1e-9 elsewhere.  Unsampled, its model column has
+        norm ~1e-18: equilibrating it to unit norm would count it toward the
+        rank (recovery error ~40 with ``rank_ok=True``)."""
+        g = Graph(n_vertices=7, edges=tuple((i, i + 1, 1.0) for i in range(5)) + ((5, 6, 1e-9),))
+        basis = eigendecompose(build_shift_operator(g, "adjacency"))
+        pattern = SamplingPattern(7, tuple(range(6)))
+        model = build_spectral_model(basis, pattern)
+        assert np.linalg.norm(model.matrix, axis=0).min() < 1e-16
+        assert model_rank(model) == (6, False)
+        cov_sub = subsampled_covariance(true_covariance(GraphFilter([1.0, 0.5]), basis), pattern)
+        est = estimate_spectrum_spectral(cov_sub, model)
+        assert not est.rank_ok
+        assert est.rank == 6
+        assert np.count_nonzero(est.p_hat == 0.0) == 1
+
+
+class TestNonFiniteSystems:
+    def test_non_finite_covariance(self, sensor100_basis):
+        pattern = SamplingPattern(100, tuple(range(0, 100, 7)))
+        model = build_spectral_model(sensor100_basis, pattern)
+        cov = np.eye(pattern.k)
+        cov[2, 2] = np.nan
+        with pytest.raises(NonFinite, match="covariance"):
+            estimate_spectrum_spectral(CovarianceEstimate(cov), model)
+
+    def test_overflowing_vertex_model(self):
+        """Powers of a Laplacian with weight 1e200 overflow from S^2 on."""
+        shift = build_laplacian(Graph(n_vertices=3, edges=((0, 1, 1e200), (1, 2, 1.0))))
+        with np.errstate(over="ignore"):
+            model = build_vertex_model(shift, SamplingPattern(3, (0, 1, 2)), 3)
+            with pytest.raises(NonFinite, match="model"):
+                model_rank(model)
+
+
+class TestBenchmarkPoolRecovery:
+    @pytest.mark.parametrize("graph_seed", ["first", 2102])
+    def test_population_re_estimate(self, graph_seed):
+        """The benchmark's ``estimate_large`` check: spectral, N=600, a random
+        K=100 pattern; the population covariance recovers the spectrum to
+        1e-8 relative.  Graph 2102 is the pool's worst case."""
+        pool = json.loads(GOLDEN.read_text())["estimate_large"]["pool"]
+        seed = pool[0] if graph_seed == "first" else graph_seed
+        assert seed in pool
+        setting = prepare(
+            ExperimentConfig.from_dict(
+                {
+                    "graph": {"n": 600, "k_neighbors": 6, "seed": seed},
+                    "domain": "spectral",
+                    "k": 100,
+                    "sampler": "random",
+                    "seed": seed,
+                }
+            )
+        )
+        pattern, _, _ = setting.design()
+        cov = true_covariance(setting.filter, setting.basis)
+        est = estimate_spectrum_spectral(
+            subsampled_covariance(cov, pattern), setting.model(pattern)
+        )
+        assert est.rank_ok
+        p_true = setting.p_true
+        assert np.abs(est.p_hat - p_true).max() <= 1e-8 * np.abs(p_true).max()
 
 
 class TestNonnegativeProjection:
