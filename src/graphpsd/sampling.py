@@ -13,7 +13,7 @@ in this module assume that single convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +23,7 @@ from .spectral import CovarianceEstimate, vandermonde
 
 SPECTRAL = "spectral"
 VERTEX = "vertex"
-# columns per block when gathering the solve rows
+# columns per block when gathering the solve rows and taking their norms
 _COLUMN_BLOCK = 64
 
 
@@ -210,31 +210,35 @@ def _solved_rows(model):
     return upper, (upper % k) * k + upper // k, weights
 
 
-def _equilibrated_r(matrix, model, rhs=None):
+def _equilibrated_r(model, rhs):
     """R factor of the model's weighted, column-equilibrated solve rows.
 
-    ``matrix`` holds all of ``model``'s rows (``model.matrix`` or some of its
-    columns).  Columns are scaled to unit norm before the QR so the rank
-    reflects genuine dependence rather than column scaling (vertex models
-    span many orders of magnitude).  A column whose unscaled norm is at or
-    below ``max(rows, cols) * eps * (largest column norm)`` is scaled to
-    zero: it adds a zero singular value and gets a zero coefficient.  The
-    rank tolerance is ``max(rows, cols) * eps * (largest equilibrated column
+    Columns are scaled to unit norm before the QR so the rank reflects
+    genuine dependence rather than column scaling (vertex models span many
+    orders of magnitude).  A zero column is scaled to zero, and so is a
+    negligible spectral column: every spectral column has norm at most 1
+    (squared entries of unit eigenvectors), so one whose norm is at or below
+    ``max(rows, cols) * eps * (largest column norm)`` is numerically zero.
+    Vertex columns are not compared this way, because the norm of a column
+    grows with the power of the shift it holds.  A column scaled to zero
+    adds a zero singular value and gets a zero coefficient.  The rank
+    tolerance is ``max(rows, cols) * eps * (largest equilibrated column
     norm)``; both count the model's own rows (K^2 unless ``dedup``).
 
-    Returns ``(r, qtb, scale, tol)``; ``qtb`` is ``Q^T`` times the weighted
-    ``rhs`` (None without one) and the solution is divided by ``scale``.
+    Returns ``(r, qtb, scale, tol)``: ``qtb`` is ``Q^T`` times the weighted
+    ``rhs``, and the solution is divided by ``scale``.
     """
     rows, transposed, weights = _solved_rows(model)
-    cols = matrix.shape[1]
-    eps_rows = max(matrix.shape[0], cols) * np.finfo(float).eps
-    # Work in column blocks, so that no temporary as large as the solve rows
-    # is made: they are gathered straight into Fortran order, which the QR
-    # then overwrites in place.
+    cols = model.n_unknowns
+    eps_rows = max(model.matrix.shape[0], cols) * np.finfo(float).eps
+    # The rows are gathered straight into Fortran order, which the QR then
+    # overwrites in place.  Working in column blocks keeps every temporary
+    # small: a plain gather, or np.linalg.norm of the whole array, would
+    # make copies as large as the solve rows.
     blocks = [slice(start, start + _COLUMN_BLOCK) for start in range(0, cols, _COLUMN_BLOCK)]
     solve = np.empty((rows.size, cols), order="F")
     for block in blocks:
-        solve[:, block] = matrix[rows, block] * weights[:, None]
+        solve[:, block] = model.matrix[rows, block] * weights[:, None]
 
     def column_norms():
         return np.concatenate([np.linalg.norm(solve[:, block], axis=0) for block in blocks])
@@ -242,12 +246,10 @@ def _equilibrated_r(matrix, model, rhs=None):
     col_norms = column_norms()
     if not np.all(np.isfinite(col_norms)):
         raise NonFinite("model matrix is not finite")
-    scale = np.where(col_norms > eps_rows * col_norms.max(), col_norms, np.inf)
+    negligible = eps_rows * col_norms.max() if model.domain == SPECTRAL else 0.0
+    scale = np.where(col_norms > negligible, col_norms, np.inf)
     solve /= scale
     tol = eps_rows * float(column_norms().max())
-    if rhs is None:
-        (r,) = scipy.linalg.qr(solve, overwrite_a=True, mode="r")
-        return r, None, scale, tol
     pair_rhs = (rhs[rows] + rhs[transposed]) / 2.0 * weights
     if not np.all(np.isfinite(pair_rhs)):
         raise NonFinite("covariance is not finite")
@@ -257,23 +259,23 @@ def _equilibrated_r(matrix, model, rhs=None):
 
 def model_rank(model):
     """Numerical rank of a model matrix and whether it has full column rank."""
-    r, _, _, tol = _equilibrated_r(model.matrix, model)
+    r, _, _, tol = _equilibrated_r(model, np.zeros(model.matrix.shape[0]))
     rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
     return rank, rank == model.n_unknowns
 
 
-def _solve_least_squares(matrix, rhs, model):
+def _solve_least_squares(model, rhs):
     """Minimum-norm least squares via the SVD of the equilibrated R factor.
 
-    ``residual`` is ``||matrix @ solution - rhs||`` over all of the model's
-    rows.
+    ``residual`` is ``||model.matrix @ solution - rhs||`` over all of the
+    model's rows.
     """
-    r, qtb, scale, tol = _equilibrated_r(matrix, model, rhs)
+    r, qtb, scale, tol = _equilibrated_r(model, rhs)
     u, s, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(s > tol))
     projected = u[:, :rank].T @ qtb
     solution = (vt[:rank].T @ (projected / s[:rank])) / scale
-    residual = float(np.linalg.norm(matrix @ solution - rhs))
+    residual = float(np.linalg.norm(model.matrix @ solution - rhs))
     return solution, rank, tol, residual
 
 
@@ -287,7 +289,7 @@ def estimate_spectrum_spectral(cov_sub, model):
     if model.domain != SPECTRAL:
         raise InvariantViolation("model is not spectral-domain")
     rhs = model.vectorize(cov_sub.matrix)
-    p_hat, rank, tol, residual = _solve_least_squares(model.matrix, rhs, model)
+    p_hat, rank, tol, residual = _solve_least_squares(model, rhs)
     return SpectrumEstimate(
         p_hat=p_hat,
         domain=SPECTRAL,
@@ -313,8 +315,8 @@ def estimate_spectrum_spectral_reduced(cov_sub, model, support):
     if support[0] < 0 or support[-1] >= n:
         raise InvalidSupport(f"support index out of range for N={n}")
     rhs = model.vectorize(cov_sub.matrix)
-    reduced = model.matrix[:, support]
-    coef, rank, tol, residual = _solve_least_squares(reduced, rhs, model)
+    reduced = replace(model, matrix=model.matrix[:, support])
+    coef, rank, tol, residual = _solve_least_squares(reduced, rhs)
     p_hat = np.zeros(n)
     p_hat[support] = coef
     return SpectrumEstimate(
@@ -337,7 +339,7 @@ def estimate_spectrum_vertex(cov_sub, model, basis):
     if model.domain != VERTEX:
         raise InvariantViolation("model is not vertex-domain")
     rhs = model.vectorize(cov_sub.matrix)
-    alpha_hat, rank, tol, residual = _solve_least_squares(model.matrix, rhs, model)
+    alpha_hat, rank, tol, residual = _solve_least_squares(model, rhs)
     p_hat = vandermonde(basis.eigenvalues, model.order) @ alpha_hat
     return SpectrumEstimate(
         p_hat=p_hat,

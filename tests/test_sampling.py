@@ -546,6 +546,23 @@ class TestNegligibleColumns:
         assert np.count_nonzero(est.p_hat == 0.0) == 1
 
 
+class TestVertexColumnScale:
+    @pytest.mark.parametrize("c", [1.0, 1e8])
+    def test_scaling_the_shift_keeps_rank_and_recovery(self, c):
+        """Column q of a vertex model scales as c**q when the shift is
+        scaled by c, so at c = 1e8 the identity column is ~1e-16 of the
+        S^2 column.  It is still a full column: the rank and the recovered
+        coefficients must not depend on c."""
+        shift = build_laplacian(Graph(n_vertices=3, edges=((0, 1, c), (1, 2, c))))
+        model = build_vertex_model(shift, SamplingPattern(3, (0, 1, 2)), 3)
+        assert model_rank(model) == (3, True)
+        alpha = np.array([1.0, 0.5, 0.25]) / c ** np.arange(3)
+        cov = sum(a * np.linalg.matrix_power(shift.matrix, q) for q, a in enumerate(alpha))
+        est = estimate_spectrum_vertex(CovarianceEstimate(cov), model, eigendecompose(shift))
+        assert est.rank_ok and est.rank == 3
+        np.testing.assert_allclose(est.alpha_hat, alpha, rtol=1e-10)
+
+
 class TestNonFiniteSystems:
     def test_non_finite_covariance(self, sensor100_basis):
         pattern = SamplingPattern(100, tuple(range(0, 100, 7)))
