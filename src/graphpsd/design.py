@@ -16,12 +16,15 @@ Frobenius norm of the Gram matrix) is available as an alternative cost.
 
 Marginal gains are evaluated through the Cholesky factor of the regularized
 Gram matrix: either as block updates via the matrix determinant lemma
-(default; each greedy round whitens the |X|+1 new rows of all remaining
-candidates with one triangular solve and factors their small systems with one
-batched Cholesky, in blocks of about 1 MB) or as the equivalent sequence of
-2|X|+1 rank-one factor updates per candidate over the ordered rows.  Both
-paths agree to roundoff and are cross-checked against from-scratch
-recomputation in tests.
+(default; each greedy round inverts the m x m factor once, whitens the |X|+1
+new rows of all remaining candidates in place by GEMMs against that inverse,
+and factors their small systems with one batched Cholesky, in blocks of about
+1 MB) or as the equivalent sequence of 2|X|+1 rank-one factor updates per
+candidate over the ordered rows.  GEMM, not a triangular solve, whitens the
+rows because a threaded triangular solve costs several milliseconds per call
+at these shapes and a GEMM does not; the inverse is computed with numpy, as
+every other BLAS call of a round is.  Both paths agree to roundoff and are
+cross-checked against from-scratch recomputation in tests.
 
 No objective on the pipeline path stores the N x N x M tensor of all pair
 rows (N^3 floats in the spectral domain).  Each objective reads its rows
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import InvariantViolation, NonFinite
@@ -54,6 +56,10 @@ FRAME_POTENTIAL = "frame_potential"
 # larger of their rows and their small systems), or the pairs of one chunk of
 # an objective's set-up, so a round's working set stays small.
 _BLOCK_BYTES = 1 << 20
+
+# Bytes of the rows one whitening GEMM reads (at least m rows): a block is
+# whitened chunk by chunk in place, so it is never copied whole.
+_WHITEN_BYTES = 1 << 16
 
 
 class _RowSource:
@@ -374,29 +380,54 @@ def _gain_by_updates(factor, new_rows):
     return sum(cholesky_rank1_update(work, row) for row in new_rows)
 
 
-def _gain_by_block(factor, new_rows):
+def _gain_by_block(whitening, new_rows):
     """Log-det gains of a stack of row blocks via the matrix determinant lemma.
 
     ``new_rows`` has shape (b, r, m): the r rows each of b candidates, here
     the r = |X|+1 rows of :meth:`DesignObjective.candidate_rows`.  The gain
     of one block equals (to roundoff) applying its rows as successive
-    rank-one updates; all b blocks share one triangular solve against the
-    current factor and one batched Cholesky of their r x r systems.  The
-    solve may overwrite ``new_rows``.
+    rank-one updates.  The rows are whitened in place, ``w = rows L^-T``
+    with ``whitening`` = ``L^-T`` for the current Cholesky factor ``L``, by
+    GEMMs over chunks of at least m rows (about 64 KB), so no second copy of
+    the block is made; then all b blocks share one batched Cholesky of their
+    r x r systems.  ``new_rows`` is overwritten.
     """
     b, r, m = new_rows.shape
-    w = scipy.linalg.solve_triangular(
-        factor, new_rows.reshape(b * r, m).T, lower=True, check_finite=False, overwrite_b=True
-    )
-    w = w.T.reshape(b, r, m)
+    w = new_rows.reshape(b * r, m)
+    chunk = max(m, _WHITEN_BYTES // (8 * m))
     with np.errstate(over="ignore", invalid="ignore"):
-        small = w @ w.transpose(0, 2, 1)
+        for i in range(0, b * r, chunk):
+            w[i : i + chunk] = w[i : i + chunk] @ whitening
+        small = new_rows @ new_rows.transpose(0, 2, 1)
     small[:, np.arange(r), np.arange(r)] += 1.0
     try:
         small_factor = np.linalg.cholesky(small)
     except np.linalg.LinAlgError as exc:
         raise NonFinite(f"Gram matrix lost positive definiteness: {exc}") from exc
     return 2.0 * np.sum(np.log(np.diagonal(small_factor, axis1=1, axis2=2)), axis=1)
+
+
+def _upper_inverse(upper):
+    """Inverse of an upper-triangular matrix, by numpy alone, block by block.
+
+    ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]`` down to blocks
+    of at most 32 rows, which ``np.linalg.inv`` inverts (the LU of an upper
+    triangle does not pivot).  Not scipy's ``dtrtri``: the other BLAS calls of
+    a greedy round are numpy's, and scipy loads its own OpenBLAS, whose
+    threads contend with numpy's (on a 2-vCPU VM with 2 OpenBLAS threads,
+    dtrtri took 19 ms a call inside greedy at N=200, against 0.3 ms alone).
+    Not one ``np.linalg.inv`` of the whole matrix either: its LU took about
+    1 ms a call at m=100 inside the pipeline.
+    """
+    m = upper.shape[0]
+    if m <= 32:
+        return np.linalg.inv(upper)
+    h = m // 2
+    out = np.zeros((m, m))
+    out[:h, :h] = top = _upper_inverse(upper[:h, :h])
+    out[h:, h:] = bottom = _upper_inverse(upper[h:, h:])
+    out[:h, h:] = -(top @ (upper[:h, h:] @ bottom))
+    return out
 
 
 def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):
@@ -411,11 +442,12 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):
         return np.array(
             [_gain_by_updates(factor, objective.rows_for_candidate(chosen, s)) for s in candidates]
         )
+    whitening = _upper_inverse(factor.T)
     r = len(chosen) + 1
     block = max(1, _BLOCK_BYTES // (8 * r * max(r, objective.n_unknowns)))
     return np.concatenate(
         [
-            _gain_by_block(factor, objective.candidate_rows(chosen, candidates[i : i + block]))
+            _gain_by_block(whitening, objective.candidate_rows(chosen, candidates[i : i + block]))
             for i in range(0, len(candidates), block)
         ]
     )
@@ -475,10 +507,10 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
     the first maximizer, so ties go to the lowest index and the result is
     deterministic.  ``gain_method`` picks the log-det gain evaluation:
     "block" whitens the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)`` of all
-    candidates of a round with one triangular solve and factors their small
-    systems with one batched Cholesky, in blocks of about 1 MB; "updates"
-    applies the 2|X|+1 ordered rows as rank-one updates per candidate (slow;
-    an oracle).  The running Gram matrix adds the chosen vertex's ordered
+    candidates of a round by GEMMs against the inverse of the round's
+    Cholesky factor and factors their small systems with one batched
+    Cholesky, in blocks of about 1 MB; "updates" applies the 2|X|+1 ordered
+    rows as rank-one updates per candidate (slow; an oracle).  The running Gram matrix adds the chosen vertex's ordered
     rows, and those rows must be symmetric: an ``(s, j)`` row that differs
     from its ``(j, s)`` row by more than 1e-10 of the largest entry of its
     unknown raises :class:`InvariantViolation`.  A gain that is not finite

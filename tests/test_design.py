@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphpsd import (
     DesignObjective,
@@ -330,6 +331,68 @@ class TestGreedyDesign:
         obj = spectral_objective(9, seed=28)
         greedy_design(obj, k)
         assert sum(counted) == k * 9 - k * (k - 1) // 2
+
+    @pytest.mark.parametrize(
+        "make, k, block_bytes",
+        [
+            (lambda: spectral_objective(60, seed=30, epsilon=1e-6), 12, 8 * 60 * 150),
+            (lambda: DesignObjective.vertex(
+                build_laplacian(random_weighted_graph(40, 0.3, seed=31)), 5, epsilon=1e3),
+             10, 4096),
+        ],
+        ids=["spectral-n60", "vertex-q5"],
+    )
+    def test_gains_across_blocks_and_whitening_chunks(self, monkeypatch, make, k, block_bytes):
+        """Small block and chunk budgets split each round into several blocks
+        and each block into several whitening GEMMs (of m rows, the smallest
+        chunk), some ragged; the gains still match the rank-one-update oracle.
+        The regularizers are raised (vertex about 500 times its default) so
+        that the from-scratch check, a difference of two log-determinants,
+        resolves 1e-9."""
+        monkeypatch.setattr(design_mod, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(design_mod, "_WHITEN_BYTES", 1)
+        obj = make()
+        m = obj.n_unknowns
+        block_rows = []
+        original = design_mod._gain_by_block
+
+        def recording(whitening, rows):
+            block_rows.append(rows.shape[0] * rows.shape[1])
+            return original(whitening, rows)
+
+        monkeypatch.setattr(design_mod, "_gain_by_block", recording)
+        _, t_block = greedy_design(obj, k)
+        assert len(block_rows) >= 2 * k
+        assert max(block_rows) > 2 * m
+        assert any(rows % m for rows in block_rows)
+        _, t_upd = greedy_design(obj, k, gain_method="updates")
+        assert t_block.chosen == t_upd.chosen
+        np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
+        _, t_checked = greedy_design(obj, k, validate_gains=True)
+        assert t_checked.chosen == t_block.chosen
+        assert t_checked.max_gain_check_error <= 1e-9
+
+    def test_block_gains_use_no_triangular_solve(self, monkeypatch):
+        """Each round whitens by GEMM against the inverse factor: inside the
+        greedy loop a threaded triangular solve per block took milliseconds."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_triangular called in the gain path")
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+        obj = spectral_objective(10, seed=32)
+        _, trace = greedy_design(obj, 6, gain_method="block")
+        _, oracle = greedy_design(obj, 6, gain_method="updates")
+        assert trace.chosen == oracle.chosen
+
+    @pytest.mark.parametrize("m", [1, 32, 33, 100, 257])
+    def test_upper_inverse_matches_dense_inverse(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        upper = np.linalg.cholesky(a @ a.T + m * np.eye(m)).T
+        inverse = design_mod._upper_inverse(upper)
+        assert np.array_equal(np.tril(inverse, -1), np.zeros((m, m)))
+        np.testing.assert_allclose(inverse @ upper, np.eye(m), atol=1e-12)
 
     def test_budget_validation(self):
         obj = spectral_objective(5, seed=23)
