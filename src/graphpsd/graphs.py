@@ -140,13 +140,32 @@ def _is_connected(n, edges):
     return bool(seen.all())
 
 
+def _nearest(dist, k):
+    """The k nearest columns of each row, as ``argsort(kind="stable")[:, :k]``.
+
+    Only the candidates at or below each row's k-th smallest distance are
+    sorted, by (distance, index), so ties keep the lowest index first, as
+    the stable sort of the whole row does.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(dist <= kth[:, None])
+    ranked = np.lexsort((cols, dist[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(dist.shape[0]))
+    return cols[ranked[starts[:, None] + np.arange(k)]]
+
+
 def _knn_graph(n, k_neighbors, rng):
     coords = rng.random((n, 2))
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    # sqrt(dx^2 + dy^2) in place, the same values as summing an (N, N, 2) difference
+    dist = np.subtract.outer(coords[:, 0], coords[:, 0])
+    dist *= dist
+    dy = np.subtract.outer(coords[:, 1], coords[:, 1])
+    dy *= dy
+    dist += dy
+    del dy
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
-    # stable argsort keeps ties deterministic
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
+    order = _nearest(dist, k_neighbors)
     knn_dist = np.take_along_axis(dist, order, axis=1)
     sigma = float(knn_dist.mean())
     pairs = set()

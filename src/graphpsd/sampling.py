@@ -257,24 +257,99 @@ def _equilibrated_r(model, rhs):
     return r, qtb, scale, tol
 
 
+def _upper_inverse(upper):
+    """Inverse of an upper-triangular matrix, by numpy alone, block by block.
+
+    ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]`` down to blocks
+    of at most 32 rows, which ``np.linalg.inv`` inverts (the LU of an upper
+    triangle does not pivot).  It serves the greedy design's whitening and the
+    estimator's rank certificate.  Not scipy's ``dtrtri``: the other BLAS
+    calls around it are numpy's, and scipy loads its own OpenBLAS, whose
+    threads contend with numpy's (on a 2-vCPU VM with 2 OpenBLAS threads,
+    dtrtri took 19 ms a call inside greedy at N=200, against 0.3 ms alone).
+    Not one ``np.linalg.inv`` of the whole matrix either: its LU took about
+    1 ms a call at m=100 inside the pipeline.
+    """
+    m = upper.shape[0]
+    if m <= 32:
+        return np.linalg.inv(upper)
+    h = m // 2
+    out = np.zeros((m, m))
+    out[:h, :h] = top = _upper_inverse(upper[:h, :h])
+    out[h:, h:] = bottom = _upper_inverse(upper[h:, h:])
+    out[:h, h:] = -(top @ (upper[:h, h:] @ bottom))
+    return out
+
+
+def _certified_inverse(r, tol):
+    """``R^-1`` when it proves that ``R`` has full column rank, else None.
+
+    The rank rule counts the singular values of ``R`` above ``tol``.  Since
+    ``sigma_min(R) = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F``, a bound
+    ``1 / ||R^-1||_F > cols * tol`` shows that every singular value is above
+    ``tol``, so the rank is ``cols`` without an SVD.
+
+    The margin ``cols`` covers the inverse's own rounding.  The computed
+    inverse ``X`` is the exact inverse of some ``R + dR`` with
+    ``|dR| <= c * n * u * |R|`` (u the unit roundoff, n = cols).  The
+    equilibrated columns of ``R`` have norm at most about 1, so
+    ``||dR||_2 <= ||dR||_F <= c * cols**1.5 * u``, which is at most
+    ``(cols - 1) * tol`` whenever ``c * sqrt(cols) <= 2 * (cols - 1)``,
+    because ``tol >= cols * eps = 2 * cols * u``.  Then
+    ``sigma_min(R) >= 1 / ||X||_F - ||dR||_2 > cols * tol - (cols - 1) * tol
+    = tol``.  For the few smallest systems, where that inequality may fail,
+    ``||dR||`` is of the order of the error in the singular values the SVD
+    itself computes, so the certificate differs from the rule only where the
+    rule is decided by rounding.
+
+    Only a square ``R`` with a nonzero diagonal is inverted.  A non-square
+    ``R`` (fewer solve rows than unknowns), a zero diagonal entry (a zero
+    column), a non-finite norm or a bound at or below the margin returns
+    None, and the caller takes the SVD.
+    """
+    cols = r.shape[1]
+    if r.shape[0] != cols or not np.all(np.diagonal(r)):
+        return None
+    inverse = _upper_inverse(r)
+    if not 1.0 / np.linalg.norm(inverse) > cols * tol:
+        return None
+    return inverse
+
+
 def model_rank(model):
-    """Numerical rank of a model matrix and whether it has full column rank."""
+    """Numerical rank of a model matrix and whether it has full column rank.
+
+    The rank counts the singular values of the equilibrated ``R`` above the
+    tolerance; a full rank certified by ``R^-1`` (see
+    :func:`_certified_inverse`) skips the SVD.
+    """
     r, _, _, tol = _equilibrated_r(model, np.zeros(model.matrix.shape[0]))
-    rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
+    if _certified_inverse(r, tol) is not None:
+        rank = model.n_unknowns
+    else:
+        rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
     return rank, rank == model.n_unknowns
 
 
 def _solve_least_squares(model, rhs):
-    """Minimum-norm least squares via the SVD of the equilibrated R factor.
+    """Minimum-norm least squares on the equilibrated R factor.
 
-    ``residual`` is ``||model.matrix @ solution - rhs||`` over all of the
-    model's rows.
+    When ``R^-1`` certifies full column rank (:func:`_certified_inverse`),
+    the solution is ``R^-1 Q^T b`` and no SVD runs.  Otherwise the SVD of
+    ``R`` gives the rank (singular values above the tolerance) and the
+    minimum-norm solution.  ``residual`` is ``||model.matrix @ solution -
+    rhs||`` over all of the model's rows.
     """
     r, qtb, scale, tol = _equilibrated_r(model, rhs)
-    u, s, vt = np.linalg.svd(r, full_matrices=False)
-    rank = int(np.sum(s > tol))
-    projected = u[:, :rank].T @ qtb
-    solution = (vt[:rank].T @ (projected / s[:rank])) / scale
+    inverse = _certified_inverse(r, tol)
+    if inverse is not None:
+        rank = model.n_unknowns
+        solution = (inverse @ qtb) / scale
+    else:
+        u, s, vt = np.linalg.svd(r, full_matrices=False)
+        rank = int(np.sum(s > tol))
+        projected = u[:, :rank].T @ qtb
+        solution = (vt[:rank].T @ (projected / s[:rank])) / scale
     residual = float(np.linalg.norm(model.matrix @ solution - rhs))
     return solution, rank, tol, residual
 

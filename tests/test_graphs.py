@@ -137,6 +137,36 @@ class TestRandomSensorGraph:
         c = random_sensor_graph(40, 4, seed=12)
         assert a.edges != c.edges
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 7, 35])
+    def test_neighbors_match_full_stable_sort_under_ties(self, k):
+        """Lattice coordinates (exact binary fractions) tie many distances in
+        every row; the neighbors and weights equal those of a stable sort of
+        each whole row, which keeps the lowest index first."""
+        from graphpsd import graphs
+
+        side = 6
+        lattice = np.array([(x, y) for y in range(side) for x in range(side)], float) / 8.0
+        lattice = lattice[np.random.default_rng(0).permutation(side * side)]
+        n = len(lattice)
+
+        class LatticeRng:
+            def random(self, shape):
+                assert shape == (n, 2)
+                return lattice.copy()
+
+        coords, edges = graphs._knn_graph(n, k, LatticeRng())
+        diff = lattice[:, None, :] - lattice[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        sigma = float(np.take_along_axis(dist, order, axis=1).mean())
+        pairs = sorted({(min(i, int(j)), max(i, int(j))) for i in range(n) for j in order[i]})
+        expected = tuple(
+            (i, j, float(np.exp(-dist[i, j] ** 2 / (2.0 * sigma**2)))) for i, j in pairs
+        )
+        np.testing.assert_array_equal(coords, lattice)
+        assert edges == expected
+
     def test_argument_validation(self):
         with pytest.raises(InvariantViolation):
             random_sensor_graph(1, 1, seed=0)

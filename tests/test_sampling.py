@@ -9,12 +9,14 @@ import pytest
 
 from graphpsd import (
     CovarianceEstimate,
+    CovarianceModelMatrix,
     ExperimentConfig,
     Graph,
     GraphFilter,
     InvalidSupport,
     InvariantViolation,
     NonFinite,
+    SPECTRAL,
     SamplingPattern,
     build_laplacian,
     build_shift_operator,
@@ -38,6 +40,7 @@ from graphpsd import (
     true_power_spectrum,
     vandermonde,
 )
+from graphpsd import sampling
 from graphpsd.design import DesignObjective
 
 from conftest import star_graph
@@ -63,6 +66,10 @@ def dense_svd_rank(matrix):
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     tol = max(rows, cols) * np.finfo(float).eps * np.linalg.norm(scaled, axis=0).max()
     return u, s, vt, scale, int(np.sum(s > tol)), tol
+
+
+def svd_must_not_run(*args, **kwargs):
+    raise AssertionError("an SVD ran on a system whose full rank R^-1 certifies")
 
 
 def dense_svd_solve(matrix, rhs):
@@ -494,7 +501,7 @@ class TestSolverMatchesDenseSvd:
             lambda alpha: vandermonde(sensor100_basis.eigenvalues, 5) @ alpha,
         )
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 9, 12, 13])
+    @pytest.mark.parametrize("k", range(1, 14))
     def test_model_rank_on_deficient_prefixes(self, sensor100_basis, case, k):
         """K^2 < N up to K = 9; K(K+1)/2 < N up to K = 13."""
         _, pattern, _ = case
@@ -503,6 +510,72 @@ class TestSolverMatchesDenseSvd:
         rank = dense_svd_rank(model.matrix)[4]
         assert model_rank(model) == (rank, False)
         assert rank <= k * (k + 1) // 2
+
+    @pytest.mark.parametrize("k", [14, 15])
+    def test_model_rank_certified_on_full_rank_prefixes(
+        self, sensor100_basis, case, k, monkeypatch
+    ):
+        """From K = 14 the prefixes are full rank, and R^-1 certifies it."""
+        _, pattern, _ = case
+        model = build_spectral_model(sensor100_basis, SamplingPattern(100, pattern.selected[:k]))
+        rank = dense_svd_rank(model.matrix)[4]
+        monkeypatch.setattr(np.linalg, "svd", svd_must_not_run)
+        assert model_rank(model) == (rank, True)
+
+    def test_certified_full_rank_solves_without_svd(self, monkeypatch):
+        """N=300, K=60: R^-1 certifies full rank, and R^-1 Q^T b is the
+        least-squares solution the dense SVD gives."""
+        basis = eigendecompose(build_laplacian(random_sensor_graph(300, 6, seed=1)))
+        pattern = SamplingPattern(300, tuple(range(0, 300, 5)))
+        model = build_spectral_model(basis, pattern)
+        x = synthesize(GraphFilter([1.0, 0.5]), basis, 200, seed=3)
+        cov_sub = subsampled_covariance(sample_covariance(x), pattern)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", svd_must_not_run)
+            est = estimate_spectrum_spectral(cov_sub, model)
+        assert est.rank_ok
+        self.check(est, model.matrix, vec(cov_sub.matrix))
+
+    def test_bound_inside_the_margin_takes_the_svd(self, monkeypatch):
+        """A smallest equilibrated singular value between tol and cols * tol
+        is above the rank rule's tolerance, but the certificate cannot show
+        it, so the SVD decides and gives the dense SVD's rank."""
+        k, cols = 8, 20
+        rng = np.random.default_rng(5)
+
+        def symmetric_column():
+            a = rng.standard_normal((k, k))
+            return vec(a + a.T)
+
+        base = np.column_stack([symmetric_column() for _ in range(cols - 1)])
+        direction = base.mean(axis=1)
+        noise = symmetric_column()
+
+        def model_with(delta):
+            matrix = np.column_stack([base, direction + delta * noise])
+            return CovarianceModelMatrix(
+                domain=SPECTRAL, matrix=matrix, pattern=SamplingPattern(k, tuple(range(k)))
+            )
+
+        _, s, _, _, _, tol = dense_svd_rank(model_with(1e-6).matrix)
+        # sigma_min grows linearly in delta; aim at the geometric middle of the window
+        model = model_with(1e-6 * tol * np.sqrt(cols) / s[-1])
+        _, s, _, _, rank, tol = dense_svd_rank(model.matrix)
+        assert tol < s[-1] < cols * tol
+        assert rank == cols
+        svd = np.linalg.svd
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        assert model_rank(model) == (rank, True)
+        assert len(calls) == 1
+        _, solved_rank, _, _ = sampling._solve_least_squares(model, np.zeros(k * k))
+        assert solved_rank == rank
+        assert len(calls) == 2
 
 
 class TestSolverMemory:
@@ -582,11 +655,12 @@ class TestNonFiniteSystems:
 
 
 class TestBenchmarkPoolRecovery:
-    @pytest.mark.parametrize("graph_seed", ["first", 2102])
+    @pytest.mark.parametrize("graph_seed", ["first", 2102, 2024])
     def test_population_re_estimate(self, graph_seed):
         """The benchmark's ``estimate_large`` check: spectral, N=600, a random
         K=100 pattern; the population covariance recovers the spectrum to
-        1e-8 relative.  Graph 2102 is the pool's worst case."""
+        1e-8 relative.  Graph 2024 is the pool's worst case for the solve
+        through R^-1, graph 2102 for the solve through the SVD of R."""
         pool = json.loads(GOLDEN.read_text())["estimate_large"]["pool"]
         seed = pool[0] if graph_seed == "first" else graph_seed
         assert seed in pool
