@@ -496,11 +496,12 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
     candidates of a round by GEMMs against the inverse of the round's
     Cholesky factor and factors their small systems with one batched
     Cholesky, in blocks of about 1 MB; "updates" applies the 2|X|+1 ordered
-    rows as rank-one updates per candidate (slow; an oracle).  The running Gram matrix adds the chosen vertex's ordered
-    rows, and those rows must be symmetric: an ``(s, j)`` row that differs
-    from its ``(j, s)`` row by more than 1e-10 of the largest entry of its
-    unknown raises :class:`InvariantViolation`.  A gain that is not finite
-    raises :class:`NonFinite` in the round where it appears.  With
+    rows as rank-one updates per candidate (slow; an oracle).  The running
+    Gram matrix adds the chosen vertex's ordered rows, and those rows must
+    be symmetric: an ``(s, j)`` row that differs from its ``(j, s)`` row
+    by more than 1e-10 of the largest entry of its unknown raises
+    :class:`InvariantViolation`.  A gain that is not finite raises
+    :class:`NonFinite` in the round where it appears.  With
     ``validate_gains=True`` every candidate gain is recomputed from scratch
     and the worst relative deviation of both the selecting gain and the
     rank-one-update gain is recorded on the trace (slow; meant for small

@@ -7,6 +7,12 @@ subsampled Fourier basis with itself (N unknowns), and the vertex-domain
 model, whose columns are vectorized powers of the shift operator (Q unknowns,
 no eigendecomposition needed to build it).
 
+The least-squares solve factors the model's distinct pair rows by numpy's
+QR, a row block at a time, and certifies full rank from the inverse of the
+small R factor.  All of it is numpy: scipy loads its own OpenBLAS, whose
+threads contend with numpy's, so the package uses scipy only for
+``scipy.sparse``.
+
 Vectorization is column-major everywhere; all Kronecker/Khatri-Rao identities
 in this module assume that single convention.
 """
@@ -16,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidSupport, InvariantViolation, NonFinite
 from .spectral import CovarianceEstimate, vandermonde
 
 SPECTRAL = "spectral"
 VERTEX = "vertex"
-# columns per block when gathering the solve rows and taking their norms
-_COLUMN_BLOCK = 64
+# bytes of one stack of solve rows that the estimator's QR factors at a time
+_STACK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -213,11 +218,27 @@ def _solved_rows(model):
 def _equilibrated_r(model, rhs):
     """R factor of the model's weighted, column-equilibrated solve rows.
 
-    Columns are scaled to unit norm before the QR so the rank reflects
-    genuine dependence rather than column scaling (vertex models span many
-    orders of magnitude).  A zero column is scaled to zero, and so is a
-    negligible spectral column: every spectral column has norm at most 1
-    (squared entries of unit eigenvectors), so one whose norm is at or below
+    The solve rows (:func:`_solved_rows`), with their weighted right-hand
+    side appended as one more column, are factored in row blocks: each
+    block is stacked under the (cols+1)-column R of the blocks before it
+    and factored by ``np.linalg.qr(..., mode="r")`` (a sequential
+    tall-skinny QR), so neither Q nor a copy of all the solve rows is ever
+    formed.  The final ``R`` is the first ``cols`` columns of that factor
+    and ``Q^T b`` its last column.  Each stack holds about
+    :data:`_STACK_BYTES`, and at least twice the R on top of it, so that a
+    merge at most doubles the work of the rows it adds.  A block's model
+    entries, and then its right-hand sides, are checked for non-finite
+    values before its QR.
+
+    Columns are scaled to unit norm so the rank reflects genuine dependence
+    rather than column scaling (vertex models span many orders of
+    magnitude).  The scales are the column norms of ``R``, which equal
+    those of the solve rows: Householder QR is columnwise backward stable
+    (Higham 2002, Thm 19.4), so ``R`` is the exact factor of the rows
+    perturbed column by column by a few ulps of each column's norm, and
+    scaling ``R`` is as good as scaling the rows before the QR.  A zero column is scaled to zero, and so is a negligible spectral
+    column: every spectral column has norm at most 1 (squared entries of
+    unit eigenvectors), so one whose norm is at or below
     ``max(rows, cols) * eps * (largest column norm)`` is numerically zero.
     Vertex columns are not compared this way, because the norm of a column
     grows with the power of the shift it holds.  A column scaled to zero
@@ -230,30 +251,33 @@ def _equilibrated_r(model, rhs):
     """
     rows, transposed, weights = _solved_rows(model)
     cols = model.n_unknowns
-    eps_rows = max(model.matrix.shape[0], cols) * np.finfo(float).eps
-    # The rows are gathered straight into Fortran order, which the QR then
-    # overwrites in place.  Working in column blocks keeps every temporary
-    # small: a plain gather, or np.linalg.norm of the whole array, would
-    # make copies as large as the solve rows.
-    blocks = [slice(start, start + _COLUMN_BLOCK) for start in range(0, cols, _COLUMN_BLOCK)]
-    solve = np.empty((rows.size, cols), order="F")
-    for block in blocks:
-        solve[:, block] = model.matrix[rows, block] * weights[:, None]
-
-    def column_norms():
-        return np.concatenate([np.linalg.norm(solve[:, block], axis=0) for block in blocks])
-
-    col_norms = column_norms()
+    pair_rhs = (rhs[rows] + rhs[transposed]) / 2.0 * weights
+    stack_rows = max(_STACK_BYTES // (8 * (cols + 1)), 1)
+    top = np.empty((0, cols + 1))
+    start = 0
+    while start < rows.size:
+        stop = min(start + max(stack_rows - len(top), len(top)), rows.size)
+        stack = np.empty((len(top) + stop - start, cols + 1))
+        stack[: len(top)] = top
+        block = stack[len(top) :]
+        np.multiply(model.matrix[rows[start:stop]], weights[start:stop, None], out=block[:, :cols])
+        if not np.all(np.isfinite(block[:, :cols])):
+            raise NonFinite("model matrix is not finite")
+        block[:, cols] = pair_rhs[start:stop]
+        if not np.all(np.isfinite(block[:, cols])):
+            raise NonFinite("covariance is not finite")
+        top = np.linalg.qr(stack, mode="r")
+        start = stop
+    k = min(rows.size, cols)
+    r, qtb = top[:k, :cols], top[:k, cols]
+    col_norms = np.linalg.norm(r, axis=0)
     if not np.all(np.isfinite(col_norms)):
         raise NonFinite("model matrix is not finite")
+    eps_rows = max(model.matrix.shape[0], cols) * np.finfo(float).eps
     negligible = eps_rows * col_norms.max() if model.domain == SPECTRAL else 0.0
     scale = np.where(col_norms > negligible, col_norms, np.inf)
-    solve /= scale
-    tol = eps_rows * float(column_norms().max())
-    pair_rhs = (rhs[rows] + rhs[transposed]) / 2.0 * weights
-    if not np.all(np.isfinite(pair_rhs)):
-        raise NonFinite("covariance is not finite")
-    qtb, r = scipy.linalg.qr_multiply(solve, pair_rhs, mode="right", overwrite_a=True)
+    r = r / scale
+    tol = eps_rows * float(np.linalg.norm(r, axis=0).max())
     return r, qtb, scale, tol
 
 
@@ -263,12 +287,14 @@ def _upper_inverse(upper):
     ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]`` down to blocks
     of at most 32 rows, which ``np.linalg.inv`` inverts (the LU of an upper
     triangle does not pivot).  It serves the greedy design's whitening and the
-    estimator's rank certificate.  Not scipy's ``dtrtri``: the other BLAS
-    calls around it are numpy's, and scipy loads its own OpenBLAS, whose
-    threads contend with numpy's (on a 2-vCPU VM with 2 OpenBLAS threads,
-    dtrtri took 19 ms a call inside greedy at N=200, against 0.3 ms alone).
-    Not one ``np.linalg.inv`` of the whole matrix either: its LU took about
-    1 ms a call at m=100 inside the pipeline.
+    estimator's rank certificate.  Not scipy's ``dtrtri``, for the reason the
+    whole package keeps its dense linear algebra in numpy: scipy loads its
+    own OpenBLAS, whose threads contend with numpy's (on a 2-vCPU VM with 2
+    OpenBLAS threads, dtrtri took 19 ms a call inside greedy at N=200,
+    against 0.3 ms alone, and the estimator's scipy QR of 1,275 x 101 rows
+    took from 6 to 125 ms inside the reference run, against about 7 ms
+    alone).  Not one ``np.linalg.inv`` of the whole matrix either: its LU
+    took about 1 ms a call at m=100 inside the pipeline.
     """
     m = upper.shape[0]
     if m <= 32:

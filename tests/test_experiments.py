@@ -2,11 +2,17 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import graphpsd
 from graphpsd import (
     ConfigError,
     ExperimentConfig,
@@ -246,6 +252,37 @@ class TestRankThresholdScan:
         assert k_min == 20
         rows = rank_threshold_scan(ExperimentConfig(graph=GraphSpec(n=n, seed=seed)), range(17, 23))
         assert rows == [(k, k >= k_min) for k in range(17, 23)]
+
+
+class TestOneBlas:
+    def test_pipeline_never_imports_scipy_linalg(self):
+        """numpy and scipy each load their own OpenBLAS, whose threads
+        contend when both run, so all dense linear algebra is numpy's and
+        scipy serves only ``scipy.sparse``.  A fresh interpreter is needed
+        because the test modules import ``scipy.linalg`` themselves."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from graphpsd import ExperimentConfig, GraphSpec, run_experiment
+
+            for domain in ("spectral", "vertex"):
+                cfg = ExperimentConfig(
+                    graph=GraphSpec(n=30, k_neighbors=5, seed=2), domain=domain, k=12
+                )
+                assert run_experiment(cfg).estimate.rank_ok, domain
+            assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+            """
+        )
+        src = str(pathlib.Path(graphpsd.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDesignMemory:

@@ -600,6 +600,89 @@ class TestSolverMemory:
         assert peak < 2 * model.matrix.nbytes
 
 
+def cap_stack_rows(monkeypatch, model, stack_rows):
+    """Cap the estimator's QR stacks at ``stack_rows`` rows of ``model``'s
+    solve rows, and return the list of the row counts it factors."""
+    monkeypatch.setattr(sampling, "_STACK_BYTES", 8 * (model.n_unknowns + 1) * stack_rows)
+    qr = np.linalg.qr
+    stacks = []
+
+    def counted_qr(a, *args, **kwargs):
+        stacks.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    return stacks
+
+
+class TestStreamedFactorization:
+    """The solve rows are factored in row blocks, each stacked under the R
+    of the blocks before it.  A stack cap that splits a system into several
+    blocks must give what one block gives."""
+
+    def check_same_estimate(self, monkeypatch, model, cov_sub, stack_rows):
+        one = estimate_spectrum_spectral(cov_sub, model)
+        stacks = cap_stack_rows(monkeypatch, model, stack_rows)
+        split = estimate_spectrum_spectral(cov_sub, model)
+        assert len(stacks) >= 3
+        assert split.rank == one.rank and split.rank_ok == one.rank_ok
+        assert abs(split.rank_tolerance - one.rank_tolerance) <= 4 * np.spacing(one.rank_tolerance)
+        assert np.abs(split.p_hat - one.p_hat).max() <= 1e-12 * np.abs(one.p_hat).max()
+        return one
+
+    def test_reference_system(self, monkeypatch, sensor100_basis, sensor100_filter):
+        """N=100, K=50: 1,275 solve rows, one block at the default cap."""
+        pattern, _ = greedy_design(DesignObjective.spectral(sensor100_basis), 50)
+        model = build_spectral_model(sensor100_basis, pattern)
+        rows = 50 * 51 // 2
+        assert 8 * (model.n_unknowns + 1) * rows <= sampling._STACK_BYTES
+        x = synthesize(sensor100_filter, sensor100_basis, 1000, seed=4)
+        cov_sub = subsampled_covariance(sample_covariance(x), pattern)
+        est = self.check_same_estimate(monkeypatch, model, cov_sub, 500)
+        assert est.rank_ok
+
+    def test_underdetermined_system(self, monkeypatch, sensor100_basis, sensor100_filter):
+        """N=100, K=8: 36 solve rows for 100 unknowns, so the R on top of
+        each stack is short and the minimum-norm solution comes from the SVD."""
+        pattern = SamplingPattern(100, tuple(range(0, 100, 13)))
+        assert pattern.k == 8
+        model = build_spectral_model(sensor100_basis, pattern)
+        x = synthesize(sensor100_filter, sensor100_basis, 200, seed=3)
+        cov_sub = subsampled_covariance(sample_covariance(x), pattern)
+        est = self.check_same_estimate(monkeypatch, model, cov_sub, 10)
+        assert est.rank == 36 and not est.rank_ok
+
+    def test_overflow_in_a_later_block(self, monkeypatch):
+        """A path whose last edge weighs 1e200: S^2 overflows only in the
+        rows of the last two vertices, which the first block does not hold.
+        A block's model is checked before its right-hand sides, so a NaN
+        covariance entry in the same block does not mask the overflow."""
+        edges = tuple((i, i + 1, 1.0) for i in range(8)) + ((8, 9, 1e200),)
+        shift = build_laplacian(Graph(n_vertices=10, edges=edges))
+        with np.errstate(over="ignore"):
+            model = build_vertex_model(shift, SamplingPattern(10, tuple(range(10))), 3)
+        rows = sampling._solved_rows(model)[0]
+        assert np.all(np.isfinite(model.matrix[rows[:20]]))
+        assert not np.all(np.isfinite(model.matrix))
+        cov = np.eye(10)
+        cov[9, 9] = np.nan
+        stacks = cap_stack_rows(monkeypatch, model, 20)
+        with pytest.raises(NonFinite, match="model"):
+            sampling._solve_least_squares(model, vec(cov))
+        assert stacks, "the first block must pass its checks and be factored"
+
+    def test_nan_covariance_in_a_later_block(self, monkeypatch, sensor100_basis):
+        """K=20: the pair (18, 19) is among the last of the 210 solve rows."""
+        pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
+        model = build_spectral_model(sensor100_basis, pattern)
+        cov = np.eye(pattern.k)
+        cov[18, 19] = cov[19, 18] = np.nan
+        stacks = cap_stack_rows(monkeypatch, model, 150)
+        with pytest.raises(NonFinite, match="covariance"):
+            estimate_spectrum_spectral(CovarianceEstimate(cov), model)
+        assert stacks, "the first block must pass its checks and be factored"
+
+
 class TestNegligibleColumns:
     def test_unobserved_localized_eigenvector_is_rank_deficient(self):
         """A vertex tied to a path by a 1e-9 edge carries an adjacency
