@@ -576,8 +576,9 @@ def run_property_suites(seed=0, trials=200):
 
     Covers objective normalization/monotonicity/diminishing-returns sampling,
     the greedy-versus-brute-force bound, the model-equivalence identity, the
-    squared-response consistency of the spectrum, and the agreement of
-    incremental gains with from-scratch evaluation.
+    squared-response consistency of the spectrum, the agreement of
+    incremental gains with from-scratch evaluation, and the agreement of the
+    spectral estimator's Gram and QR paths on sample covariances.
     """
     report = {}
 
@@ -667,6 +668,33 @@ def run_property_suites(seed=0, trials=200):
         _, trace = design_mod.greedy_design(objective, k, validate_gains=True)
         worst = max(worst, trace.max_gain_check_error)
     report["incremental_gains"] = {"max_relative_error": worst, "ok": worst <= 1e-8}
+
+    rng = np.random.default_rng(seed + 2)
+    worst, gram_solves = 0.0, 0
+    for i in range(20):
+        n = int(rng.integers(6, 31))
+        graph = graphs_mod.random_sensor_graph(n, min(4, n - 1), seed=600 + i)
+        basis = spectral_mod.eigendecompose(graphs_mod.build_laplacian(graph))
+        k_min = math.ceil((math.sqrt(8 * n + 1) - 1) / 2)
+        pattern = design_mod.random_design(n, int(rng.integers(k_min, n + 1)), seed=600 + i)
+        filt = spectral_mod.GraphFilter(coefficients=rng.standard_normal(3))
+        snapshots = spectral_mod.synthesize(filt, basis, 200, seed=600 + i)
+        cov_sub = sampling_mod.subsampled_covariance(
+            spectral_mod.sample_covariance(snapshots), pattern
+        )
+        model = sampling_mod.build_spectral_model(basis, pattern)
+        gram_solves += sampling_mod._gram_factor(model) is not None
+        # the same system given by its dense matrix takes the QR path
+        dense = sampling_mod.CovarianceModelMatrix(
+            sampling_mod.SPECTRAL, pattern=pattern, matrix=model.matrix
+        )
+        gram = sampling_mod.estimate_spectrum_spectral(cov_sub, model).p_hat
+        qr = sampling_mod.estimate_spectrum_spectral(cov_sub, dense).p_hat
+        scale = max(np.abs(qr).max(), 1.0)
+        worst = max(worst, float(np.abs(gram - qr).max() / scale))
+    report["estimator_agreement"] = {
+        "trials": 20, "gram_solves": gram_solves, "max_scaled_error": worst, "ok": worst <= 1e-8
+    }
 
     report["ok"] = all(section["ok"] for section in report.values() if isinstance(section, dict))
     return report

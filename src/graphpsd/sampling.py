@@ -7,11 +7,18 @@ subsampled Fourier basis with itself (N unknowns), and the vertex-domain
 model, whose columns are vectorized powers of the shift operator (Q unknowns,
 no eigendecomposition needed to build it).
 
-The least-squares solve factors the model's distinct pair rows by numpy's
-QR, a row block at a time, and certifies full rank from the inverse of the
-small R factor.  All of it is numpy: scipy loads its own OpenBLAS, whose
-threads contend with numpy's, so the package uses scipy only for
-``scipy.sparse``.
+A spectral model keeps only the K x N rows ``U_X`` of the Fourier basis at
+the selected vertices.  Its Gram matrix ``(U_X^T U_X)**2`` (elementwise) and
+normal right-hand side ``diag(U_X^T C_X U_X)`` cost O(K N^2), so the
+estimator solves it by Cholesky and one corrected semi-normal step, and
+never forms the K^2 x N Khatri-Rao model, when a margin for the squared
+conditioning lets the Cholesky factor certify full rank.  Every other
+system (vertex models, underdetermined or nearly rank-deficient spectral
+ones) is solved by numpy's QR of the model's distinct pair rows, a row
+block at a time, with full rank certified from the inverse of the small R
+factor or decided by its SVD.  All of it is numpy: scipy loads its own
+OpenBLAS, whose threads contend with numpy's, so the package uses scipy
+only for ``scipy.sparse``.
 
 Vectorization is column-major everywhere; all Kronecker/Khatri-Rao identities
 in this module assume that single convention.
@@ -19,7 +26,8 @@ in this module assume that single convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,34 +73,70 @@ class SamplingPattern:
         return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CovarianceModelMatrix:
     """Tall matrix mapping spectrum unknowns to the vectorized K x K covariance.
 
     ``domain`` is :data:`SPECTRAL` (N columns) or :data:`VERTEX` (Q columns).
-    Rows are indexed by vertex pairs in column-major vectorization order;
-    with ``dedup=True`` only one row per unordered pair is kept.  The
-    estimators solve the default K^2-row model on its K(K+1)/2 pair rows,
-    weighted by sqrt(2) off the diagonal, which is the same least-squares
-    problem.  So ``dedup=True`` differs from the default only by dropping
-    those weights: under noise it counts an off-diagonal pair once where
-    the default counts it twice.
+    Rows are indexed by vertex pairs in column-major vectorization order.
+
+    A spectral model from :func:`build_spectral_model` keeps only
+    ``basis_rows``, the K x N rows ``U_X`` of the Fourier basis at the
+    selected vertices: column n of the model is ``vec(u_n u_n^T)``, so
+    ``matrix`` (the K^2 x N Khatri-Rao product ``U_X (.) U_X``) is built
+    only when it is read, and the estimator solves from ``U_X`` alone (see
+    :func:`_gram_factor`).  A model built from a raw ``matrix`` holds that
+    matrix, and the estimator factors its rows.
     """
 
     domain: str
-    matrix: np.ndarray
     pattern: SamplingPattern
     order: int | None = None
-    dedup: bool = False
+    basis_rows: np.ndarray | None = None
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, domain, *, pattern, matrix=None, order=None, basis_rows=None):
+        if (matrix is None) == (basis_rows is None):
+            raise InvariantViolation("a model needs exactly one of matrix and basis_rows")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "order", order)
+        if basis_rows is not None:
+            basis_rows = np.asarray(basis_rows, dtype=float)
+            if basis_rows.shape[0] != pattern.k:
+                raise InvariantViolation(
+                    f"basis_rows has {basis_rows.shape[0]} rows, pattern selects {pattern.k}"
+                )
+            basis_rows.flags.writeable = False
+        object.__setattr__(self, "basis_rows", basis_rows)
+        if matrix is not None:
+            m = np.asarray(matrix, dtype=float)
+            m.flags.writeable = False
+            self.__dict__["matrix"] = m
+
+    @functools.cached_property
+    def matrix(self):
+        """The K^2 x N Khatri-Rao product of ``basis_rows`` with itself."""
+        u = self.basis_rows
+        # row i + j*k is the (i, j) entry; C order keeps each row contiguous
+        m = (u[None, :, :] * u[:, None, :]).reshape(self.pattern.k ** 2, u.shape[1])
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
     def n_unknowns(self):
-        return self.matrix.shape[1]
+        held = self.basis_rows if self.basis_rows is not None else self.matrix
+        return held.shape[1]
+
+    def columns(self, support):
+        """The model restricted to the unknowns in ``support``."""
+        if self.basis_rows is not None:
+            return CovarianceModelMatrix(
+                self.domain, pattern=self.pattern, order=self.order,
+                basis_rows=self.basis_rows[:, support],
+            )
+        return CovarianceModelMatrix(
+            self.domain, pattern=self.pattern, order=self.order, matrix=self.matrix[:, support]
+        )
 
     def vectorize(self, cov_matrix):
         """Flatten a K x K covariance in this model's row order."""
@@ -100,10 +144,7 @@ class CovarianceModelMatrix:
         m = np.asarray(cov_matrix, dtype=float)
         if m.shape != (k, k):
             raise InvariantViolation(f"expected a {k} x {k} covariance, got {m.shape}")
-        vec = m.reshape(-1, order="F")
-        if self.dedup:
-            return vec[_upper_triangle_rows(k)]
-        return vec
+        return m.reshape(-1, order="F")
 
 
 @dataclass(frozen=True)
@@ -152,25 +193,20 @@ def subsampled_covariance(cov, pattern):
     return CovarianceEstimate(matrix=sub, n_snapshots=cov.n_snapshots)
 
 
-def build_spectral_model(basis, pattern, dedup=False):
+def build_spectral_model(basis, pattern):
     """Spectral-domain model: Khatri-Rao product of the subsampled basis.
 
     Column n is the vectorized outer product of eigenvector n restricted to
     the selected vertices, so the model maps a power spectrum to the
-    vectorized subsampled covariance.
+    vectorized subsampled covariance.  The model keeps only those K x N
+    restricted eigenvectors; its K^2 x N ``matrix`` is built when read.
     """
-    u_sub = basis.eigenvectors[list(pattern.selected)]
-    k = pattern.k
-    # row i + j*k is the (i, j) entry; C order keeps each row contiguous
-    model = (u_sub[None, :, :] * u_sub[:, None, :]).reshape(k * k, basis.n)
-    if dedup:
-        model = model[_upper_triangle_rows(k)]
     return CovarianceModelMatrix(
-        domain=SPECTRAL, matrix=model, pattern=pattern, dedup=dedup
+        SPECTRAL, pattern=pattern, basis_rows=basis.eigenvectors[list(pattern.selected)]
     )
 
 
-def build_vertex_model(shift, pattern, q_order, dedup=False):
+def build_vertex_model(shift, pattern, q_order):
     """Vertex-domain model: subsampled powers of the shift operator.
 
     Column q holds the vectorized K x K submatrix of ``S^q`` for
@@ -188,11 +224,7 @@ def build_vertex_model(shift, pattern, q_order, dedup=False):
         cols[:, q] = block[idx].reshape(-1, order="F")
         if q + 1 < q_order:
             block = shift.matrix @ block
-    if dedup:
-        cols = cols[_upper_triangle_rows(k)]
-    return CovarianceModelMatrix(
-        domain=VERTEX, matrix=cols, pattern=pattern, order=q_order, dedup=dedup
-    )
+    return CovarianceModelMatrix(VERTEX, pattern=pattern, matrix=cols, order=q_order)
 
 
 def _solved_rows(model):
@@ -202,13 +234,8 @@ def _solved_rows(model):
     (j, i).  Its K(K+1)/2 upper-triangle rows, the off-diagonal ones and
     their right-hand sides (the mean over both orders) weighted by sqrt(2),
     give the same normal equations, column norms, singular values and
-    residual norm.  A ``dedup`` model has one row per pair and is solved as
-    it is.
+    residual norm.
     """
-    rows = model.matrix.shape[0]
-    if model.dedup:
-        every = np.arange(rows)
-        return every, every, np.ones(rows)
     k = model.pattern.k
     upper = _upper_triangle_rows(k)
     weights = np.where(upper % (k + 1) == 0, 1.0, np.sqrt(2.0))
@@ -244,7 +271,7 @@ def _equilibrated_r(model, rhs):
     grows with the power of the shift it holds.  A column scaled to zero
     adds a zero singular value and gets a zero coefficient.  The rank
     tolerance is ``max(rows, cols) * eps * (largest equilibrated column
-    norm)``; both count the model's own rows (K^2 unless ``dedup``).
+    norm)``; both count the model's K^2 rows.
 
     Returns ``(r, qtb, scale, tol)``: ``qtb`` is ``Q^T`` times the weighted
     ``rhs``, and the solution is divided by ``scale``.
@@ -342,13 +369,118 @@ def _certified_inverse(r, tol):
     return inverse
 
 
+def _gram_factor(model):
+    """Certified Cholesky factor of a spectral model's equilibrated Gram matrix, or None.
+
+    For ``A = U_X (.) U_X`` the Gram matrix is ``A^T A = (U_X^T U_X)**2``
+    (elementwise), an N x N GEMM of K rows, where the QR of the K(K+1)/2
+    pair rows costs K^2 N^2 flops.  The columns are equilibrated by
+    ``d = sqrt(diag G)``, which is ``||u_n||^2``: the exact column norms of
+    the model, a sum of squares with no cancellation, so the negligible-
+    column rule of :func:`_equilibrated_r` reads them as it reads the norms
+    of ``R``.  The equilibrated ``G = L L^T`` is factored by
+    ``np.linalg.cholesky`` and ``L^-T`` formed by :func:`_upper_inverse`.
+
+    The normal equations square the condition number, so the certificate
+    asks for more than :func:`_certified_inverse` does.  With
+    ``n = max(K, cols)`` and u the unit roundoff, ``beta = 1/||L^-1||_F``
+    bounds ``sigma_min(L^T)`` from below, and ``beta`` must clear both
+    ``cols * tol`` and the margin ``2 n sqrt(u)``.  The constant: an entry
+    of ``U_X^T U_X`` is computed to ``K u ||u_m|| ||u_n||``, so an entry of
+    the equilibrated Gram matrix is off by at most about ``2 K u``, and
+    Cholesky is backward stable with ``|E| <= (cols+1) u |L||L^T|``, whose
+    entries are at most ``(cols+1) u`` because the rows of ``L`` have unit
+    norm.  Summed over the entries, ``lambda_min`` of the exact equilibrated
+    Gram matrix is within about ``3 n^2 u`` of ``sigma_min(L^T)^2``, and
+    ``beta > 2 n sqrt(u)`` makes that less than ``(3/4) beta^2``.  So the
+    model's smallest equilibrated singular value is above ``beta / 2 >
+    cols * tol / 2 >= tol``, and the rank rule counts every column.  (The
+    inverse's own rounding moves ``sigma_min`` by about ``n^1.5 u``,
+    far below ``beta / 2``.)  The same margin keeps the squared condition
+    number under ``cols / beta^2 < 1 / (4 n u)``, where one corrected step
+    of :func:`_gram_solve` gets back the accuracy of QR.  On the 149
+    ``estimate_large`` graphs (N = 600, K = 100) the smallest ``beta`` is
+    about 2.5e-5, twice the margin.
+
+    It returns None, and the caller takes the QR path, for every other
+    system: no ``basis_rows`` (vertex models and models built from a raw
+    matrix), fewer pair rows than columns, a negligible or zero column, a
+    failed Cholesky or a bound within the margin.  Non-finite
+    ``basis_rows`` raise :class:`NonFinite`.
+
+    Returns ``(inverse, scale, tol)``: ``inverse`` is ``L^-T``, ``scale``
+    the column norms ``d``, ``tol`` the rank tolerance of
+    :func:`_equilibrated_r`.
+    """
+    u_x = model.basis_rows
+    if u_x is None:
+        return None
+    if not np.all(np.isfinite(u_x)):
+        raise NonFinite("model matrix is not finite")
+    k, cols = u_x.shape
+    if k * (k + 1) // 2 < cols:
+        return None
+    gram = u_x.T @ u_x
+    np.square(gram, out=gram)
+    scale = np.sqrt(np.diagonal(gram))
+    eps_rows = max(k * k, cols) * np.finfo(float).eps
+    if not scale.min() > eps_rows * scale.max():
+        return None
+    gram /= scale
+    gram /= scale[:, None]
+    tol = eps_rows * float(np.sqrt(np.diagonal(gram).max()))
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    inverse = _upper_inverse(lower.T)
+    margin = 2.0 * max(k, cols) * np.sqrt(np.finfo(float).eps / 2.0)
+    if not 1.0 / np.linalg.norm(inverse) > max(cols * tol, margin):
+        return None
+    return inverse, scale, tol
+
+
+def _gram_solve(model, rhs, inverse, scale):
+    """Least squares from :func:`_gram_factor`'s ``L^-T`` and column scales.
+
+    The right-hand side of the normal equations is
+    ``A^T vec(C) = diag(U_X^T C U_X)``.  The first solve, ``(L L^T)^-1``
+    applied as ``L^-T (L^-1 v)``, loses accuracy with the squared
+    condition number; one correction step (Bjorck 1987, "Stability analysis
+    of the method of seminormal equations for linear least squares
+    problems") solves again for the residual of that solution, the K x K
+    matrix ``C - U_X diag(x) U_X^T``.  Returns ``(solution, residual)``,
+    where ``residual`` is the Frobenius norm of that matrix at the returned
+    solution, which is ``||A x - vec(C)||`` over all K^2 rows.
+    """
+    u_x = model.basis_rows
+    k = model.pattern.k
+    cov = rhs.reshape(k, k, order="F")
+    if not np.all(np.isfinite(cov)):
+        raise NonFinite("covariance is not finite")
+
+    def step(target):
+        normal = np.einsum("kn,kn->n", u_x, target @ u_x) / scale
+        return (inverse @ (inverse.T @ normal)) / scale
+
+    def residual_of(x):
+        return cov - (u_x * x) @ u_x.T
+
+    solution = step(cov)
+    solution += step(residual_of(solution))
+    return solution, float(np.linalg.norm(residual_of(solution)))
+
+
 def model_rank(model):
     """Numerical rank of a model matrix and whether it has full column rank.
 
     The rank counts the singular values of the equilibrated ``R`` above the
-    tolerance; a full rank certified by ``R^-1`` (see
-    :func:`_certified_inverse`) skips the SVD.
+    tolerance; a full rank certified by the Gram factor of a spectral model
+    (:func:`_gram_factor`) or by ``R^-1`` (:func:`_certified_inverse`) skips
+    the SVD.
     """
+    if _gram_factor(model) is not None:
+        return model.n_unknowns, True
     r, _, _, tol = _equilibrated_r(model, np.zeros(model.matrix.shape[0]))
     if _certified_inverse(r, tol) is not None:
         rank = model.n_unknowns
@@ -358,14 +490,23 @@ def model_rank(model):
 
 
 def _solve_least_squares(model, rhs):
-    """Minimum-norm least squares on the equilibrated R factor.
+    """Minimum-norm least squares: ``(solution, rank, tol, residual)``.
 
-    When ``R^-1`` certifies full column rank (:func:`_certified_inverse`),
-    the solution is ``R^-1 Q^T b`` and no SVD runs.  Otherwise the SVD of
-    ``R`` gives the rank (singular values above the tolerance) and the
-    minimum-norm solution.  ``residual`` is ``||model.matrix @ solution -
-    rhs||`` over all of the model's rows.
+    A spectral model whose Gram factor certifies full rank
+    (:func:`_gram_factor`) is solved from ``U_X`` by :func:`_gram_solve`,
+    and its K^2 x N matrix is never formed.  Every other system is solved
+    on the equilibrated R factor of its pair rows.  When ``R^-1``
+    certifies full column rank (:func:`_certified_inverse`), the solution
+    is ``R^-1 Q^T b`` and no SVD runs.  Otherwise the SVD of ``R`` gives
+    the rank (singular values above the tolerance) and the minimum-norm
+    solution.  ``residual`` is ``||model.matrix @ solution - rhs||`` over
+    all of the model's rows.
     """
+    factor = _gram_factor(model)
+    if factor is not None:
+        inverse, scale, tol = factor
+        solution, residual = _gram_solve(model, rhs, inverse, scale)
+        return solution, model.n_unknowns, tol, residual
     r, qtb, scale, tol = _equilibrated_r(model, rhs)
     inverse = _certified_inverse(r, tol)
     if inverse is not None:
@@ -416,8 +557,7 @@ def estimate_spectrum_spectral_reduced(cov_sub, model, support):
     if support[0] < 0 or support[-1] >= n:
         raise InvalidSupport(f"support index out of range for N={n}")
     rhs = model.vectorize(cov_sub.matrix)
-    reduced = replace(model, matrix=model.matrix[:, support])
-    coef, rank, tol, residual = _solve_least_squares(reduced, rhs)
+    coef, rank, tol, residual = _solve_least_squares(model.columns(support), rhs)
     p_hat = np.zeros(n)
     p_hat[support] = coef
     return SpectrumEstimate(

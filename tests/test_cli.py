@@ -167,6 +167,7 @@ class TestCheck:
         assert report["model_equivalence"]["ok"]
         assert report["spectrum_consistency"]["ok"]
         assert report["incremental_gains"]["ok"]
+        assert report["estimator_agreement"]["ok"]
         assert code == (0 if report["ok"] else 3)
 
 

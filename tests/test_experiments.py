@@ -407,12 +407,14 @@ class TestPropertySuites:
             "model_equivalence",
             "spectrum_consistency",
             "incremental_gains",
+            "estimator_agreement",
             "ok",
         }
         assert report["greedy_bound"]["ok"]
         assert report["model_equivalence"]["ok"]
         assert report["spectrum_consistency"]["ok"]
         assert report["incremental_gains"]["ok"]
+        assert report["estimator_agreement"]["ok"]
         # the log-det objective is monotone and normalized on every instance
         for row in report["submodularity"]["instances"]:
             assert row["normalization_ok"]

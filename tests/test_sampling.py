@@ -72,6 +72,17 @@ def svd_must_not_run(*args, **kwargs):
     raise AssertionError("an SVD ran on a system whose full rank R^-1 certifies")
 
 
+def qr_must_not_run(*args, **kwargs):
+    raise AssertionError("a QR ran on a system the Gram path solves")
+
+
+def dense_spectral_model(basis, pattern):
+    """The spectral model of ``pattern`` built from its K^2 x N matrix alone,
+    without the basis rows, so the estimator factors its pair rows by QR."""
+    matrix = build_spectral_model(basis, pattern).matrix
+    return CovarianceModelMatrix(SPECTRAL, pattern=pattern, matrix=matrix)
+
+
 def dense_svd_solve(matrix, rhs):
     """Minimum-norm least squares on every row of ``matrix``:
     ``(solution, rank, tolerance, residual norm)``."""
@@ -290,20 +301,6 @@ class TestSpectralEstimation:
         e2 = estimate_spectrum_spectral(subsampled_covariance(r, rev), m2)
         np.testing.assert_array_equal(e1.p_hat, e2.p_hat)
 
-    def test_dedup_rows_agree_on_population_data(
-        self, sensor100_basis, sensor100_filter
-    ):
-        """Dropping duplicate equations keeps the estimate on consistent data."""
-        p_true = true_power_spectrum(sensor100_filter, sensor100_basis)
-        r = true_covariance(sensor100_filter, sensor100_basis)
-        obj = DesignObjective.spectral(sensor100_basis)
-        pattern, _ = greedy_design(obj, 15)
-        model = build_spectral_model(sensor100_basis, pattern, dedup=True)
-        assert model.matrix.shape[0] == 15 * 16 // 2
-        est = estimate_spectrum_spectral(subsampled_covariance(r, pattern), model)
-        assert est.rank_ok
-        assert np.abs(est.p_hat - p_true).max() <= 1e-8 * np.abs(p_true).max()
-
 
 class TestReducedEstimation:
     def test_full_support_equals_plain_least_squares(
@@ -443,9 +440,22 @@ class TestEstimatorAgreement:
         assert np.abs(e_s.p_hat - e_v.p_hat).max() <= 1e-6 * scale
 
 
+def check_against_dense_svd(est, model_matrix, rhs, p_of=lambda c: c):
+    """``est`` has the rank, tolerance, solution and residual norm that a
+    dense SVD of every row of ``model_matrix`` gives."""
+    x, rank, tol, residual = dense_svd_solve(model_matrix, rhs)
+    assert est.rank == rank
+    # the largest equilibrated norm is 1 up to the rounding of its sum of squares
+    assert est.rank_tolerance == pytest.approx(tol, rel=1e-14)
+    p_ref = p_of(x)
+    assert np.abs(est.p_hat - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+    assert est.residual_norm == pytest.approx(residual, rel=1e-12)
+
+
 class TestSolverMatchesDenseSvd:
-    """The estimator factors K(K+1)/2 sqrt(2)-weighted pair rows by QR; it
-    must give what a dense SVD of all K^2 rows gives.  The systems are well
+    """The estimator factors K(K+1)/2 sqrt(2)-weighted pair rows by QR, or
+    solves a spectral system from its Gram matrix; it must give what a
+    dense SVD of all K^2 rows gives.  The systems are well
     conditioned, so the tolerances test the algebra, not the conditioning."""
 
     @pytest.fixture(scope="class")
@@ -455,27 +465,12 @@ class TestSolverMatchesDenseSvd:
         cov_sub = subsampled_covariance(sample_covariance(x), pattern)
         return build_laplacian(sensor100), pattern, cov_sub
 
-    def check(self, est, model_matrix, rhs, p_of=lambda c: c):
-        x, rank, tol, residual = dense_svd_solve(model_matrix, rhs)
-        assert est.rank == rank
-        # the largest equilibrated norm is 1 up to the rounding of its sum of squares
-        assert est.rank_tolerance == pytest.approx(tol, rel=1e-14)
-        p_ref = p_of(x)
-        assert np.abs(est.p_hat - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
-        assert est.residual_norm == pytest.approx(residual, rel=1e-12)
-
     def test_spectral(self, sensor100_basis, case):
         _, pattern, cov_sub = case
         model = build_spectral_model(sensor100_basis, pattern)
         est = estimate_spectrum_spectral(cov_sub, model)
         assert est.residual_norm > 0.0
-        self.check(est, model.matrix, vec(cov_sub.matrix))
-
-    def test_dedup(self, sensor100_basis, case):
-        _, pattern, cov_sub = case
-        model = build_spectral_model(sensor100_basis, pattern, dedup=True)
-        est = estimate_spectrum_spectral(cov_sub, model)
-        self.check(est, model.matrix, model.vectorize(cov_sub.matrix))
+        check_against_dense_svd(est, model.matrix, vec(cov_sub.matrix))
 
     def test_reduced(self, sensor100_basis, case):
         _, pattern, cov_sub = case
@@ -488,13 +483,13 @@ class TestSolverMatchesDenseSvd:
             p[support] = coef
             return p
 
-        self.check(est, model.matrix[:, support], vec(cov_sub.matrix), zero_filled)
+        check_against_dense_svd(est, model.matrix[:, support], vec(cov_sub.matrix), zero_filled)
 
     def test_vertex(self, sensor100_basis, case):
         shift, pattern, cov_sub = case
         model = build_vertex_model(shift, pattern, 5)
         est = estimate_spectrum_vertex(cov_sub, model, sensor100_basis)
-        self.check(
+        check_against_dense_svd(
             est,
             model.matrix,
             vec(cov_sub.matrix),
@@ -517,7 +512,7 @@ class TestSolverMatchesDenseSvd:
     ):
         """From K = 14 the prefixes are full rank, and R^-1 certifies it."""
         _, pattern, _ = case
-        model = build_spectral_model(sensor100_basis, SamplingPattern(100, pattern.selected[:k]))
+        model = dense_spectral_model(sensor100_basis, SamplingPattern(100, pattern.selected[:k]))
         rank = dense_svd_rank(model.matrix)[4]
         monkeypatch.setattr(np.linalg, "svd", svd_must_not_run)
         assert model_rank(model) == (rank, True)
@@ -527,14 +522,14 @@ class TestSolverMatchesDenseSvd:
         least-squares solution the dense SVD gives."""
         basis = eigendecompose(build_laplacian(random_sensor_graph(300, 6, seed=1)))
         pattern = SamplingPattern(300, tuple(range(0, 300, 5)))
-        model = build_spectral_model(basis, pattern)
+        model = dense_spectral_model(basis, pattern)
         x = synthesize(GraphFilter([1.0, 0.5]), basis, 200, seed=3)
         cov_sub = subsampled_covariance(sample_covariance(x), pattern)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", svd_must_not_run)
             est = estimate_spectrum_spectral(cov_sub, model)
         assert est.rank_ok
-        self.check(est, model.matrix, vec(cov_sub.matrix))
+        check_against_dense_svd(est, model.matrix, vec(cov_sub.matrix))
 
     def test_bound_inside_the_margin_takes_the_svd(self, monkeypatch):
         """A smallest equilibrated singular value between tol and cols * tol
@@ -585,7 +580,7 @@ class TestSolverMemory:
         formed (a dense SVD of the whole model peaks at about 3x its bytes)."""
         basis = eigendecompose(build_laplacian(random_sensor_graph(300, 6, seed=1)))
         pattern = SamplingPattern(300, tuple(range(0, 300, 5)))
-        model = build_spectral_model(basis, pattern)
+        model = dense_spectral_model(basis, pattern)
         cov_sub = subsampled_covariance(
             true_covariance(GraphFilter([1.0, 0.5]), basis), pattern
         )
@@ -598,6 +593,121 @@ class TestSolverMemory:
             tracemalloc.stop()
         assert est.rank_ok
         assert peak < 2 * model.matrix.nbytes
+
+
+class TestGramPath:
+    """A spectral model that carries ``U_X`` is solved from its Gram matrix
+    ``(U_X^T U_X)**2`` by Cholesky and one corrected semi-normal step: no
+    QR, no SVD, and the K^2 x N model is never formed."""
+
+    @pytest.mark.parametrize("system", ["reference", "n300_k60"])
+    def test_matches_dense_svd_without_qr_or_svd(
+        self, monkeypatch, system, sensor100_basis, sensor100_filter
+    ):
+        """The reference system (N=100, greedy K=50, 1000 snapshots) and
+        N=300, K=60 on sample covariances."""
+        if system == "reference":
+            basis, filt, snapshots = sensor100_basis, sensor100_filter, 1000
+            pattern, _ = greedy_design(DesignObjective.spectral(basis), 50)
+        else:
+            basis = eigendecompose(build_laplacian(random_sensor_graph(300, 6, seed=1)))
+            filt, snapshots = GraphFilter([1.0, 0.5]), 200
+            pattern = SamplingPattern(300, tuple(range(0, 300, 5)))
+        model = build_spectral_model(basis, pattern)
+        cov_sub = subsampled_covariance(
+            sample_covariance(synthesize(filt, basis, snapshots, seed=4)), pattern
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", qr_must_not_run)
+            patch.setattr(np.linalg, "svd", svd_must_not_run)
+            est = estimate_spectrum_spectral(cov_sub, model)
+            assert model_rank(model) == (basis.n, True)
+        assert "matrix" not in vars(model), "the K^2 x N model was built"
+        assert est.rank_ok and est.residual_norm > 0.0
+        check_against_dense_svd(est, model.matrix, vec(cov_sub.matrix))
+
+    def test_bound_inside_the_margin_takes_qr(self, monkeypatch):
+        """Two nearly equal eigenvector columns make the equilibrated model's
+        sigma_min about 1e-8: far above the rank tolerance, so the system has
+        full rank, but below the Gram margin 2 max(K, N) sqrt(u).  Cholesky
+        succeeds, the bound does not certify, and the QR path gives the
+        answer that a model built from the dense matrix gets."""
+        k, cols = 8, 20
+        rng = np.random.default_rng(7)
+        u_x = rng.standard_normal((k, cols))
+        u_x[:, -1] = u_x[:, -2] + 1e-8 * rng.standard_normal(k)
+        pattern = SamplingPattern(k, tuple(range(k)))
+        model = CovarianceModelMatrix(SPECTRAL, pattern=pattern, basis_rows=u_x)
+        dense = CovarianceModelMatrix(SPECTRAL, pattern=pattern, matrix=model.matrix)
+        _, s, _, _, rank, tol = dense_svd_rank(dense.matrix)
+        margin = 2 * max(k, cols) * np.sqrt(np.finfo(float).eps / 2)
+        assert cols * tol < s[-1] < margin / 10
+        assert rank == cols
+        cov = rng.standard_normal((k, k))
+        cov = CovarianceEstimate(cov + cov.T)
+        expected = estimate_spectrum_spectral(cov, dense)
+
+        cholesky = np.linalg.cholesky
+        factored = []
+
+        def counted_cholesky(a, *args, **kwargs):
+            lower = cholesky(a, *args, **kwargs)
+            factored.append(a.shape)
+            return lower
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        stacks = cap_stack_rows(monkeypatch, model, 1000)
+        est = estimate_spectrum_spectral(cov, model)
+        assert factored == [(cols, cols)]
+        assert stacks, "the QR path must factor the pair rows"
+        assert est.rank == expected.rank == cols and est.rank_ok
+        np.testing.assert_array_equal(est.p_hat, expected.p_hat)
+        assert est.rank_tolerance == expected.rank_tolerance
+        assert est.residual_norm == expected.residual_norm
+
+    def test_nan_covariance(self, monkeypatch, sensor100_basis):
+        pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
+        model = build_spectral_model(sensor100_basis, pattern)
+        cov = np.eye(pattern.k)
+        cov[18, 19] = cov[19, 18] = np.nan
+        monkeypatch.setattr(np.linalg, "qr", qr_must_not_run)
+        with pytest.raises(NonFinite, match="covariance"):
+            estimate_spectrum_spectral(CovarianceEstimate(cov), model)
+
+    def test_non_finite_basis_rows(self, sensor100_basis):
+        pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
+        u_x = sensor100_basis.eigenvectors[list(pattern.selected)]
+        u_x[3, 40] = np.inf
+        model = CovarianceModelMatrix(SPECTRAL, pattern=pattern, basis_rows=u_x)
+        with pytest.raises(NonFinite, match="model"):
+            estimate_spectrum_spectral(CovarianceEstimate(np.eye(pattern.k)), model)
+        with pytest.raises(NonFinite, match="model"):
+            model_rank(model)
+
+    def test_model_and_estimate_peak_below_half_the_khatri_rao_model(self):
+        """N=600, K=100 (the first ``estimate_large`` graph): the K^2 x N
+        model would take 48 MB; building the model and estimating from it
+        stays below half of that."""
+        seed = json.loads(GOLDEN.read_text())["estimate_large"]["pool"][0]
+        setting = prepare(
+            ExperimentConfig.from_dict(
+                {"graph": {"n": 600, "k_neighbors": 6, "seed": seed}, "domain": "spectral",
+                 "k": 100, "sampler": "random", "seed": seed}
+            )
+        )
+        pattern, _, _ = setting.design()
+        cov_sub = subsampled_covariance(setting.covariance(seed), pattern)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = setting.model(pattern)
+            est = estimate_spectrum_spectral(cov_sub, model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert est.rank_ok
+        assert "matrix" not in vars(model)
+        assert peak < 0.5 * 100 * 100 * 600 * 8
 
 
 def cap_stack_rows(monkeypatch, model, stack_rows):
@@ -618,7 +728,8 @@ def cap_stack_rows(monkeypatch, model, stack_rows):
 class TestStreamedFactorization:
     """The solve rows are factored in row blocks, each stacked under the R
     of the blocks before it.  A stack cap that splits a system into several
-    blocks must give what one block gives."""
+    blocks must give what one block gives.  Spectral systems that the Gram
+    path would solve are given as their dense matrix, which takes QR."""
 
     def check_same_estimate(self, monkeypatch, model, cov_sub, stack_rows):
         one = estimate_spectrum_spectral(cov_sub, model)
@@ -633,7 +744,7 @@ class TestStreamedFactorization:
     def test_reference_system(self, monkeypatch, sensor100_basis, sensor100_filter):
         """N=100, K=50: 1,275 solve rows, one block at the default cap."""
         pattern, _ = greedy_design(DesignObjective.spectral(sensor100_basis), 50)
-        model = build_spectral_model(sensor100_basis, pattern)
+        model = dense_spectral_model(sensor100_basis, pattern)
         rows = 50 * 51 // 2
         assert 8 * (model.n_unknowns + 1) * rows <= sampling._STACK_BYTES
         x = synthesize(sensor100_filter, sensor100_basis, 1000, seed=4)
@@ -674,7 +785,7 @@ class TestStreamedFactorization:
     def test_nan_covariance_in_a_later_block(self, monkeypatch, sensor100_basis):
         """K=20: the pair (18, 19) is among the last of the 210 solve rows."""
         pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
-        model = build_spectral_model(sensor100_basis, pattern)
+        model = dense_spectral_model(sensor100_basis, pattern)
         cov = np.eye(pattern.k)
         cov[18, 19] = cov[19, 18] = np.nan
         stacks = cap_stack_rows(monkeypatch, model, 150)
@@ -738,12 +849,14 @@ class TestNonFiniteSystems:
 
 
 class TestBenchmarkPoolRecovery:
-    @pytest.mark.parametrize("graph_seed", ["first", 2102, 2024])
+    @pytest.mark.parametrize("graph_seed", ["first", 2102, 2024, 2115])
     def test_population_re_estimate(self, graph_seed):
         """The benchmark's ``estimate_large`` check: spectral, N=600, a random
         K=100 pattern; the population covariance recovers the spectrum to
         1e-8 relative.  Graph 2024 is the pool's worst case for the solve
-        through R^-1, graph 2102 for the solve through the SVD of R."""
+        through R^-1 and through the Gram matrix, graph 2102 for the solve
+        through the SVD of R, and graph 2115 has the pool's smallest Gram
+        bound, about twice the margin."""
         pool = json.loads(GOLDEN.read_text())["estimate_large"]["pool"]
         seed = pool[0] if graph_seed == "first" else graph_seed
         assert seed in pool
