@@ -92,6 +92,7 @@ from .spectral import (
     true_covariance,
     true_power_spectrum,
     vandermonde,
+    white_noise,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """End-to-end experiment pipeline and reproducibility plumbing.
 
-Wires the full chain (graph -> shift -> basis -> filter -> covariance ->
-sampler design -> subsampled model -> least-squares estimate), reproduces
-the reference experiments at desk scale, and writes deterministic CSV/JSON
-results plus gnuplot-ready plot data.
+Wires the full chain (graph -> shift -> basis -> filter -> sampler design
+-> subsampled model -> covariance at the sampled vertices -> least-squares
+estimate), reproduces the reference experiments at desk scale, and writes
+deterministic CSV/JSON results plus gnuplot-ready plot data.
 """
 
 from __future__ import annotations
@@ -291,14 +291,41 @@ class Setting:
             return design_mod.random_design(self.graph.n_vertices, cfg.k, seed=cfg.seed), None, None
         return load_pattern(cfg.pattern_path), None, None
 
-    def covariance(self, seed):
-        """The population covariance, or the sample covariance of snapshots drawn with ``seed``."""
+    def _check_pattern(self, pattern):
+        n = self.graph.n_vertices
+        if pattern.n_vertices != n:
+            raise ConfigError(
+                f"the pattern is for {pattern.n_vertices} vertices, the graph has {n}"
+            )
+
+    def covariances(self, seed, patterns):
+        """K x K covariance at each pattern's vertices, in order.
+
+        The population covariance's principal submatrices, or the sample
+        covariances of one snapshot draw seeded with ``seed``, each
+        synthesized only at its pattern's vertices.  A pattern of another
+        vertex count is a ConfigError.
+        """
+        for pattern in patterns:
+            self._check_pattern(pattern)
         if self.config.use_population_covariance:
-            return self._population_covariance
-        snapshots = spectral_mod.synthesize(
-            self.filter, self.basis, self.config.n_snapshots, seed=seed
-        )
-        return spectral_mod.sample_covariance(snapshots)
+            cov = self._population_covariance
+            return [sampling_mod.subsampled_covariance(cov, pattern) for pattern in patterns]
+        n_snapshots = self.config.n_snapshots
+        noise = spectral_mod.white_noise(self.graph.n_vertices, n_snapshots, seed=seed)
+        return [
+            spectral_mod.sample_covariance(
+                spectral_mod.synthesize(
+                    self.filter, self.basis, n_snapshots, vertices=pattern.selected, noise=noise
+                )
+            )
+            for pattern in patterns
+        ]
+
+    def covariance(self, seed, pattern):
+        """K x K covariance at ``pattern``'s vertices (see :meth:`covariances`)."""
+        (cov,) = self.covariances(seed, [pattern])
+        return cov
 
     @functools.cached_property
     def _population_covariance(self):
@@ -306,11 +333,7 @@ class Setting:
 
     def model(self, pattern):
         """Model matrix of ``pattern``; a pattern of another vertex count is a ConfigError."""
-        n = self.graph.n_vertices
-        if pattern.n_vertices != n:
-            raise ConfigError(
-                f"the pattern is for {pattern.n_vertices} vertices, the graph has {n}"
-            )
+        self._check_pattern(pattern)
         if self.spectral:
             return sampling_mod.build_spectral_model(self.basis, pattern)
         return sampling_mod.build_vertex_model(self.shift, pattern, self.q)
@@ -354,12 +377,16 @@ def prepare(cfg, timer=None):
 def run_experiment(cfg):
     """Run the full pipeline for one configuration.
 
-    Deterministic given the config (all randomness is seeded).  When
-    ``cfg.output_dir`` is set, writes ``spectrum.csv``, ``pattern.json``,
-    ``metrics.json``, ``trace.json`` (greedy only), and gnuplot ``.dat``
-    files there; on error a ``failure.json`` naming the failed stage is
-    left behind instead.  Stage wall times are returned on the result, not
-    written, so outputs stay byte-reproducible.
+    Deterministic given the config (all randomness is seeded).  The stages
+    run in the order graph, basis, filter, design, model, covariance and
+    estimate: the design picks the K observed vertices, the model checks
+    the pattern against the graph, and the covariance is formed only at
+    those vertices, so no N x N covariance or N x N_s snapshot array is
+    built.  When ``cfg.output_dir`` is set, writes ``spectrum.csv``,
+    ``pattern.json``, ``metrics.json``, ``trace.json`` (greedy only), and
+    gnuplot ``.dat`` files there; on error a ``failure.json`` naming the
+    failed stage is left behind instead.  Stage wall times are returned on
+    the result, not written, so outputs stay byte-reproducible.
     """
     cfg.validate()
     timer = _StageTimer()
@@ -368,13 +395,12 @@ def run_experiment(cfg):
         os.makedirs(out, exist_ok=True)
     try:
         setting = prepare(cfg, timer)
-        with timer.stage("covariance"):
-            cov = setting.covariance(cfg.seed)
         with timer.stage("design"):
             pattern, trace, epsilon = setting.design()
         with timer.stage("model"):
             model = setting.model(pattern)
-            cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
+        with timer.stage("covariance"):
+            cov_sub = setting.covariance(cfg.seed, pattern)
         with timer.stage("estimate"):
             estimate, nmse = setting.estimate(cov_sub, model)
         result = ExperimentResult(
@@ -501,8 +527,10 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
 
     For every K in ``k_list`` runs ``n_seeds`` seeded pipelines per sampler
     and aggregates mean NMSE and the fraction of runs whose model had full
-    column rank.  Each seed's covariance is computed once and shared by all
-    budgets; a repeated budget is estimated once and its rows repeated.
+    column rank.  Each seed draws its snapshot noise once, and every
+    pattern's covariance is synthesized from that draw at its own vertices,
+    exactly as :func:`run_experiment` does; a repeated budget is estimated
+    once and its rows repeated.
     Returns the rows and optionally writes ``sweep.csv``.
     """
     k_values = [int(k) for k in k_list]
@@ -519,16 +547,18 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     # a budget listed twice is estimated once and reported twice
     runs = {k: {"greedy": [], "random": []} for k in k_values}
     for seed in range(cfg.seed, cfg.seed + n_seeds):
-        cov = setting.covariance(seed)
-        for k, cell in runs.items():
-            patterns = {
-                "greedy": sampling_mod.SamplingPattern(n, trace.chosen[:k]),
-                "random": design_mod.random_design(n, k, seed=seed),
-            }
-            for sampler, pattern in patterns.items():
-                cov_sub = sampling_mod.subsampled_covariance(cov, pattern)
-                est, nmse = setting.estimate(cov_sub, setting.model(pattern))
-                cell[sampler].append((est.rank_ok, nmse))
+        cells = [
+            (cell[sampler], pattern)
+            for k, cell in runs.items()
+            for sampler, pattern in (
+                ("greedy", sampling_mod.SamplingPattern(n, trace.chosen[:k])),
+                ("random", design_mod.random_design(n, k, seed=seed)),
+            )
+        ]
+        covs = setting.covariances(seed, [pattern for _, pattern in cells])
+        for (stats, pattern), cov_sub in zip(cells, covs):
+            est, nmse = setting.estimate(cov_sub, setting.model(pattern))
+            stats.append((est.rank_ok, nmse))
     rows = [
         {
             "k": k,
@@ -678,9 +708,8 @@ def run_property_suites(seed=0, trials=200):
         k_min = math.ceil((math.sqrt(8 * n + 1) - 1) / 2)
         pattern = design_mod.random_design(n, int(rng.integers(k_min, n + 1)), seed=600 + i)
         filt = spectral_mod.GraphFilter(coefficients=rng.standard_normal(3))
-        snapshots = spectral_mod.synthesize(filt, basis, 200, seed=600 + i)
-        cov_sub = sampling_mod.subsampled_covariance(
-            spectral_mod.sample_covariance(snapshots), pattern
+        cov_sub = spectral_mod.sample_covariance(
+            spectral_mod.synthesize(filt, basis, 200, seed=600 + i, vertices=pattern.selected)
         )
         model = sampling_mod.build_spectral_model(basis, pattern)
         gram_solves += sampling_mod._gram_factor(model) is not None

@@ -143,18 +143,41 @@ def true_covariance(filt, basis):
     return CovarianceEstimate(matrix=(r + r.T) / 2.0, n_snapshots=0)
 
 
-def synthesize(filt, basis, n_snapshots, seed=0):
-    """Draw stationary realizations by filtering white noise.
-
-    Returns an ``N x n_snapshots`` array whose columns are independent
-    samples ``H n`` with ``n`` i.i.d. standard normal.  Deterministic in
-    ``seed``.
-    """
+def white_noise(n, n_snapshots, seed=0):
+    """``n x n_snapshots`` i.i.d. standard normal draw, deterministic in ``seed``."""
     if n_snapshots < 1:
         raise InvariantViolation("need n_snapshots >= 1")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((basis.n, n_snapshots))
-    return filter_matrix(filt, basis) @ noise
+    return np.random.default_rng(seed).standard_normal((n, n_snapshots))
+
+
+def synthesize(filt, basis, n_snapshots, seed=0, vertices=None, noise=None):
+    """Draw stationary realizations by filtering white noise.
+
+    Returns a ``K x n_snapshots`` array whose columns are independent
+    samples ``H n`` with ``n`` i.i.d. standard normal, observed at the K
+    ``vertices`` (in their order; all N vertices by default).  Only those
+    rows are computed, as ``((U_X diag(V_L h)) U^T) n``, so the N x N
+    filter matrix is never formed.  ``noise`` is the ``N x n_snapshots``
+    draw to filter, ``white_noise(N, n_snapshots, seed)`` by default;
+    passing one draw to several calls observes the same realizations at
+    different vertex sets.  The rows of a call with ``vertices`` agree
+    with the same rows of an all-vertex call to rounding, not bitwise,
+    because the products run at another shape.
+    """
+    u = basis.eigenvectors
+    rows = u
+    if vertices is not None:
+        idx = np.asarray(vertices, dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= basis.n):
+            raise InvariantViolation(f"vertices must lie in [0, {basis.n})")
+        rows = u[idx]
+    if noise is None:
+        noise = white_noise(basis.n, n_snapshots, seed)
+    elif noise.shape != (basis.n, n_snapshots):
+        raise InvariantViolation(
+            f"noise is {noise.shape[0]} x {noise.shape[1]}, expected {basis.n} x {n_snapshots}"
+        )
+    return ((rows * frequency_response(filt, basis)) @ u.T) @ noise
 
 
 def sample_covariance(snapshots, subtract_mean=False):

@@ -303,6 +303,48 @@ class TestDesignMemory:
         assert peak < n * n * m * 8 / 10
 
 
+class TestObservedCovariance:
+    @pytest.mark.parametrize("domain", ["spectral", "vertex"])
+    def test_sample_covariance_gets_only_the_observed_rows(self, monkeypatch, domain):
+        shapes = []
+        original = spectral_mod.sample_covariance
+
+        def recording(snapshots, *args, **kwargs):
+            shapes.append(np.shape(snapshots))
+            return original(snapshots, *args, **kwargs)
+
+        monkeypatch.setattr(spectral_mod, "sample_covariance", recording)
+        result = run_experiment(small_cfg(domain=domain, k=12))
+        assert shapes == [(12, 400)]
+        assert np.isfinite(result.nmse)
+
+    def test_pattern_of_another_vertex_count_rejected(self):
+        setting = prepare(small_cfg())
+        with pytest.raises(ConfigError, match="for 100 vertices"):
+            setting.covariance(0, SamplingPattern(100, (0, 5, 50)))
+
+    def test_covariance_stage_builds_nothing_beyond_the_noise(self):
+        """N=600, K=100, 1000 snapshots: the stage holds the 4.8 MB noise
+        draw, and its K x N and K x 1000 products.  The peak stays below the
+        noise plus one N x N array, so neither the N x N filter matrix nor
+        N x 1000 snapshots nor an N x N covariance is built."""
+        n, k, n_snapshots = 600, 100, 1000
+        setting = prepare(
+            ExperimentConfig(graph=GraphSpec(n=n), k=k, sampler="random", n_snapshots=n_snapshots)
+        )
+        pattern, _, _ = setting.design()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cov = setting.covariance(0, pattern)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cov.matrix.shape == (k, k)
+        assert cov.n_snapshots == n_snapshots
+        assert peak < 8 * (n * n_snapshots + n * n)
+
+
 class TestCompressionSweep:
     def test_empty_k_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -333,7 +375,7 @@ class TestCompressionSweep:
         assert 0.0 <= frac <= 1.0
 
     def test_one_sampled_covariance_per_seed(self, monkeypatch):
-        calls = count_calls(monkeypatch, spectral_mod, "synthesize")
+        calls = count_calls(monkeypatch, spectral_mod, "white_noise")
         compression_sweep(small_cfg(seed=4), [12, 20, 30], 2)
         assert [kwargs["seed"] for kwargs in calls] == [4, 5]
 

@@ -696,7 +696,7 @@ class TestGramPath:
             )
         )
         pattern, _, _ = setting.design()
-        cov_sub = subsampled_covariance(setting.covariance(seed), pattern)
+        cov_sub = setting.covariance(seed, pattern)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

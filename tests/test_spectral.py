@@ -23,6 +23,7 @@ from graphpsd import (
     true_covariance,
     true_power_spectrum,
     vandermonde,
+    white_noise,
 )
 
 
@@ -228,6 +229,35 @@ class TestSynthesize:
     def test_snapshot_count_validated(self, path3_basis):
         with pytest.raises(InvariantViolation):
             synthesize(GraphFilter([1.0]), path3_basis, 0)
+
+    def test_observed_rows_match_the_full_draw(self, sensor100_basis, sensor100_filter):
+        """Rows X of a synthesis at X equal rows X of the all-vertex draw to
+        rounding (the products run at another shape, so not bitwise), and two
+        identical calls are byte-identical."""
+        vertices = (71, 3, 40, 99, 0, 56, 12)
+        full = synthesize(sensor100_filter, sensor100_basis, 300, seed=5)
+        part = synthesize(sensor100_filter, sensor100_basis, 300, seed=5, vertices=vertices)
+        assert part.shape == (len(vertices), 300)
+        assert np.abs(part - full[list(vertices)]).max() <= 1e-13 * np.abs(full).max()
+        again = synthesize(sensor100_filter, sensor100_basis, 300, seed=5, vertices=vertices)
+        assert part.tobytes() == again.tobytes()
+
+    def test_shared_noise_is_the_seeded_draw(self, path3_basis):
+        f = GraphFilter([1.0, 0.5])
+        noise = white_noise(3, 8, seed=42)
+        np.testing.assert_array_equal(
+            synthesize(f, path3_basis, 8, noise=noise, vertices=(2, 0)),
+            synthesize(f, path3_basis, 8, seed=42, vertices=(2, 0)),
+        )
+
+    def test_vertices_and_noise_validated(self, path3_basis):
+        f = GraphFilter([1.0])
+        with pytest.raises(InvariantViolation):
+            synthesize(f, path3_basis, 4, vertices=(0, 3))
+        with pytest.raises(InvariantViolation):
+            synthesize(f, path3_basis, 4, vertices=(-1,))
+        with pytest.raises(InvariantViolation):
+            synthesize(f, path3_basis, 4, noise=np.zeros((3, 5)))
 
 
 class TestSampleCovariance:
