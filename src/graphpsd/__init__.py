@@ -82,10 +82,12 @@ from .spectral import (
     SpectralBasis,
     eigendecompose,
     filter_matrix,
+    filter_rows,
     fit_lowpass_filter,
     frequency_response,
     is_stationary,
     load_matrix_csv,
+    population_covariance,
     sample_covariance,
     save_matrix_csv,
     synthesize,

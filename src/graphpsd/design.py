@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvariantViolation, NonFinite
 from .sampling import SamplingPattern, _upper_inverse
@@ -140,7 +139,7 @@ class _VertexRows(_RowSource):
 
     def __init__(self, shift, q_order):
         self.n, self.m = shift.n, q_order
-        self.shift = scipy.sparse.csr_array(shift.matrix)
+        self.shift = shift.sparse
         self.diag = np.empty((self.n, q_order))
         squared_norm = 0.0
         # two power blocks are alive at a time: together half a block of work

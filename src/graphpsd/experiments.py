@@ -247,7 +247,10 @@ class Setting:
     basis, the filter and the true spectrum.  The setting owns the choice
     between the spectral- and the vertex-domain model, so callers ask it for
     a design, a covariance, a model or an estimate and never branch on the
-    domain themselves.
+    domain themselves.  A vertex-domain setting's basis holds eigenvalues
+    only: its covariances come from the filter's rows at the observed
+    vertices (:func:`spectral.filter_rows`), by sparse products with the
+    shift.
     """
 
     config: ExperimentConfig
@@ -303,24 +306,35 @@ class Setting:
 
         The population covariance's principal submatrices, or the sample
         covariances of one snapshot draw seeded with ``seed``, each
-        synthesized only at its pattern's vertices.  A pattern of another
-        vertex count is a ConfigError.
+        synthesized only at its pattern's vertices.  The spectral domain
+        filters through the Fourier basis; the vertex domain through the
+        filter's K rows ``H_X`` (:func:`spectral.filter_rows`), as
+        ``H_X n`` for the same draw ``n`` or ``H_X H_X^T`` for the
+        population, so neither the N x N filter nor the N x N covariance is
+        built.  A pattern of another vertex count is a ConfigError.
         """
         for pattern in patterns:
             self._check_pattern(pattern)
-        if self.config.use_population_covariance:
-            cov = self._population_covariance
-            return [sampling_mod.subsampled_covariance(cov, pattern) for pattern in patterns]
+        population = self.config.use_population_covariance
         n_snapshots = self.config.n_snapshots
-        noise = spectral_mod.white_noise(self.graph.n_vertices, n_snapshots, seed=seed)
-        return [
-            spectral_mod.sample_covariance(
-                spectral_mod.synthesize(
-                    self.filter, self.basis, n_snapshots, vertices=pattern.selected, noise=noise
+        if self.spectral:
+            if population:
+                cov = self._population_covariance
+                return [sampling_mod.subsampled_covariance(cov, pattern) for pattern in patterns]
+            noise = spectral_mod.white_noise(self.graph.n_vertices, n_snapshots, seed=seed)
+            return [
+                spectral_mod.sample_covariance(
+                    spectral_mod.synthesize(
+                        self.filter, self.basis, n_snapshots, vertices=pattern.selected, noise=noise
+                    )
                 )
-            )
-            for pattern in patterns
-        ]
+                for pattern in patterns
+            ]
+        rows = [spectral_mod.filter_rows(self.filter, self.shift, p.selected) for p in patterns]
+        if population:
+            return [spectral_mod.population_covariance(r) for r in rows]
+        noise = spectral_mod.white_noise(self.graph.n_vertices, n_snapshots, seed=seed)
+        return [spectral_mod.sample_covariance(r @ noise) for r in rows]
 
     def covariance(self, seed, pattern):
         """K x K covariance at ``pattern``'s vertices (see :meth:`covariances`)."""
@@ -367,7 +381,10 @@ def prepare(cfg, timer=None):
         raise ConfigError(f"q={cfg.q} exceeds the graph's {n} vertices")
     with timer.stage("basis"):
         shift = graphs_mod.build_shift_operator(graph, cfg.shift_kind)
-        basis = spectral_mod.eigendecompose(shift)
+        # the vertex domain reads eigenvalues only
+        basis = spectral_mod.eigendecompose(
+            shift, eigenvectors=cfg.domain == sampling_mod.SPECTRAL
+        )
     with timer.stage("filter"):
         filt = cfg.filter.build(basis)
         p_true = spectral_mod.true_power_spectrum(filt, basis)

@@ -1,14 +1,17 @@
 """Undirected weighted graphs, shift operators, and sensor-graph generation.
 
-Graphs are small (desk scale), so everything is dense: the adjacency and
-Laplacian are plain NxN arrays.
+Graphs are small (desk scale), so the adjacency and Laplacian are plain
+NxN arrays; a shift operator also keeps one CSR view of itself for the
+sparse products of the vertex domain.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import FailedToConnect, InvariantViolation, ParseError
 
@@ -72,7 +75,8 @@ class ShiftOperator:
 
     ``kind`` is either :data:`LAPLACIAN` or :data:`ADJACENCY`.  The matrix
     is built symmetrically by construction, never symmetrized after the
-    fact.
+    fact.  :attr:`sparse` is the same matrix in CSR form, built once on
+    first use and shared by every sparse product with the shift.
     """
 
     kind: str
@@ -90,6 +94,11 @@ class ShiftOperator:
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def sparse(self):
+        """The shift as a ``scipy.sparse.csr_array``, converted on first use."""
+        return scipy.sparse.csr_array(self.matrix)
 
 
 def build_adjacency(graph):

@@ -211,7 +211,8 @@ def build_vertex_model(shift, pattern, q_order):
 
     Column q holds the vectorized K x K submatrix of ``S^q`` for
     q = 0..Q-1, computed by iterated multiplication (no eigendecomposition)
-    of the K selected columns only: ``S^q[:, X]`` is an N x K block.
+    of the K selected columns only: ``S^q[:, X]`` is an N x K block, stepped
+    by products with the sparse shift (:attr:`ShiftOperator.sparse`).
     """
     n = shift.n
     if not (1 <= q_order <= n):
@@ -219,11 +220,12 @@ def build_vertex_model(shift, pattern, q_order):
     idx = list(pattern.selected)
     k = pattern.k
     cols = np.empty((k * k, q_order))
-    block = np.eye(n)[:, idx]
+    block = np.zeros((n, k))
+    block[idx, np.arange(k)] = 1.0
     for q in range(q_order):
         cols[:, q] = block[idx].reshape(-1, order="F")
         if q + 1 < q_order:
-            block = shift.matrix @ block
+            block = shift.sparse @ block
     return CovarianceModelMatrix(VERTEX, pattern=pattern, matrix=cols, order=q_order)
 
 

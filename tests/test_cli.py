@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from graphpsd import SamplingPattern, load_graph, save_pattern
@@ -50,6 +51,20 @@ class TestRun:
         assert code == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["k"] == 14
+
+    def test_vertex_domain_runs_without_eigh(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--n", "40", "--k", "8", "--domain", "vertex", "--snapshots", "300",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "metrics.json").read_text())["domain"] == "vertex"
+        assert "rank_ok=True" in capsys.readouterr().out
 
     def test_missing_out_is_config_error(self):
         assert run_cli("run", "--n", "20", "--k", "10") == 2

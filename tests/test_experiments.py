@@ -16,6 +16,7 @@ import graphpsd
 from graphpsd import (
     ConfigError,
     ExperimentConfig,
+    FilterSpec,
     GraphSpec,
     SamplingPattern,
     compression_sweep,
@@ -26,9 +27,12 @@ from graphpsd import (
     run_property_suites,
     save_pattern,
 )
+from graphpsd import graphs as graphs_mod
 from graphpsd import sampling as sampling_mod
 from graphpsd import spectral as spectral_mod
 from graphpsd.experiments import DETERMINISTIC_OUTPUTS
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def small_cfg(**overrides):
@@ -343,6 +347,71 @@ class TestObservedCovariance:
         assert cov.matrix.shape == (k, k)
         assert cov.n_snapshots == n_snapshots
         assert peak < 8 * (n * n_snapshots + n * n)
+
+
+class TestVertexDomainWithoutEigenvectors:
+    """The vertex pipeline runs on eigenvalues and the sparse shift alone."""
+
+    @pytest.mark.parametrize("population, max_nmse", [(False, np.inf), (True, 1e-10)])
+    def test_run_experiment_never_calls_eigh(self, monkeypatch, population, max_nmse):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        cfg = small_cfg(domain="vertex", k=6, use_population_covariance=population)
+        result = run_experiment(cfg)
+        assert result.estimate.rank_ok
+        assert result.nmse < max_nmse
+
+    @pytest.mark.parametrize("domain, eigh_calls", [("spectral", 1), ("vertex", 0)])
+    def test_eigh_calls_per_prepare(self, monkeypatch, domain, eigh_calls):
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        prepare(small_cfg(domain=domain))
+        assert len(calls) == eigh_calls
+
+    def test_one_sparse_conversion_per_run(self, monkeypatch):
+        """The design objective, the model and the filter rows share the
+        shift's one CSR view."""
+        calls = count_calls(monkeypatch, graphs_mod.scipy.sparse, "csr_array")
+        run_experiment(small_cfg(domain="vertex", k=6))
+        assert len(calls) == 1
+
+    def test_population_covariance_is_the_principal_submatrix(self):
+        setting = prepare(small_cfg(domain="vertex", use_population_covariance=True))
+        pattern = SamplingPattern(30, (1, 4, 9, 16, 25, 29))
+        cov = setting.covariance(0, pattern)
+        basis = spectral_mod.eigendecompose(setting.shift)
+        full = spectral_mod.true_covariance(setting.filter, basis)
+        sub = sampling_mod.subsampled_covariance(full, pattern).matrix
+        assert cov.n_snapshots == 0
+        assert np.abs(cov.matrix - sub).max() <= 1e-12 * np.abs(sub).max()
+
+    def test_sampled_covariance_filters_the_same_draw(self):
+        """The vertex domain's snapshots are the spectral synthesis of the
+        same seeded noise, to rounding."""
+        setting = prepare(small_cfg(domain="vertex"))
+        pattern = SamplingPattern(30, (0, 7, 8, 20, 21))
+        cov = setting.covariance(11, pattern).matrix
+        basis = spectral_mod.eigendecompose(setting.shift)
+        reference = spectral_mod.sample_covariance(
+            spectral_mod.synthesize(setting.filter, basis, 400, seed=11, vertices=pattern.selected)
+        ).matrix
+        assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_benchmark_true_spectrum_matches_an_eigh_basis(self):
+        """The benchmark checks each vertex_large call's true spectrum against
+        one built from an ``eigh`` basis, at 1e-12; the first four graphs of
+        its pool stay a decade inside that."""
+        pool = json.loads(GOLDEN.read_text())["vertex_large"]["pool"][:4]
+        for graph_seed in pool:
+            cfg = ExperimentConfig(
+                graph=GraphSpec(n=800, k_neighbors=6, seed=graph_seed), domain="vertex", k=20, q=13
+            )
+            setting = prepare(cfg)
+            basis = spectral_mod.eigendecompose(setting.shift)
+            p_true = spectral_mod.true_power_spectrum(FilterSpec().build(basis), basis)
+            error = np.abs(setting.p_true - p_true).max() / np.abs(p_true).max()
+            assert error <= 1e-13, graph_seed
 
 
 class TestCompressionSweep:

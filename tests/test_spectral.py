@@ -9,14 +9,19 @@ from graphpsd import (
     Graph,
     GraphFilter,
     InvariantViolation,
+    DesignObjective,
+    SamplingPattern,
     ShiftOperator,
     build_laplacian,
+    build_spectral_model,
     eigendecompose,
     filter_matrix,
+    filter_rows,
     fit_lowpass_filter,
     frequency_response,
     is_stationary,
     load_matrix_csv,
+    random_sensor_graph,
     sample_covariance,
     save_matrix_csv,
     synthesize,
@@ -84,6 +89,44 @@ class TestEigendecompose:
         bad = ShiftOperator("adjacency", np.full((2, 2), np.nan))
         with pytest.raises(ConvergenceFailure):
             eigendecompose(bad)
+
+
+class TestEigenvaluesOnly:
+    def test_eigenvalues_agree_with_eigh(self, sensor100, sensor100_basis):
+        basis = eigendecompose(build_laplacian(sensor100), eigenvectors=False)
+        lam = sensor100_basis.eigenvalues
+        assert np.abs(basis.eigenvalues - lam).max() <= 1e-13 * lam.max()
+        assert not basis.eigenvalues.flags.writeable
+
+    def test_solver_failure_surfaces(self, monkeypatch):
+        bad = ShiftOperator("adjacency", np.full((2, 2), np.nan))
+        with pytest.raises(ConvergenceFailure):
+            eigendecompose(bad, eigenvectors=False)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure, match="no convergence"):
+            eigendecompose(ShiftOperator("adjacency", np.eye(2)), eigenvectors=False)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda b, f: b.eigenvectors,
+            lambda b, f: synthesize(f, b, 10, seed=0),
+            lambda b, f: synthesize(f, b, 10, seed=0, vertices=(0, 1)),
+            lambda b, f: true_covariance(f, b),
+            lambda b, f: build_spectral_model(b, SamplingPattern(3, (0, 2))),
+            lambda b, f: DesignObjective.spectral(b),
+        ],
+        ids=["eigenvectors", "synthesize", "synthesize_at_vertices", "true_covariance",
+             "build_spectral_model", "spectral_objective"],
+    )
+    def test_reading_eigenvectors_is_an_invariant_violation(self, path3, read):
+        basis = eigendecompose(build_laplacian(path3), eigenvectors=False)
+        with pytest.raises(InvariantViolation, match="eigenvalues only"):
+            read(basis, GraphFilter([1.0, 0.5]))
 
 
 class TestVandermonde:
@@ -260,6 +303,43 @@ class TestSynthesize:
             synthesize(f, path3_basis, 4, noise=np.zeros((3, 5)))
 
 
+class TestFilterRows:
+    @staticmethod
+    def relative_error(rows, reference):
+        return np.abs(rows - reference).max() / np.abs(reference).max()
+
+    def test_rows_of_the_filter_matrix(self, sensor100, sensor100_basis, sensor100_filter):
+        vertices = (71, 3, 40, 99, 0, 56, 12)
+        rows = filter_rows(sensor100_filter, build_laplacian(sensor100), vertices)
+        full = filter_matrix(sensor100_filter, sensor100_basis)
+        assert rows.shape == (len(vertices), 100)
+        assert self.relative_error(rows, full[list(vertices)]) <= 1e-13
+
+    def test_rows_at_n300(self):
+        shift = build_laplacian(random_sensor_graph(300, 6, seed=1))
+        basis = eigendecompose(shift)
+        filt = fit_lowpass_filter(basis)
+        vertices = tuple(range(0, 300, 13))
+        rows = filter_rows(filt, shift, vertices)
+        assert self.relative_error(rows, filter_matrix(filt, basis)[list(vertices)]) <= 1e-13
+
+    def test_random_filters_match_polynomial_oracle(self, sensor100):
+        shift = build_laplacian(sensor100)
+        rng = np.random.default_rng(3)
+        for length in (1, 2, 5):
+            h = rng.standard_normal(length)
+            oracle = polynomial_filter_oracle(h, shift.matrix)
+            rows = filter_rows(GraphFilter(h), shift, (5, 60))
+            assert self.relative_error(rows, oracle[[5, 60]]) <= 1e-12
+
+    def test_vertices_validated(self, path3):
+        shift = build_laplacian(path3)
+        with pytest.raises(InvariantViolation):
+            filter_rows(GraphFilter([1.0]), shift, (0, 3))
+        with pytest.raises(InvariantViolation):
+            filter_rows(GraphFilter([1.0]), shift, (-1,))
+
+
 class TestSampleCovariance:
     def test_single_snapshot_outer_product(self):
         x = np.array([3.0, 1.0, 4.0])
@@ -321,6 +401,16 @@ class TestLowpassFilter:
         f = fit_lowpass_filter(sensor100_basis, length=7, rate=3.0)
         p = true_power_spectrum(f, sensor100_basis)
         assert p[0] > 10 * p[-1]
+
+    def test_scaled_fit_is_the_monomial_fit(self, sensor100_basis):
+        """Fitting on lam / lam_max gives the filter that a fit on the
+        powers of lam itself gives, in better-conditioned arithmetic."""
+        lam = sensor100_basis.eigenvalues
+        target = np.exp(-3.0 * lam / lam.max())
+        coeffs, *_ = np.linalg.lstsq(vandermonde(lam, 7), target, rcond=None)
+        monomial = vandermonde(lam, 7) @ coeffs
+        scaled = frequency_response(fit_lowpass_filter(sensor100_basis), sensor100_basis)
+        assert np.abs(scaled - monomial).max() <= 1e-10 * np.abs(monomial).max()
 
 
 class TestMatrixCsv:
