@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -60,6 +61,11 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
+
+
+def _is_count(value):
+    """True for an integer value that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _write_json(path, payload):
@@ -124,6 +130,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validate(self):
+        counts = {"k": self.k, "q": self.q, "n_snapshots": self.n_snapshots}
+        if self.graph.path is None:
+            counts["graph.n"] = self.graph.n
+            counts["graph.k_neighbors"] = self.graph.k_neighbors
+        if self.filter.coefficients is None:
+            counts["filter.length"] = self.filter.length
+        for name, value in counts.items():
+            if value is not None and not _is_count(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.domain not in (sampling_mod.SPECTRAL, sampling_mod.VERTEX):
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.sampler not in ("greedy", "random", "file"):
@@ -136,9 +151,15 @@ class ExperimentConfig:
             raise ConfigError("k must be positive")
         if self.q is not None and self.q < 1:
             raise ConfigError("q must be positive")
+        if self.shift_kind not in (graphs_mod.LAPLACIAN, graphs_mod.ADJACENCY):
+            raise ConfigError(f"unknown shift kind {self.shift_kind!r}")
+        if self.filter.coefficients is None and self.filter.length < 1:
+            raise ConfigError("filter.length must be positive")
         if self.graph.path is None:
             if self.graph.n < 2:
                 raise ConfigError("graph.n must be >= 2")
+            if not (1 <= self.graph.k_neighbors < self.graph.n):
+                raise ConfigError("graph.k_neighbors must satisfy 1 <= k_neighbors < graph.n")
             # with a file pattern the budget comes from the file, not from k
             if self.sampler != "file" and self.k > self.graph.n:
                 raise ConfigError("k cannot exceed the number of vertices")

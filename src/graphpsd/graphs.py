@@ -2,7 +2,9 @@
 
 Graphs are small (desk scale), so the adjacency and Laplacian are plain
 NxN arrays; a shift operator also keeps one CSR view of itself for the
-sparse products of the vertex domain.
+sparse products of the vertex domain.  That view is the package's only use
+of ``scipy.sparse``, which is imported on first use (scipy loads its
+submodules lazily), so a spectral-domain process never pays for it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+import scipy
 
 from .errors import FailedToConnect, InvariantViolation, ParseError
 
@@ -76,7 +78,8 @@ class ShiftOperator:
     ``kind`` is either :data:`LAPLACIAN` or :data:`ADJACENCY`.  The matrix
     is built symmetrically by construction, never symmetrized after the
     fact.  :attr:`sparse` is the same matrix in CSR form, built once on
-    first use and shared by every sparse product with the shift.
+    first use and shared by every sparse product with the shift;
+    scipy.sparse is imported on first use.
     """
 
     kind: str
@@ -97,7 +100,11 @@ class ShiftOperator:
 
     @functools.cached_property
     def sparse(self):
-        """The shift as a ``scipy.sparse.csr_array``, converted on first use."""
+        """The shift as a ``scipy.sparse.csr_array``, converted on first use.
+
+        scipy.sparse is imported on first use too: ``scipy`` resolves the
+        submodule on first attribute access.
+        """
         return scipy.sparse.csr_array(self.matrix)
 
 
@@ -177,13 +184,13 @@ def _knn_graph(n, k_neighbors, rng):
     order = _nearest(dist, k_neighbors)
     knn_dist = np.take_along_axis(dist, order, axis=1)
     sigma = float(knn_dist.mean())
-    pairs = set()
-    for i in range(n):
-        for j in order[i]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
+    # each undirected pair once, as the key min * n + max, in (i, j) order
+    a = np.repeat(np.arange(n), k_neighbors)
+    b = order.ravel()
+    rows, cols = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
     edges = tuple(
         (i, j, float(np.exp(-dist[i, j] ** 2 / (2.0 * sigma**2))))
-        for i, j in sorted(pairs)
+        for i, j in zip(rows.tolist(), cols.tolist())
     )
     return coords, edges
 

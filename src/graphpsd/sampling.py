@@ -18,7 +18,8 @@ ones) is solved by numpy's QR of the model's distinct pair rows, a row
 block at a time, with full rank certified from the inverse of the small R
 factor or decided by its SVD.  All of it is numpy: scipy loads its own
 OpenBLAS, whose threads contend with numpy's, so the package uses scipy
-only for ``scipy.sparse``.
+only for ``scipy.sparse``, in the vertex domain's products with the shift;
+it is imported on first use, so the spectral domain runs on numpy alone.
 
 Vectorization is column-major everywhere; all Kronecker/Khatri-Rao identities
 in this module assume that single convention.

@@ -77,6 +77,20 @@ class TestRun:
     def test_inconsistent_budget_exits_2(self, tmp_path):
         assert run_cli("run", "--n", "20", "--k", "50", "--out", str(tmp_path)) == 2
 
+    def test_neighbors_not_below_n_exits_2(self, tmp_path, capsys):
+        assert run_cli("run", "--n", "5", "--k", "3", "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"filter": {"length": 0}}, {"shift_kind": "foo"}, {"n_snapshots": 2.5}],
+    )
+    def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graph": {"n": 30}, "k": 10, **data}))
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_graph_from_file(self, tmp_path):
         gpath = tmp_path / "g.txt"
         run_cli("gen-graph", "--n", "30", "--k-neighbors", "5", "--seed", "2",

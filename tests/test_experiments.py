@@ -79,6 +79,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(sampler="file").validate()
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"graph": {"n": 5}, "k": 3}, "k_neighbors"),
+            ({"graph": {"n": 30, "k_neighbors": 0}, "k": 10}, "k_neighbors"),
+            ({"filter": {"length": 0}}, "filter.length"),
+            ({"shift_kind": "foo"}, "shift kind"),
+            ({"n_snapshots": 2.5}, "n_snapshots must be an integer"),
+            ({"k": 10.0}, "k must be an integer"),
+            ({"q": 3.5, "domain": "vertex"}, "q must be an integer"),
+            ({"graph": {"n": 30.0}, "k": 10}, "graph.n must be an integer"),
+            ({"graph": {"k_neighbors": "6"}}, "graph.k_neighbors must be an integer"),
+            ({"filter": {"length": 7.5}}, "filter.length must be an integer"),
+            ({"n_snapshots": True}, "n_snapshots must be an integer"),
+        ],
+    )
+    def test_bad_fields_are_config_errors(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(data)
+
+    def test_generator_fields_unchecked_for_graph_files(self, tmp_path):
+        """``graph.n`` and ``graph.k_neighbors`` describe the generator only,
+        and explicit coefficients make ``filter.length`` unused."""
+        cfg = ExperimentConfig.from_dict({
+            "graph": {"path": str(tmp_path / "g.txt"), "n": 5, "k_neighbors": 9},
+            "filter": {"coefficients": [1.0, 0.5], "length": 0},
+            "k": 3,
+        })
+        assert cfg.graph.k_neighbors == 9
+
     def test_round_trip_through_dict(self):
         cfg = small_cfg(domain="vertex", q=9)
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -281,6 +311,58 @@ class TestOneBlas:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestSparseOnDemand:
+    def test_spectral_pipeline_never_imports_scipy_sparse(self, tmp_path):
+        """Only the vertex domain's products with the shift use
+        ``scipy.sparse``, and its import is most of the package's start-up
+        time, so it loads on first use.  A module-level import of a scipy
+        submodule that pulls it in brings that cost back; a fresh interpreter
+        shows it, because the test modules import scipy themselves."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from graphpsd import ExperimentConfig, GraphSpec, run_experiment
+            from graphpsd.cli import main
+
+            def loaded():
+                return "scipy.sparse" in sys.modules
+
+            out = sys.argv[1]
+            graph = GraphSpec(n=30, k_neighbors=5, seed=2)
+            assert not loaded(), "import graphpsd"
+            for sampler in ("greedy", "random"):
+                cfg = ExperimentConfig(graph=graph, k=12, n_snapshots=200, sampler=sampler)
+                run_experiment(cfg)
+                assert not loaded(), f"spectral {sampler} run_experiment"
+            small = ["--n", "30", "--snapshots", "200"]
+            pattern = os.path.join(out, "design", "pattern.json")
+            verbs = [
+                ["gen-graph", "--n", "30", "--out", os.path.join(out, "g.txt")],
+                ["run", *small, "--k", "12", "--out", os.path.join(out, "run")],
+                ["design", *small, "--k", "12", "--out", os.path.join(out, "design")],
+                ["estimate", *small, "--pattern", pattern, "--out", os.path.join(out, "est")],
+                ["sweep", *small, "--k-list", "12", "--seeds", "1",
+                 "--out", os.path.join(out, "sweep")],
+            ]
+            for argv in verbs:
+                assert main(argv) == 0, argv
+                assert not loaded(), argv[0]
+            run_experiment(ExperimentConfig(graph=graph, k=12, n_snapshots=200, domain="vertex"))
+            assert loaded(), "the vertex domain did not load scipy.sparse"
+            """
+        )
+        src = str(pathlib.Path(graphpsd.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
