@@ -23,7 +23,7 @@ from . import design as design_mod
 from . import graphs as graphs_mod
 from . import sampling as sampling_mod
 from . import spectral as spectral_mod
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation, ParseError
 
 SPECTRUM_CSV = "spectrum.csv"
 PATTERN_JSON = "pattern.json"
@@ -68,6 +68,11 @@ def _is_count(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
@@ -84,8 +89,12 @@ class GraphSpec:
     path: str | None = None
 
     def build(self):
+        """The graph; a graph file that cannot be read or parsed is a ConfigError."""
         if self.path is not None:
-            return graphs_mod.load_graph(self.path)
+            try:
+                return graphs_mod.load_graph(self.path)
+            except (OSError, ParseError, InvariantViolation) as exc:
+                raise ConfigError(f"cannot load graph {self.path}: {exc}") from exc
         return graphs_mod.random_sensor_graph(self.n, self.k_neighbors, self.seed)
 
 
@@ -139,6 +148,25 @@ class ExperimentConfig:
         for name, value in counts.items():
             if value is not None and not _is_count(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        seeds = {"seed": self.seed}
+        if self.graph.path is None:
+            seeds["graph.seed"] = self.graph.seed
+        for name, value in seeds.items():
+            if not (_is_count(value) and value >= 0):
+                raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+        if self.epsilon is not None and not (_is_real(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be a positive number, got {self.epsilon!r}")
+        population = self.use_population_covariance
+        if not isinstance(population, bool):
+            raise ConfigError(f"use_population_covariance must be true or false, got {population!r}")
+        coefficients = self.filter.coefficients
+        if coefficients is None:
+            if not _is_real(self.filter.rate):
+                raise ConfigError(f"filter.rate must be a finite number, got {self.filter.rate!r}")
+        elif not (coefficients and all(_is_real(c) for c in coefficients)):
+            raise ConfigError(
+                f"filter.coefficients must be a non-empty list of finite numbers, got {coefficients!r}"
+            )
         if self.domain not in (sampling_mod.SPECTRAL, sampling_mod.VERTEX):
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.sampler not in ("greedy", "random", "file"):
@@ -180,11 +208,12 @@ class ExperimentConfig:
         try:
             graph = GraphSpec(**data.get("graph", {}))
             filt = data.get("filter", {})
+            coefficients = filt.get("coefficients")
             filt = FilterSpec(
                 profile=filt.get("profile", "lowpass_exp" if "coefficients" not in filt else None),
                 rate=filt.get("rate", 3.0),
                 length=filt.get("length", 7),
-                coefficients=tuple(filt["coefficients"]) if filt.get("coefficients") else None,
+                coefficients=None if coefficients is None else tuple(coefficients),
             )
             names = {f.name for f in dataclasses.fields(cls)}
             unknown = set(data) - names
@@ -215,13 +244,19 @@ def save_pattern(pattern, path):
 
 
 def load_pattern(path):
+    """Read a pattern file; ``n_vertices`` and every ``selected`` entry must be integers.
+
+    A file that cannot be read, or whose entries do not make a valid
+    :class:`~graphpsd.sampling.SamplingPattern`, is a ConfigError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return sampling_mod.SamplingPattern(
-            n_vertices=int(data["n_vertices"]), selected=tuple(data["selected"])
-        )
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        n, selected = data["n_vertices"], data["selected"]
+        if not (_is_count(n) and isinstance(selected, list) and all(map(_is_count, selected))):
+            raise ValueError("n_vertices and the selected vertices must be integers")
+        return sampling_mod.SamplingPattern(n_vertices=n, selected=tuple(selected))
+    except (OSError, KeyError, TypeError, ValueError, InvariantViolation) as exc:
         raise ConfigError(f"cannot load pattern {path}: {exc}") from exc
 
 

@@ -14,12 +14,12 @@ estimator solves it by Cholesky and one corrected semi-normal step, and
 never forms the K^2 x N Khatri-Rao model, when a margin for the squared
 conditioning lets the Cholesky factor certify full rank.  Every other
 system (vertex models, underdetermined or nearly rank-deficient spectral
-ones) is solved by numpy's QR of the model's distinct pair rows, a row
-block at a time, with full rank certified from the inverse of the small R
-factor or decided by its SVD.  All of it is numpy: scipy loads its own
-OpenBLAS, whose threads contend with numpy's, so the package uses scipy
-only for ``scipy.sparse``, in the vertex domain's products with the shift;
-it is imported on first use, so the spectral domain runs on numpy alone.
+ones) is solved by one numpy QR of the model's distinct pair rows, and the
+SVD of the small R factor decides the rank and gives the minimum-norm
+solution.  All of it is numpy: scipy loads its own OpenBLAS, whose threads
+contend with numpy's, so the package uses scipy only for ``scipy.sparse``,
+in the vertex domain's products with the shift; it is imported on first
+use, so the spectral domain runs on numpy alone.
 
 Vectorization is column-major everywhere; all Kronecker/Khatri-Rao identities
 in this module assume that single convention.
@@ -37,8 +37,6 @@ from .spectral import CovarianceEstimate, vandermonde
 
 SPECTRAL = "spectral"
 VERTEX = "vertex"
-# bytes of one stack of solve rows that the estimator's QR factors at a time
-_STACK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -249,16 +247,11 @@ def _equilibrated_r(model, rhs):
     """R factor of the model's weighted, column-equilibrated solve rows.
 
     The solve rows (:func:`_solved_rows`), with their weighted right-hand
-    side appended as one more column, are factored in row blocks: each
-    block is stacked under the (cols+1)-column R of the blocks before it
-    and factored by ``np.linalg.qr(..., mode="r")`` (a sequential
-    tall-skinny QR), so neither Q nor a copy of all the solve rows is ever
-    formed.  The final ``R`` is the first ``cols`` columns of that factor
-    and ``Q^T b`` its last column.  Each stack holds about
-    :data:`_STACK_BYTES`, and at least twice the R on top of it, so that a
-    merge at most doubles the work of the rows it adds.  A block's model
-    entries, and then its right-hand sides, are checked for non-finite
-    values before its QR.
+    side appended as one more column, are gathered into one array and
+    factored by a single ``np.linalg.qr(..., mode="r")``, so Q is never
+    formed.  ``R`` is the first ``cols`` columns of that factor and
+    ``Q^T b`` its last column.  The gathered model entries, and then the
+    right-hand sides, are checked for non-finite values before the QR.
 
     Columns are scaled to unit norm so the rank reflects genuine dependence
     rather than column scaling (vertex models span many orders of
@@ -266,9 +259,10 @@ def _equilibrated_r(model, rhs):
     those of the solve rows: Householder QR is columnwise backward stable
     (Higham 2002, Thm 19.4), so ``R`` is the exact factor of the rows
     perturbed column by column by a few ulps of each column's norm, and
-    scaling ``R`` is as good as scaling the rows before the QR.  A zero column is scaled to zero, and so is a negligible spectral
-    column: every spectral column has norm at most 1 (squared entries of
-    unit eigenvectors), so one whose norm is at or below
+    scaling ``R`` is as good as scaling the rows before the QR.  A zero
+    column is scaled to zero, and so is a negligible spectral column: every
+    spectral column has norm at most 1 (squared entries of unit
+    eigenvectors), so one whose norm is at or below
     ``max(rows, cols) * eps * (largest column norm)`` is numerically zero.
     Vertex columns are not compared this way, because the norm of a column
     grows with the power of the shift it holds.  A column scaled to zero
@@ -281,25 +275,16 @@ def _equilibrated_r(model, rhs):
     """
     rows, transposed, weights = _solved_rows(model)
     cols = model.n_unknowns
-    pair_rhs = (rhs[rows] + rhs[transposed]) / 2.0 * weights
-    stack_rows = max(_STACK_BYTES // (8 * (cols + 1)), 1)
-    top = np.empty((0, cols + 1))
-    start = 0
-    while start < rows.size:
-        stop = min(start + max(stack_rows - len(top), len(top)), rows.size)
-        stack = np.empty((len(top) + stop - start, cols + 1))
-        stack[: len(top)] = top
-        block = stack[len(top) :]
-        np.multiply(model.matrix[rows[start:stop]], weights[start:stop, None], out=block[:, :cols])
-        if not np.all(np.isfinite(block[:, :cols])):
-            raise NonFinite("model matrix is not finite")
-        block[:, cols] = pair_rhs[start:stop]
-        if not np.all(np.isfinite(block[:, cols])):
-            raise NonFinite("covariance is not finite")
-        top = np.linalg.qr(stack, mode="r")
-        start = stop
+    augmented = np.empty((rows.size, cols + 1))
+    np.multiply(model.matrix[rows], weights[:, None], out=augmented[:, :cols])
+    if not np.all(np.isfinite(augmented[:, :cols])):
+        raise NonFinite("model matrix is not finite")
+    augmented[:, cols] = (rhs[rows] + rhs[transposed]) / 2.0 * weights
+    if not np.all(np.isfinite(augmented[:, cols])):
+        raise NonFinite("covariance is not finite")
+    factor = np.linalg.qr(augmented, mode="r")
     k = min(rows.size, cols)
-    r, qtb = top[:k, :cols], top[:k, cols]
+    r, qtb = factor[:k, :cols], factor[:k, cols]
     col_norms = np.linalg.norm(r, axis=0)
     if not np.all(np.isfinite(col_norms)):
         raise NonFinite("model matrix is not finite")
@@ -317,14 +302,15 @@ def _upper_inverse(upper):
     ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]`` down to blocks
     of at most 32 rows, which ``np.linalg.inv`` inverts (the LU of an upper
     triangle does not pivot).  It serves the greedy design's whitening and the
-    estimator's rank certificate.  Not scipy's ``dtrtri``, for the reason the
-    whole package keeps its dense linear algebra in numpy: scipy loads its
-    own OpenBLAS, whose threads contend with numpy's (on a 2-vCPU VM with 2
-    OpenBLAS threads, dtrtri took 19 ms a call inside greedy at N=200,
-    against 0.3 ms alone, and the estimator's scipy QR of 1,275 x 101 rows
-    took from 6 to 125 ms inside the reference run, against about 7 ms
-    alone).  Not one ``np.linalg.inv`` of the whole matrix either: its LU
-    took about 1 ms a call at m=100 inside the pipeline.
+    estimator's Gram path (:func:`_gram_factor`) only.  Not scipy's
+    ``dtrtri``, for the reason the whole package keeps its dense linear
+    algebra in numpy: scipy loads its own OpenBLAS, whose threads contend
+    with numpy's (on a 2-vCPU VM with 2 OpenBLAS threads, dtrtri took 19 ms
+    a call inside greedy at N=200, against 0.3 ms alone, and the estimator's
+    scipy QR of 1,275 x 101 rows took from 6 to 125 ms inside the reference
+    run, against about 7 ms alone).  Not one ``np.linalg.inv`` of the whole
+    matrix either: its LU took about 1 ms a call at m=100 inside the
+    pipeline.
     """
     m = upper.shape[0]
     if m <= 32:
@@ -335,41 +321,6 @@ def _upper_inverse(upper):
     out[h:, h:] = bottom = _upper_inverse(upper[h:, h:])
     out[:h, h:] = -(top @ (upper[:h, h:] @ bottom))
     return out
-
-
-def _certified_inverse(r, tol):
-    """``R^-1`` when it proves that ``R`` has full column rank, else None.
-
-    The rank rule counts the singular values of ``R`` above ``tol``.  Since
-    ``sigma_min(R) = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F``, a bound
-    ``1 / ||R^-1||_F > cols * tol`` shows that every singular value is above
-    ``tol``, so the rank is ``cols`` without an SVD.
-
-    The margin ``cols`` covers the inverse's own rounding.  The computed
-    inverse ``X`` is the exact inverse of some ``R + dR`` with
-    ``|dR| <= c * n * u * |R|`` (u the unit roundoff, n = cols).  The
-    equilibrated columns of ``R`` have norm at most about 1, so
-    ``||dR||_2 <= ||dR||_F <= c * cols**1.5 * u``, which is at most
-    ``(cols - 1) * tol`` whenever ``c * sqrt(cols) <= 2 * (cols - 1)``,
-    because ``tol >= cols * eps = 2 * cols * u``.  Then
-    ``sigma_min(R) >= 1 / ||X||_F - ||dR||_2 > cols * tol - (cols - 1) * tol
-    = tol``.  For the few smallest systems, where that inequality may fail,
-    ``||dR||`` is of the order of the error in the singular values the SVD
-    itself computes, so the certificate differs from the rule only where the
-    rule is decided by rounding.
-
-    Only a square ``R`` with a nonzero diagonal is inverted.  A non-square
-    ``R`` (fewer solve rows than unknowns), a zero diagonal entry (a zero
-    column), a non-finite norm or a bound at or below the margin returns
-    None, and the caller takes the SVD.
-    """
-    cols = r.shape[1]
-    if r.shape[0] != cols or not np.all(np.diagonal(r)):
-        return None
-    inverse = _upper_inverse(r)
-    if not 1.0 / np.linalg.norm(inverse) > cols * tol:
-        return None
-    return inverse
 
 
 def _gram_factor(model):
@@ -385,25 +336,25 @@ def _gram_factor(model):
     ``np.linalg.cholesky`` and ``L^-T`` formed by :func:`_upper_inverse`.
 
     The normal equations square the condition number, so the certificate
-    asks for more than :func:`_certified_inverse` does.  With
-    ``n = max(K, cols)`` and u the unit roundoff, ``beta = 1/||L^-1||_F``
-    bounds ``sigma_min(L^T)`` from below, and ``beta`` must clear both
-    ``cols * tol`` and the margin ``2 n sqrt(u)``.  The constant: an entry
-    of ``U_X^T U_X`` is computed to ``K u ||u_m|| ||u_n||``, so an entry of
-    the equilibrated Gram matrix is off by at most about ``2 K u``, and
-    Cholesky is backward stable with ``|E| <= (cols+1) u |L||L^T|``, whose
-    entries are at most ``(cols+1) u`` because the rows of ``L`` have unit
-    norm.  Summed over the entries, ``lambda_min`` of the exact equilibrated
-    Gram matrix is within about ``3 n^2 u`` of ``sigma_min(L^T)^2``, and
-    ``beta > 2 n sqrt(u)`` makes that less than ``(3/4) beta^2``.  So the
-    model's smallest equilibrated singular value is above ``beta / 2 >
-    cols * tol / 2 >= tol``, and the rank rule counts every column.  (The
-    inverse's own rounding moves ``sigma_min`` by about ``n^1.5 u``,
-    far below ``beta / 2``.)  The same margin keeps the squared condition
-    number under ``cols / beta^2 < 1 / (4 n u)``, where one corrected step
-    of :func:`_gram_solve` gets back the accuracy of QR.  On the 149
-    ``estimate_large`` graphs (N = 600, K = 100) the smallest ``beta`` is
-    about 2.5e-5, twice the margin.
+    asks for more than the rank tolerance.  With ``n = max(K, cols)`` and u
+    the unit roundoff, ``beta = 1/||L^-1||_F`` bounds ``sigma_min(L^T)``
+    from below (``sigma_min(L^T) = 1/||L^-1||_2 >= 1/||L^-1||_F``), and
+    ``beta`` must clear both ``cols * tol`` and the margin ``2 n sqrt(u)``.
+    The constant: an entry of ``U_X^T U_X`` is computed to ``K u ||u_m||
+    ||u_n||``, so an entry of the equilibrated Gram matrix is off by at most
+    about ``2 K u``, and Cholesky is backward stable with ``|E| <= (cols+1)
+    u |L||L^T|``, whose entries are at most ``(cols+1) u`` because the rows
+    of ``L`` have unit norm.  Summed over the entries, ``lambda_min`` of the
+    exact equilibrated Gram matrix is within about ``3 n^2 u`` of
+    ``sigma_min(L^T)^2``, and ``beta > 2 n sqrt(u)`` makes that less than
+    ``(3/4) beta^2``.  So the model's smallest equilibrated singular value
+    is above ``beta / 2 > cols * tol / 2 >= tol``, and the rank rule counts
+    every column.  (The inverse's own rounding moves ``sigma_min`` by about
+    ``n^1.5 u``, far below ``beta / 2``.)  The same margin keeps the squared
+    condition number under ``cols / beta^2 < 1 / (4 n u)``, where one
+    corrected step of :func:`_gram_solve` gets back the accuracy of QR.  On
+    the 149 ``estimate_large`` graphs (N = 600, K = 100) the smallest
+    ``beta`` is about 2.5e-5, twice the margin.
 
     It returns None, and the caller takes the QR path, for every other
     system: no ``basis_rows`` (vertex models and models built from a raw
@@ -477,18 +428,15 @@ def _gram_solve(model, rhs, inverse, scale):
 def model_rank(model):
     """Numerical rank of a model matrix and whether it has full column rank.
 
-    The rank counts the singular values of the equilibrated ``R`` above the
-    tolerance; a full rank certified by the Gram factor of a spectral model
-    (:func:`_gram_factor`) or by ``R^-1`` (:func:`_certified_inverse`) skips
-    the SVD.
+    A full rank certified by the Gram factor of a spectral model
+    (:func:`_gram_factor`) is taken as it is.  Any other model's rank
+    counts the singular values of its equilibrated ``R``
+    (:func:`_equilibrated_r`) above the tolerance.
     """
     if _gram_factor(model) is not None:
         return model.n_unknowns, True
     r, _, _, tol = _equilibrated_r(model, np.zeros(model.matrix.shape[0]))
-    if _certified_inverse(r, tol) is not None:
-        rank = model.n_unknowns
-    else:
-        rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
+    rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
     return rank, rank == model.n_unknowns
 
 
@@ -498,12 +446,11 @@ def _solve_least_squares(model, rhs):
     A spectral model whose Gram factor certifies full rank
     (:func:`_gram_factor`) is solved from ``U_X`` by :func:`_gram_solve`,
     and its K^2 x N matrix is never formed.  Every other system is solved
-    on the equilibrated R factor of its pair rows.  When ``R^-1``
-    certifies full column rank (:func:`_certified_inverse`), the solution
-    is ``R^-1 Q^T b`` and no SVD runs.  Otherwise the SVD of ``R`` gives
-    the rank (singular values above the tolerance) and the minimum-norm
-    solution.  ``residual`` is ``||model.matrix @ solution - rhs||`` over
-    all of the model's rows.
+    on the equilibrated R factor of its pair rows (one QR,
+    :func:`_equilibrated_r`): the SVD of ``R`` gives the rank (singular
+    values above the tolerance) and the minimum-norm solution.
+    ``residual`` is ``||model.matrix @ solution - rhs||`` over all of the
+    model's rows.
     """
     factor = _gram_factor(model)
     if factor is not None:
@@ -511,15 +458,10 @@ def _solve_least_squares(model, rhs):
         solution, residual = _gram_solve(model, rhs, inverse, scale)
         return solution, model.n_unknowns, tol, residual
     r, qtb, scale, tol = _equilibrated_r(model, rhs)
-    inverse = _certified_inverse(r, tol)
-    if inverse is not None:
-        rank = model.n_unknowns
-        solution = (inverse @ qtb) / scale
-    else:
-        u, s, vt = np.linalg.svd(r, full_matrices=False)
-        rank = int(np.sum(s > tol))
-        projected = u[:, :rank].T @ qtb
-        solution = (vt[:rank].T @ (projected / s[:rank])) / scale
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.sum(s > tol))
+    projected = u[:, :rank].T @ qtb
+    solution = (vt[:rank].T @ (projected / s[:rank])) / scale
     residual = float(np.linalg.norm(model.matrix @ solution - rhs))
     return solution, rank, tol, residual
 

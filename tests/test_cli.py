@@ -83,7 +83,22 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "data",
-        [{"filter": {"length": 0}}, {"shift_kind": "foo"}, {"n_snapshots": 2.5}],
+        [
+            {"filter": {"length": 0}},
+            {"shift_kind": "foo"},
+            {"n_snapshots": 2.5},
+            {"seed": 1.5},
+            {"seed": -3},
+            {"graph": {"n": 30, "seed": 1.5}},
+            {"graph": {"n": 30, "seed": -3}},
+            {"epsilon": -1},
+            {"epsilon": 0},
+            {"epsilon": "abc"},
+            {"filter": {"rate": "x"}},
+            {"filter": {"coefficients": [1, "a"]}},
+            {"filter": {"coefficients": []}},
+            {"use_population_covariance": "no"},
+        ],
     )
     def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):
         cfg_path = tmp_path / "cfg.json"
@@ -103,6 +118,21 @@ class TestRun:
         }))
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+
+    @pytest.mark.parametrize(
+        "text", [None, "N 3\nE 0 1 1.0\nE 1 2 x\n", "N 3\nE 0 1 1.0\nE 1 2 nan\n"],
+        ids=["missing", "malformed_weight", "nan_weight"],
+    )
+    def test_bad_graph_file_exits_2(self, tmp_path, capsys, text):
+        """A graph file that is missing or does not parse is a configuration
+        error, not an uncaught exception or a numerical failure."""
+        gpath = tmp_path / "g.txt"
+        if text is not None:
+            gpath.write_text(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graph": {"path": str(gpath)}, "k": 2}))
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert f"cannot load graph {gpath}" in capsys.readouterr().err
 
 
 class TestDesignAndEstimate:

@@ -93,6 +93,17 @@ class TestConfig:
             ({"graph": {"k_neighbors": "6"}}, "graph.k_neighbors must be an integer"),
             ({"filter": {"length": 7.5}}, "filter.length must be an integer"),
             ({"n_snapshots": True}, "n_snapshots must be an integer"),
+            ({"seed": 1.5}, "seed must be a nonnegative integer"),
+            ({"seed": -3}, "seed must be a nonnegative integer"),
+            ({"graph": {"seed": 1.5}}, "graph.seed must be a nonnegative integer"),
+            ({"graph": {"seed": -3}}, "graph.seed must be a nonnegative integer"),
+            ({"epsilon": -1}, "epsilon must be a positive number"),
+            ({"epsilon": 0}, "epsilon must be a positive number"),
+            ({"epsilon": "abc"}, "epsilon must be a positive number"),
+            ({"filter": {"rate": "x"}}, "filter.rate must be a finite number"),
+            ({"filter": {"coefficients": [1, "a"]}}, "filter.coefficients must be a non-empty"),
+            ({"filter": {"coefficients": []}}, "filter.coefficients must be a non-empty"),
+            ({"use_population_covariance": "no"}, "use_population_covariance must be true or false"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -245,10 +256,24 @@ class TestPatternFiles:
         assert load_pattern(path) == p
 
     def test_bad_file_is_config_error(self, tmp_path):
+        """A missing key, an entry that is not an integer, a repeated or an
+        out-of-range vertex.  No entry is truncated or split, so
+        ``[0.5, 3.9]`` is not vertices 0 and 3, and ``"0123"`` is not
+        [0, 1, 2, 3]."""
         path = tmp_path / "p.json"
-        path.write_text("{}")
-        with pytest.raises(ConfigError):
-            load_pattern(path)
+        for data in (
+            {},
+            {"n_vertices": 20, "selected": [0.5, 3.9, 7]},
+            {"n_vertices": 20, "selected": "0123"},
+            {"n_vertices": 20.0, "selected": [0, 3]},
+            {"n_vertices": True, "selected": [0]},
+            {"n_vertices": 20, "selected": [0, True]},
+            {"n_vertices": 20, "selected": [0, 0, 5]},
+            {"n_vertices": 20, "selected": [0, 45]},
+        ):
+            path.write_text(json.dumps(data))
+            with pytest.raises(ConfigError):
+                load_pattern(path)
 
 
 class TestRankThresholdScan:

@@ -68,12 +68,22 @@ def dense_svd_rank(matrix):
     return u, s, vt, scale, int(np.sum(s > tol)), tol
 
 
-def svd_must_not_run(*args, **kwargs):
-    raise AssertionError("an SVD ran on a system whose full rank R^-1 certifies")
+def factor_must_not_run(*args, **kwargs):
+    raise AssertionError("a QR or an SVD ran where nothing is to be factored")
 
 
-def qr_must_not_run(*args, **kwargs):
-    raise AssertionError("a QR ran on a system the Gram path solves")
+def count_calls(monkeypatch, name):
+    """Count the calls of ``np.linalg.<name>``; returns the list of the
+    shapes of their first arguments."""
+    func = getattr(np.linalg, name)
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return func(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
 
 
 def dense_spectral_model(basis, pattern):
@@ -507,34 +517,49 @@ class TestSolverMatchesDenseSvd:
         assert rank <= k * (k + 1) // 2
 
     @pytest.mark.parametrize("k", [14, 15])
-    def test_model_rank_certified_on_full_rank_prefixes(
-        self, sensor100_basis, case, k, monkeypatch
-    ):
-        """From K = 14 the prefixes are full rank, and R^-1 certifies it."""
+    def test_model_rank_certified_on_full_rank_prefixes(self, sensor100_basis, case, k):
+        """From K = 14 the prefixes are full rank, and the SVD of R says so."""
         _, pattern, _ = case
         model = dense_spectral_model(sensor100_basis, SamplingPattern(100, pattern.selected[:k]))
         rank = dense_svd_rank(model.matrix)[4]
-        monkeypatch.setattr(np.linalg, "svd", svd_must_not_run)
         assert model_rank(model) == (rank, True)
 
-    def test_certified_full_rank_solves_without_svd(self, monkeypatch):
-        """N=300, K=60: R^-1 certifies full rank, and R^-1 Q^T b is the
-        least-squares solution the dense SVD gives."""
+    def test_dense_full_rank_solve_matches_dense_svd(self):
+        """N=300, K=60 given as its dense matrix: one QR of the 1,830 pair
+        rows and the SVD of the 300 x 300 R give the full rank and the
+        least-squares solution that the dense SVD of all 3,600 rows gives."""
         basis = eigendecompose(build_laplacian(random_sensor_graph(300, 6, seed=1)))
         pattern = SamplingPattern(300, tuple(range(0, 300, 5)))
         model = dense_spectral_model(basis, pattern)
         x = synthesize(GraphFilter([1.0, 0.5]), basis, 200, seed=3)
         cov_sub = subsampled_covariance(sample_covariance(x), pattern)
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "svd", svd_must_not_run)
-            est = estimate_spectrum_spectral(cov_sub, model)
+        est = estimate_spectrum_spectral(cov_sub, model)
         assert est.rank_ok
         check_against_dense_svd(est, model.matrix, vec(cov_sub.matrix))
 
+    @pytest.mark.parametrize("system", ["vertex", "dense_spectral"])
+    def test_qr_path_factors_once(self, monkeypatch, sensor100_basis, case, system):
+        """An estimate, and a rank, off the Gram path make one QR of the
+        K(K+1)/2 pair rows with the right-hand side column, and one SVD
+        of the small R."""
+        shift, pattern, cov_sub = case
+        if system == "vertex":
+            model = build_vertex_model(shift, pattern, 5)
+        else:
+            model = dense_spectral_model(sensor100_basis, pattern)
+        rows, cols = pattern.k * (pattern.k + 1) // 2, model.n_unknowns
+        qr_shapes = count_calls(monkeypatch, "qr")
+        svd_shapes = count_calls(monkeypatch, "svd")
+        sampling._solve_least_squares(model, vec(cov_sub.matrix))
+        assert qr_shapes == [(rows, cols + 1)]
+        assert svd_shapes == [(min(rows, cols), cols)]
+        assert model_rank(model)[1]
+        assert len(qr_shapes) == len(svd_shapes) == 2
+
     def test_bound_inside_the_margin_takes_the_svd(self, monkeypatch):
         """A smallest equilibrated singular value between tol and cols * tol
-        is above the rank rule's tolerance, but the certificate cannot show
-        it, so the SVD decides and gives the dense SVD's rank."""
+        is above the rank rule's tolerance: the SVD of R, one per call,
+        counts it and gives the dense SVD's rank."""
         k, cols = 8, 20
         rng = np.random.default_rng(5)
 
@@ -618,8 +643,8 @@ class TestGramPath:
             sample_covariance(synthesize(filt, basis, snapshots, seed=4)), pattern
         )
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "qr", qr_must_not_run)
-            patch.setattr(np.linalg, "svd", svd_must_not_run)
+            patch.setattr(np.linalg, "qr", factor_must_not_run)
+            patch.setattr(np.linalg, "svd", factor_must_not_run)
             est = estimate_spectrum_spectral(cov_sub, model)
             assert model_rank(model) == (basis.n, True)
         assert "matrix" not in vars(model), "the K^2 x N model was built"
@@ -656,10 +681,10 @@ class TestGramPath:
             return lower
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-        stacks = cap_stack_rows(monkeypatch, model, 1000)
+        qr_shapes = count_calls(monkeypatch, "qr")
         est = estimate_spectrum_spectral(cov, model)
         assert factored == [(cols, cols)]
-        assert stacks, "the QR path must factor the pair rows"
+        assert qr_shapes == [(k * (k + 1) // 2, cols + 1)], "the QR path must factor the pair rows"
         assert est.rank == expected.rank == cols and est.rank_ok
         np.testing.assert_array_equal(est.p_hat, expected.p_hat)
         assert est.rank_tolerance == expected.rank_tolerance
@@ -670,7 +695,7 @@ class TestGramPath:
         model = build_spectral_model(sensor100_basis, pattern)
         cov = np.eye(pattern.k)
         cov[18, 19] = cov[19, 18] = np.nan
-        monkeypatch.setattr(np.linalg, "qr", qr_must_not_run)
+        monkeypatch.setattr(np.linalg, "qr", factor_must_not_run)
         with pytest.raises(NonFinite, match="covariance"):
             estimate_spectrum_spectral(CovarianceEstimate(cov), model)
 
@@ -708,90 +733,6 @@ class TestGramPath:
         assert est.rank_ok
         assert "matrix" not in vars(model)
         assert peak < 0.5 * 100 * 100 * 600 * 8
-
-
-def cap_stack_rows(monkeypatch, model, stack_rows):
-    """Cap the estimator's QR stacks at ``stack_rows`` rows of ``model``'s
-    solve rows, and return the list of the row counts it factors."""
-    monkeypatch.setattr(sampling, "_STACK_BYTES", 8 * (model.n_unknowns + 1) * stack_rows)
-    qr = np.linalg.qr
-    stacks = []
-
-    def counted_qr(a, *args, **kwargs):
-        stacks.append(a.shape[0])
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    return stacks
-
-
-class TestStreamedFactorization:
-    """The solve rows are factored in row blocks, each stacked under the R
-    of the blocks before it.  A stack cap that splits a system into several
-    blocks must give what one block gives.  Spectral systems that the Gram
-    path would solve are given as their dense matrix, which takes QR."""
-
-    def check_same_estimate(self, monkeypatch, model, cov_sub, stack_rows):
-        one = estimate_spectrum_spectral(cov_sub, model)
-        stacks = cap_stack_rows(monkeypatch, model, stack_rows)
-        split = estimate_spectrum_spectral(cov_sub, model)
-        assert len(stacks) >= 3
-        assert split.rank == one.rank and split.rank_ok == one.rank_ok
-        assert abs(split.rank_tolerance - one.rank_tolerance) <= 4 * np.spacing(one.rank_tolerance)
-        assert np.abs(split.p_hat - one.p_hat).max() <= 1e-12 * np.abs(one.p_hat).max()
-        return one
-
-    def test_reference_system(self, monkeypatch, sensor100_basis, sensor100_filter):
-        """N=100, K=50: 1,275 solve rows, one block at the default cap."""
-        pattern, _ = greedy_design(DesignObjective.spectral(sensor100_basis), 50)
-        model = dense_spectral_model(sensor100_basis, pattern)
-        rows = 50 * 51 // 2
-        assert 8 * (model.n_unknowns + 1) * rows <= sampling._STACK_BYTES
-        x = synthesize(sensor100_filter, sensor100_basis, 1000, seed=4)
-        cov_sub = subsampled_covariance(sample_covariance(x), pattern)
-        est = self.check_same_estimate(monkeypatch, model, cov_sub, 500)
-        assert est.rank_ok
-
-    def test_underdetermined_system(self, monkeypatch, sensor100_basis, sensor100_filter):
-        """N=100, K=8: 36 solve rows for 100 unknowns, so the R on top of
-        each stack is short and the minimum-norm solution comes from the SVD."""
-        pattern = SamplingPattern(100, tuple(range(0, 100, 13)))
-        assert pattern.k == 8
-        model = build_spectral_model(sensor100_basis, pattern)
-        x = synthesize(sensor100_filter, sensor100_basis, 200, seed=3)
-        cov_sub = subsampled_covariance(sample_covariance(x), pattern)
-        est = self.check_same_estimate(monkeypatch, model, cov_sub, 10)
-        assert est.rank == 36 and not est.rank_ok
-
-    def test_overflow_in_a_later_block(self, monkeypatch):
-        """A path whose last edge weighs 1e200: S^2 overflows only in the
-        rows of the last two vertices, which the first block does not hold.
-        A block's model is checked before its right-hand sides, so a NaN
-        covariance entry in the same block does not mask the overflow."""
-        edges = tuple((i, i + 1, 1.0) for i in range(8)) + ((8, 9, 1e200),)
-        shift = build_laplacian(Graph(n_vertices=10, edges=edges))
-        with np.errstate(over="ignore"):
-            model = build_vertex_model(shift, SamplingPattern(10, tuple(range(10))), 3)
-        rows = sampling._solved_rows(model)[0]
-        assert np.all(np.isfinite(model.matrix[rows[:20]]))
-        assert not np.all(np.isfinite(model.matrix))
-        cov = np.eye(10)
-        cov[9, 9] = np.nan
-        stacks = cap_stack_rows(monkeypatch, model, 20)
-        with pytest.raises(NonFinite, match="model"):
-            sampling._solve_least_squares(model, vec(cov))
-        assert stacks, "the first block must pass its checks and be factored"
-
-    def test_nan_covariance_in_a_later_block(self, monkeypatch, sensor100_basis):
-        """K=20: the pair (18, 19) is among the last of the 210 solve rows."""
-        pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
-        model = dense_spectral_model(sensor100_basis, pattern)
-        cov = np.eye(pattern.k)
-        cov[18, 19] = cov[19, 18] = np.nan
-        stacks = cap_stack_rows(monkeypatch, model, 150)
-        with pytest.raises(NonFinite, match="covariance"):
-            estimate_spectrum_spectral(CovarianceEstimate(cov), model)
-        assert stacks, "the first block must pass its checks and be factored"
 
 
 class TestNegligibleColumns:
@@ -847,6 +788,32 @@ class TestNonFiniteSystems:
             with pytest.raises(NonFinite, match="model"):
                 model_rank(model)
 
+    def test_overflowing_model_checked_before_nan_covariance(self, monkeypatch):
+        """A path whose last edge weighs 1e200: S^2 overflows only in the
+        rows of the last two vertices.  The model is checked before the
+        right-hand sides, so a NaN covariance entry does not mask the
+        overflow, and nothing is factored."""
+        edges = tuple((i, i + 1, 1.0) for i in range(8)) + ((8, 9, 1e200),)
+        shift = build_laplacian(Graph(n_vertices=10, edges=edges))
+        with np.errstate(over="ignore"):
+            model = build_vertex_model(shift, SamplingPattern(10, tuple(range(10))), 3)
+        assert not np.all(np.isfinite(model.matrix))
+        cov = np.eye(10)
+        cov[9, 9] = np.nan
+        monkeypatch.setattr(np.linalg, "qr", factor_must_not_run)
+        with pytest.raises(NonFinite, match="model"):
+            sampling._solve_least_squares(model, vec(cov))
+
+    def test_nan_covariance_of_a_dense_model(self, sensor100_basis):
+        """K=20 given as its dense matrix, so the pair rows take the QR
+        path: the pair (18, 19) is among the last of the 210 solve rows."""
+        pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
+        model = dense_spectral_model(sensor100_basis, pattern)
+        cov = np.eye(pattern.k)
+        cov[18, 19] = cov[19, 18] = np.nan
+        with pytest.raises(NonFinite, match="covariance"):
+            estimate_spectrum_spectral(CovarianceEstimate(cov), model)
+
 
 class TestBenchmarkPoolRecovery:
     @pytest.mark.parametrize("graph_seed", ["first", 2102, 2024, 2115])
@@ -854,9 +821,9 @@ class TestBenchmarkPoolRecovery:
         """The benchmark's ``estimate_large`` check: spectral, N=600, a random
         K=100 pattern; the population covariance recovers the spectrum to
         1e-8 relative.  Graph 2024 is the pool's worst case for the solve
-        through R^-1 and through the Gram matrix, graph 2102 for the solve
-        through the SVD of R, and graph 2115 has the pool's smallest Gram
-        bound, about twice the margin."""
+        through the Gram matrix, graph 2102 for the solve through the SVD
+        of R, and graph 2115 has the pool's smallest Gram bound, about
+        twice the margin."""
         pool = json.loads(GOLDEN.read_text())["estimate_large"]["pool"]
         seed = pool[0] if graph_seed == "first" else graph_seed
         assert seed in pool
@@ -879,6 +846,34 @@ class TestBenchmarkPoolRecovery:
         assert est.rank_ok
         p_true = setting.p_true
         assert np.abs(est.p_hat - p_true).max() <= 1e-8 * np.abs(p_true).max()
+
+    @pytest.mark.parametrize("graph_seed", ["first", 1095])
+    def test_vertex_population_re_estimate(self, graph_seed):
+        """The benchmark's ``vertex_large`` check: vertex domain, N=800,
+        Q=13, on the K=20 greedy pattern that ``golden.json`` records for
+        the graph; the population covariance recovers the spectrum to 1e-6
+        relative.  Its solve is one QR of the 210 pair rows and the SVD of
+        the 13 x 13 R.  Graph 1095 is the pool's worst case (about 2.5e-13)."""
+        golden = json.loads(GOLDEN.read_text())["vertex_large"]
+        seed = golden["pool"][0] if graph_seed == "first" else graph_seed
+        assert seed in golden["pool"]
+        setting = prepare(
+            ExperimentConfig.from_dict(
+                {
+                    "graph": {"n": 800, "k_neighbors": 6, "seed": seed},
+                    "domain": "vertex",
+                    "k": 20,
+                    "q": 13,
+                    "use_population_covariance": True,
+                    "seed": seed,
+                }
+            )
+        )
+        pattern = SamplingPattern(800, tuple(golden["chosen"][str(seed)]))
+        est, _ = setting.estimate(setting.covariance(seed, pattern), setting.model(pattern))
+        assert est.rank_ok
+        p_true = setting.p_true
+        assert np.abs(est.p_hat - p_true).max() <= 1e-6 * np.abs(p_true).max()
 
 
 class TestNonnegativeProjection:
