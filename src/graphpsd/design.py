@@ -17,13 +17,14 @@ Frobenius norm of the Gram matrix) is available as an alternative cost.
 Marginal gains are evaluated through the Cholesky factor of the regularized
 Gram matrix: either as block updates via the matrix determinant lemma
 (default; each greedy round inverts the m x m factor once, whitens the |X|+1
-new rows of all remaining candidates in place by GEMMs against that inverse,
-and factors their small systems with one batched Cholesky, in blocks of about
-1 MB) or as the equivalent sequence of 2|X|+1 rank-one factor updates per
-candidate over the ordered rows.  GEMM, not a triangular solve, whitens the
-rows because a threaded triangular solve costs several milliseconds per call
-at these shapes and a GEMM does not; the inverse is computed with numpy, as
-every other BLAS call of a round is.  Both paths agree to roundoff and are
+new rows ``W`` of all remaining candidates in place by GEMMs against that
+inverse, and factors the smaller of their systems ``I + W W^T`` and
+``I + W^T W``, which share a determinant, with one batched Cholesky, in
+blocks of about 1 MB) or as the equivalent sequence of 2|X|+1 rank-one
+factor updates per candidate over the ordered rows.  GEMM, not a triangular
+solve, whitens the rows because a threaded triangular solve costs several
+milliseconds per call at these shapes and a GEMM does not; the inverse is
+computed with numpy, as every other BLAS call of a round is.  Both paths agree to roundoff and are
 cross-checked against from-scratch recomputation in tests.
 
 No objective on the pipeline path stores the N x N x M tensor of all pair
@@ -33,7 +34,11 @@ candidates and the block of rows ``(i, j)`` for ``i`` and ``j`` in two index
 lists: the spectral source multiplies rows of the Fourier basis, the vertex
 source keeps the diagonals of the powers ``S^q`` and builds the columns
 ``S^q e_j`` of the vertices greedy chooses, by sparse products with the
-shift, and an explicit tensor is indexed.
+shift, and an explicit tensor is indexed.  The vertex diagonals take half a
+power sweep, up to ``S^(Q//2)``: ``(S^(a+b))_cc = <S^a e_c, S^b e_c>`` for a
+symmetric shift, the moment identity of Lin, Saad and Yang (2016).  Its
+regularizer needs ``sum_q |S^q|_F^2``, which is ``sum_q sum_n lam_n^(2q)``
+over the shift's eigenvalues, so no power is swept for it.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ LOGDET_EPS = "logdet_eps"
 FRAME_POTENTIAL = "frame_potential"
 
 
-# Bytes of one block of work: the candidates of a batched greedy round (the
-# larger of their rows and their small systems), or the pairs of one chunk of
-# an objective's set-up, so a round's working set stays small.
+# Bytes of one block of work: the candidates of a batched greedy round (their
+# rows, never smaller than their small systems), or one chunk of an
+# objective's set-up, so a round's working set stays small.
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of the rows one whitening GEMM reads (at least m rows): a block is
@@ -131,28 +136,43 @@ class _SpectralRows(_RowSource):
 class _VertexRows(_RowSource):
     """Row ``(i, j)`` holds ``(S^q)_ij`` for q < Q, from sparse products with S.
 
-    One sweep over column chunks of the powers keeps their diagonals (n x Q)
-    and sums their squared Frobenius norms for the regularizer.  The columns
-    ``S^q e_j`` (n x Q) are computed for the ``j`` a block asks for only, and
-    kept: greedy asks for those of its chosen vertices.
+    The diagonals (n x Q) come from one sweep over column chunks of the
+    powers up to ``S^(Q//2)`` only: ``(S^2a)_cc = |S^a e_c|^2`` and
+    ``(S^(2a+1))_cc = <S^a e_c, S^(a+1) e_c>`` for a symmetric S.  The
+    regularizer's ``sum_q |S^q|_F^2`` is ``sum_q sum_n lam_n^(2q)``, from the
+    eigenvalues of S (given, or computed once when epsilon is asked for).
+    The columns ``S^q e_j`` are computed for the ``j`` a block asks for only,
+    and kept in one growing (n, cap, Q) array in the order they were first
+    asked for: greedy asks for those of its chosen vertices, in turn, so its
+    blocks are one slice of that array.
     """
 
-    def __init__(self, shift, q_order):
+    def __init__(self, shift, q_order, eigenvalues=None):
         self.n, self.m = shift.n, q_order
+        self.matrix = shift.matrix
         self.shift = shift.sparse
+        if eigenvalues is not None:
+            eigenvalues = np.asarray(eigenvalues, dtype=float)
+            if eigenvalues.shape != (self.n,):
+                raise InvariantViolation(f"need {self.n} eigenvalues, got {eigenvalues.shape}")
+        self.eigenvalues = eigenvalues
         self.diag = np.empty((self.n, q_order))
-        squared_norm = 0.0
         # two power blocks are alive at a time: together half a block of work
         chunk = max(1, _BLOCK_BYTES // (4 * 8 * self.n))
         for start in range(0, self.n, chunk):
             cols = np.arange(start, min(start + chunk, self.n))
-            for q, power in enumerate(self._powers(cols)):
-                self.diag[cols, q] = power[cols, np.arange(len(cols))]
-                squared_norm += float(np.einsum("ij,ij->", power, power))
-        if not np.isfinite(squared_norm):
+            power = np.zeros((self.n, len(cols)))
+            power[cols, np.arange(len(cols))] = 1.0
+            for a in range((q_order + 1) // 2):
+                self.diag[cols, 2 * a] = np.einsum("ij,ij->j", power, power)
+                if 2 * a + 1 < q_order:
+                    following = self.shift @ power
+                    self.diag[cols, 2 * a + 1] = np.einsum("ij,ij->j", power, following)
+                    power = following
+        if not np.all(np.isfinite(self.diag)):
             raise InvariantViolation("pair_rows must be finite")
-        self._epsilon = 1e-8 * squared_norm / self.n**2
-        self._columns = {}
+        self._columns = np.empty((self.n, 0, q_order))
+        self._slots = {}
 
     def _powers(self, cols):
         """Yield the columns ``cols`` of ``S^q``, an (n, len(cols)) block, for q < Q."""
@@ -166,21 +186,40 @@ class _VertexRows(_RowSource):
     def diagonal(self, cands):
         return self.diag[cands]
 
-    def _column(self, j):
-        column = self._columns.get(j)
-        if column is None:
-            column = np.concatenate(list(self._powers([j])), axis=1)
-            self._columns[j] = column
-        return column
+    def _slots_of(self, cols):
+        """Slots of the columns ``cols`` in the column array, computing the new ones."""
+        new = [j for j in dict.fromkeys(int(j) for j in cols) if j not in self._slots]
+        if new:
+            used = len(self._slots)
+            if used + len(new) > self._columns.shape[1]:
+                grown = np.empty((self.n, max(used + len(new), 2 * used), self.m))
+                grown[:, :used] = self._columns[:, :used]
+                self._columns = grown
+            added = self._columns[:, used : used + len(new)]
+            for q, power in enumerate(self._powers(new)):
+                added[:, :, q] = power
+            if not np.all(np.isfinite(added)):
+                raise InvariantViolation("pair_rows must be finite")
+            self._slots.update((j, used + t) for t, j in enumerate(new))
+        return [self._slots[int(j)] for j in cols]
 
     def block(self, rows, cols):
-        out = np.empty((len(rows), len(cols), self.m))
-        for t, j in enumerate(cols):
-            out[:, t] = self._column(j)[rows]
-        return out
+        slots = self._slots_of(cols)
+        if slots == list(range(len(slots))):
+            return self._columns[rows, : len(slots)]
+        return self._columns[np.ix_(rows, slots)]
 
     def default_epsilon(self):
-        return self._epsilon
+        lam = self.eigenvalues
+        if lam is None:
+            if not np.all(np.isfinite(self.matrix)):
+                raise InvariantViolation("pair_rows must be finite")
+            lam = np.linalg.eigvalsh(self.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            squared_norm = float(np.sum(np.power.outer(lam * lam, np.arange(self.m))))
+        if not np.isfinite(squared_norm):
+            raise InvariantViolation("pair_rows must be finite")
+        return 1e-8 * squared_norm / self.n**2
 
 
 @dataclass(frozen=True, init=False)
@@ -242,12 +281,18 @@ class DesignObjective:
         return cls(kind=kind, pair_rows=_SpectralRows(basis.eigenvectors), epsilon=epsilon)
 
     @classmethod
-    def vertex(cls, shift, q_order, kind=LOGDET_EPS, epsilon=None):
-        """Objective over the vertex-domain model (M = Q columns)."""
+    def vertex(cls, shift, q_order, kind=LOGDET_EPS, epsilon=None, eigenvalues=None):
+        """Objective over the vertex-domain model (M = Q columns).
+
+        ``eigenvalues`` are those of ``shift``; the default epsilon is read
+        from them, and without them one ``eigvalsh`` of the shift computes
+        them when that epsilon is needed.
+        """
         n = shift.n
         if not (1 <= q_order <= n):
             raise InvariantViolation(f"need 1 <= Q <= {n}, got {q_order}")
-        return cls(kind=kind, pair_rows=_VertexRows(shift, q_order), epsilon=epsilon)
+        rows = _VertexRows(shift, q_order, eigenvalues)
+        return cls(kind=kind, pair_rows=rows, epsilon=epsilon)
 
     def rows_for_set(self, selected):
         """All pair rows with both endpoints in ``selected``, as a (k^2, m) array."""
@@ -397,8 +442,9 @@ def _gain_by_block(whitening, new_rows):
     rank-one updates.  The rows are whitened in place, ``w = rows L^-T``
     with ``whitening`` = ``L^-T`` for the current Cholesky factor ``L``, by
     GEMMs over chunks of at least m rows (about 64 KB), so no second copy of
-    the block is made; then all b blocks share one batched Cholesky of their
-    r x r systems.  ``new_rows`` is overwritten.
+    the block is made; then all b blocks share one batched Cholesky of the
+    smaller of their systems, ``I_r + w w^T`` or ``I_m + w^T w``, which have
+    the same determinant.  ``new_rows`` is overwritten.
     """
     b, r, m = new_rows.shape
     w = new_rows.reshape(b * r, m)
@@ -406,8 +452,12 @@ def _gain_by_block(whitening, new_rows):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, b * r, chunk):
             w[i : i + chunk] = w[i : i + chunk] @ whitening
-        small = new_rows @ new_rows.transpose(0, 2, 1)
-    small[:, np.arange(r), np.arange(r)] += 1.0
+        if r <= m:
+            small = new_rows @ new_rows.transpose(0, 2, 1)
+        else:
+            small = new_rows.transpose(0, 2, 1) @ new_rows
+    size = min(r, m)
+    small[:, np.arange(size), np.arange(size)] += 1.0
     try:
         small_factor = np.linalg.cholesky(small)
     except np.linalg.LinAlgError as exc:
@@ -429,7 +479,7 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method):
         )
     whitening = _upper_inverse(factor.T)
     r = len(chosen) + 1
-    block = max(1, _BLOCK_BYTES // (8 * r * max(r, objective.n_unknowns)))
+    block = max(1, _BLOCK_BYTES // (8 * r * objective.n_unknowns))
     return np.concatenate(
         [
             _gain_by_block(whitening, objective.candidate_rows(chosen, candidates[i : i + block]))

@@ -47,6 +47,16 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _fmt_all(values):
+    """``_fmt`` of each value of an array, in one pass over a list of floats."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -336,7 +346,8 @@ class Setting:
             )
         else:
             objective = design_mod.DesignObjective.vertex(
-                self.shift, self.q, kind=cfg.objective_kind, epsilon=cfg.epsilon
+                self.shift, self.q, kind=cfg.objective_kind, epsilon=cfg.epsilon,
+                eigenvalues=self.basis.eigenvalues,
             )
         pattern, trace = design_mod.greedy_design(objective, k)
         return pattern, trace, objective.epsilon
@@ -520,12 +531,13 @@ def _write_design(out_dir, objective_kind, pattern, trace, epsilon):
 
 def _write_result(result, out_dir):
     cfg = result.config
-    with open(f"{out_dir}/{SPECTRUM_CSV}", "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue,p_true,p_hat\n")
-        for i, (lam, pt, ph) in enumerate(
-            zip(result.eigenvalues, result.p_true, result.p_hat)
-        ):
-            fh.write(f"{i},{_fmt(lam)},{_fmt(pt)},{_fmt(ph)}\n")
+    p_true, p_hat = _fmt_all(result.p_true), _fmt_all(result.p_hat)
+    rows = zip(_fmt_all(result.eigenvalues), p_true, p_hat)
+    _write_text(
+        f"{out_dir}/{SPECTRUM_CSV}",
+        "index,eigenvalue,p_true,p_hat\n"
+        + "".join(f"{i},{lam},{pt},{ph}\n" for i, (lam, pt, ph) in enumerate(rows)),
+    )
     _write_design(
         out_dir, cfg.objective_kind, result.pattern, result.trace, result.objective_epsilon
     )
@@ -550,7 +562,7 @@ def _write_result(result, out_dir):
             "nmse": result.nmse,
         },
     )
-    emit_plot_data(result, out_dir)
+    _write_plot_data(result, out_dir, p_true, p_hat)
 
 
 def emit_plot_data(result, out_dir):
@@ -560,17 +572,24 @@ def emit_plot_data(result, out_dir):
     ``eigenvalue-index  value`` rows; ``nodes.dat`` holds
     ``x  y  selected`` rows when the graph carries coordinates.
     """
-    with open(f"{out_dir}/spectrum_true.dat", "w", encoding="utf-8") as fh:
-        for i, p in enumerate(result.p_true):
-            fh.write(f"{i} {_fmt(p)}\n")
-    with open(f"{out_dir}/spectrum_estimate.dat", "w", encoding="utf-8") as fh:
-        for i, p in enumerate(result.p_hat):
-            fh.write(f"{i} {_fmt(p)}\n")
+    _write_plot_data(result, out_dir, _fmt_all(result.p_true), _fmt_all(result.p_hat))
+
+
+def _write_plot_data(result, out_dir, p_true, p_hat):
+    """:func:`emit_plot_data` with the spectra already formatted."""
+    _write_text(f"{out_dir}/spectrum_true.dat", "".join(f"{i} {p}\n" for i, p in enumerate(p_true)))
+    _write_text(
+        f"{out_dir}/spectrum_estimate.dat", "".join(f"{i} {p}\n" for i, p in enumerate(p_hat))
+    )
     if result.graph.coordinates is not None:
-        mask = result.pattern.mask
-        with open(f"{out_dir}/nodes.dat", "w", encoding="utf-8") as fh:
-            for (x, y), selected in zip(result.graph.coordinates, mask):
-                fh.write(f"{_fmt(x)} {_fmt(y)} {int(selected)}\n")
+        xy = _fmt_all(result.graph.coordinates.ravel())
+        _write_text(
+            f"{out_dir}/nodes.dat",
+            "".join(
+                f"{x} {y} {int(selected)}\n"
+                for x, y, selected in zip(xy[0::2], xy[1::2], result.pattern.mask.tolist())
+            ),
+        )
 
 
 def rank_threshold_scan(cfg, k_range):

@@ -5,6 +5,11 @@ NxN arrays; a shift operator also keeps one CSR view of itself for the
 sparse products of the vertex domain.  That view is the package's only use
 of ``scipy.sparse``, which is imported on first use (scipy loads its
 submodules lazily), so a spectral-domain process never pays for it.
+
+Edge lists are checked, canonicalized and scattered into matrices as
+arrays.  The k-nearest-neighbor sensor graph is built in row chunks of
+about 1 MB of distances, so no N x N distance array is held; the kernel
+width and the edge weights come from the (N, k) neighbor distances.
 """
 
 from __future__ import annotations
@@ -19,6 +24,47 @@ from .errors import FailedToConnect, InvariantViolation, ParseError
 
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
+
+# Bytes of the distance rows a k-nearest-neighbor chunk holds at a time.
+_KNN_BYTES = 1 << 20
+
+
+def _canonical_edges(n, edges):
+    """Edges as sorted ``(i, j, weight)`` triples with ``i < j``, checked on arrays.
+
+    An edge is faulty if it is a self-loop, leaves ``range(n)``, repeats an
+    earlier pair or has a weight that is not strictly positive and finite;
+    indices are truncated to integers, as ``int`` does.  The first faulty
+    edge raises the error of the first of these checks it fails.
+    """
+    if not len(edges):
+        return ()
+    table = np.array(edges, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise InvariantViolation("edges must be (i, j, weight) triples")
+    ends = np.trunc(table[:, :2])
+    weights = table[:, 2]
+    outside = ~np.all((ends >= 0) & (ends < n), axis=1)
+    ends[outside] = 0
+    lo, hi = np.sort(ends, axis=1).astype(np.int64).T
+    order = np.lexsort((hi, lo))
+    repeat = np.zeros(len(edges), dtype=bool)
+    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    faulty = (lo == hi) | outside | repeat | ~(np.isfinite(weights) & (weights > 0.0))
+    if faulty.any():
+        # the sequential checks, on the first faulty edge
+        t = int(np.argmax(faulty))
+        i, j, w = edges[t]
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise InvariantViolation(f"self-loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvariantViolation(f"edge ({i},{j}) out of range for n={n}")
+        i, j = min(i, j), max(i, j)
+        if repeat[t]:
+            raise InvariantViolation(f"duplicate edge ({i},{j})")
+        raise InvariantViolation(f"edge ({i},{j}) has invalid weight {w}")
+    return tuple(zip(lo[order].tolist(), hi[order].tolist(), weights[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -38,25 +84,7 @@ class Graph:
         n = self.n_vertices
         if n < 1:
             raise InvariantViolation("graph needs at least one vertex")
-        seen = set()
-        canonical = []
-        for i, j, w in self.edges:
-            i, j = int(i), int(j)
-            w = float(w)
-            if i == j:
-                raise InvariantViolation(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvariantViolation(f"edge ({i},{j}) out of range for n={n}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise InvariantViolation(f"duplicate edge ({i},{j})")
-            if not np.isfinite(w) or w <= 0.0:
-                raise InvariantViolation(f"edge ({i},{j}) has invalid weight {w}")
-            seen.add((i, j))
-            canonical.append((i, j, w))
-        canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "edges", _canonical_edges(n, self.edges))
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
@@ -100,20 +128,39 @@ class ShiftOperator:
 
     @functools.cached_property
     def sparse(self):
-        """The shift as a ``scipy.sparse.csr_array``, converted on first use.
+        """The shift as a ``scipy.sparse.csr_array``, built on first use.
 
-        scipy.sparse is imported on first use too: ``scipy`` resolves the
-        submodule on first attribute access.
+        Its ``data``, ``indices`` and ``indptr`` are those scipy builds from
+        the dense matrix, read from its nonzeros here.  scipy.sparse is
+        imported on first use too: ``scipy`` resolves the submodule on first
+        attribute access.
         """
-        return scipy.sparse.csr_array(self.matrix)
+        n = self.n
+        # the nonzeros in row-major order; nonzero of a flat mask is the fast one
+        rows, cols = np.divmod(np.flatnonzero(self.matrix != 0.0), n)
+        # scipy's index type: 32-bit while the counts fit
+        index = np.int32 if max(len(cols), n) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return scipy.sparse.csr_array(
+            (self.matrix[rows, cols], cols.astype(index), indptr), shape=(n, n)
+        )
+
+
+def _edge_arrays(edges):
+    """The ``i``, ``j`` and weight columns of an edge list, as three arrays."""
+    if not edges:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    i, j, w = zip(*edges)
+    return np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.array(w, dtype=float)
 
 
 def build_adjacency(graph):
     """Dense symmetric adjacency matrix of a graph."""
     a = np.zeros((graph.n_vertices, graph.n_vertices))
-    for i, j, w in graph.edges:
-        a[i, j] = w
-        a[j, i] = w
+    i, j, w = _edge_arrays(graph.edges)
+    a[i, j] = w
+    a[j, i] = w
     return a
 
 
@@ -121,10 +168,12 @@ def build_laplacian(graph):
     """Combinatorial Laplacian ``L = D - A`` as a shift operator.
 
     ``D`` is the diagonal matrix of weighted degrees, so every row of the
-    result sums to zero.
+    result sums to zero.  Built in place on the adjacency matrix.
     """
-    a = build_adjacency(graph)
-    lap = np.diag(a.sum(axis=1)) - a
+    lap = build_adjacency(graph)
+    degrees = lap.sum(axis=1)
+    np.subtract(0.0, lap, out=lap)  # 0 - a, not -a: no negative zeros
+    np.fill_diagonal(lap, degrees)
     return ShiftOperator(LAPLACIAN, lap)
 
 
@@ -138,22 +187,25 @@ def build_shift_operator(graph, kind=LAPLACIAN):
 
 
 def _is_connected(n, edges):
+    """Whether the edges join all n vertices, by label propagation.
+
+    Each vertex's label falls to the smallest label across its edges, then
+    to its label's label, until nothing changes: the graph is connected
+    when every label is 0.
+    """
     if n == 1:
         return True
-    neighbors = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in neighbors[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return bool(seen.all())
+    i, j, _ = _edge_arrays(edges)
+    ends = np.concatenate([i, j])
+    others = np.concatenate([j, i])
+    labels = np.arange(n)
+    while True:
+        lowered = labels.copy()
+        np.minimum.at(lowered, ends, labels[others])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return not labels.any()
+        labels = lowered
 
 
 def _nearest(dist, k):
@@ -164,7 +216,8 @@ def _nearest(dist, k):
     the stable sort of the whole row does.
     """
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(dist <= kth[:, None])
+    # row-major, as np.nonzero gives them; nonzero of a flat mask is the fast one
+    rows, cols = np.divmod(np.flatnonzero(dist <= kth[:, None]), dist.shape[1])
     ranked = np.lexsort((cols, dist[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(dist.shape[0]))
     return cols[ranked[starts[:, None] + np.arange(k)]]
@@ -172,25 +225,34 @@ def _nearest(dist, k):
 
 def _knn_graph(n, k_neighbors, rng):
     coords = rng.random((n, 2))
-    # sqrt(dx^2 + dy^2) in place, the same values as summing an (N, N, 2) difference
-    dist = np.subtract.outer(coords[:, 0], coords[:, 0])
-    dist *= dist
-    dy = np.subtract.outer(coords[:, 1], coords[:, 1])
-    dy *= dy
-    dist += dy
-    del dy
-    np.sqrt(dist, out=dist)
-    np.fill_diagonal(dist, np.inf)
-    order = _nearest(dist, k_neighbors)
-    knn_dist = np.take_along_axis(dist, order, axis=1)
+    x, y = coords[:, 0], coords[:, 1]
+    order = np.empty((n, k_neighbors), dtype=np.int64)
+    knn_dist = np.empty((n, k_neighbors))
+    chunk = max(1, _KNN_BYTES // (8 * n))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        # sqrt(dx^2 + dy^2) in place, the same values as summing an (N, N, 2) difference
+        dist = np.subtract.outer(x[start:stop], x)
+        dist *= dist
+        dy = np.subtract.outer(y[start:stop], y)
+        dy *= dy
+        dist += dy
+        np.sqrt(dist, out=dist)
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        order[start:stop] = _nearest(dist, k_neighbors)
+        knn_dist[start:stop] = np.take_along_axis(dist, order[start:stop], axis=1)
     sigma = float(knn_dist.mean())
-    # each undirected pair once, as the key min * n + max, in (i, j) order
+    # each undirected pair once, as the key min * n + max, in (i, j) order; the
+    # distance of (i, j) equals that of (j, i) bit for bit, as (-d)^2 == d^2
     a = np.repeat(np.arange(n), k_neighbors)
     b = order.ravel()
-    rows, cols = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    keys, first = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)
+    rows, cols = np.divmod(keys, n)
+    # one scalar expression per edge: an np.float64's ** 2 calls pow(), an
+    # array's ** 2 is x * x, and the two differ by an ulp on some edges
     edges = tuple(
-        (i, j, float(np.exp(-dist[i, j] ** 2 / (2.0 * sigma**2))))
-        for i, j in zip(rows.tolist(), cols.tolist())
+        (i, j, float(np.exp(-d ** 2 / (2.0 * sigma**2))))
+        for i, j, d in zip(rows.tolist(), cols.tolist(), knn_dist.ravel()[first])
     )
     return coords, edges
 

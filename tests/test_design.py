@@ -16,6 +16,7 @@ from graphpsd import (
     SamplingPattern,
     brute_force_design,
     build_laplacian,
+    build_shift_operator,
     check_submodularity,
     cholesky_rank1_update,
     eigendecompose,
@@ -27,7 +28,7 @@ from graphpsd import (
 )
 from graphpsd import design as design_mod
 from graphpsd.design import FRAME_POTENTIAL, LOGDET_EPS, default_epsilon
-from graphpsd.graphs import LAPLACIAN, ShiftOperator
+from graphpsd.graphs import ADJACENCY, LAPLACIAN, ShiftOperator
 from graphpsd.spectral import SpectralBasis
 
 from conftest import random_weighted_graph
@@ -413,14 +414,23 @@ class TestGeneratedRows:
         return DesignObjective.spectral(basis), DesignObjective(kind=LOGDET_EPS, pair_rows=tensor)
 
     @staticmethod
-    def vertex_pair(n=12, q=5, seed=51):
-        shift = build_laplacian(random_weighted_graph(n, 0.4, seed))
+    def vertex_pair(n=12, q=5, seed=51, kind=LAPLACIAN, eigenvalues=False):
+        """The vertex objective of a shift and the one over its explicit powers.
+
+        With ``eigenvalues`` the objective is given the shift's eigenvalues,
+        as a vertex-domain setting gives them; without, it computes them.
+        """
+        shift = build_shift_operator(random_weighted_graph(n, 0.4, seed), kind)
         tensor = np.empty((n, n, q))
         power = np.eye(n)
         for i in range(q):
             tensor[:, :, i] = power
             power = shift.matrix @ power
-        return DesignObjective.vertex(shift, q), DesignObjective(kind=LOGDET_EPS, pair_rows=tensor)
+        lam = eigendecompose(shift, eigenvectors=False).eigenvalues if eigenvalues else None
+        return (
+            DesignObjective.vertex(shift, q, eigenvalues=lam),
+            DesignObjective(kind=LOGDET_EPS, pair_rows=tensor),
+        )
 
     @staticmethod
     def row_methods(obj, selected=(6, 1, 3), candidates=(0, 2, 7, 8)):
@@ -445,13 +455,32 @@ class TestGeneratedRows:
         assert np.array_equal(generated.pair_rows, explicit.pair_rows)
 
     def test_vertex_rows_match_tensor(self):
-        generated, explicit = self.vertex_pair()
-        scale = np.abs(explicit.pair_rows).max(axis=(0, 1))
-        for (name, got), (_, want) in zip(self.row_methods(generated), self.row_methods(explicit)):
-            assert got.shape == want.shape, name
-            assert np.all(np.abs(got - want) <= 1e-12 * scale), name
-        np.testing.assert_allclose(generated.epsilon, explicit.epsilon, rtol=1e-12)
-        assert np.all(np.abs(generated.pair_rows - explicit.pair_rows) <= 1e-12 * scale)
+        """Odd and even Q (an even Q ends the half sweep on an odd power),
+        a Laplacian and an adjacency shift (whose negative eigenvalues enter
+        epsilon), with and without the shift's eigenvalues given."""
+        cases = [
+            (LAPLACIAN, 5, False),
+            (LAPLACIAN, 5, True),
+            (LAPLACIAN, 6, True),
+            (ADJACENCY, 5, True),
+            (ADJACENCY, 6, False),
+            (ADJACENCY, 1, True),
+        ]
+        for kind, q, eigenvalues in cases:
+            case = f"{kind}, Q={q}, eigenvalues given: {eigenvalues}"
+            generated, explicit = self.vertex_pair(q=q, kind=kind, eigenvalues=eigenvalues)
+            scale = np.abs(explicit.pair_rows).max(axis=(0, 1))
+            pairs = zip(self.row_methods(generated), self.row_methods(explicit))
+            for (name, got), (_, want) in pairs:
+                assert got.shape == want.shape, (case, name)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (case, name)
+            np.testing.assert_allclose(generated.epsilon, explicit.epsilon, rtol=1e-12, err_msg=case)
+            assert np.all(np.abs(generated.pair_rows - explicit.pair_rows) <= 1e-12 * scale), case
+
+    def test_vertex_eigenvalues_checked(self):
+        shift = build_laplacian(random_weighted_graph(6, 0.5, 52))
+        with pytest.raises(InvariantViolation, match="need 6 eigenvalues"):
+            DesignObjective.vertex(shift, 3, eigenvalues=np.zeros(5))
 
     @pytest.mark.parametrize(
         "make",

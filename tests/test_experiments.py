@@ -401,9 +401,12 @@ class TestDesignMemory:
     def test_greedy_never_builds_the_pair_tensor(self, domain, q, m):
         """Greedy design at N=300 peaks below a tenth of the N x N x M tensor
         of pair rows (216 MB spectral, 9.4 MB vertex at Q=13).  The setting's
-        own N x N arrays (graph, shift, basis) are built before measuring."""
+        own arrays (graph, shift and its CSR view, basis) are built before
+        measuring, so the first CSR view's import of scipy.sparse is not
+        counted either."""
         n = 300
         setting = prepare(ExperimentConfig(graph=GraphSpec(n=n), domain=domain, q=q, k=8))
+        setting.shift.sparse  # built on first use
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

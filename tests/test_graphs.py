@@ -1,5 +1,7 @@
 """Graph construction, shift operators, sensor-graph generation, file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,35 @@ class TestGraphInvariants:
         """Edges are stored as (min, max, weight), sorted."""
         g = Graph(n_vertices=3, edges=((2, 1, 0.5), (1, 0, 0.25)))
         assert g.edges == ((0, 1, 0.25), (1, 2, 0.5))
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            # duplicate before a self-loop: the duplicate is reported
+            (4, ((0, 1, 1.0), (2, 3, 1.0), (1, 0, 2.0), (2, 2, 1.0)), "duplicate edge (0,1)"),
+            # self-loop before a duplicate
+            (4, ((0, 1, 1.0), (3, 3, 1.0), (1, 0, 1.0)), "self-loop at vertex 3"),
+            # out-of-range before a bad weight, named as given
+            (4, ((0, 1, 1.0), (9, 0, 1.0), (1, 2, -1.0)), "edge (9,0) out of range for n=4"),
+            # bad weight before an out-of-range edge, named in canonical order
+            (4, ((2, 1, np.nan), (0, 9, 1.0)), "edge (1,2) has invalid weight nan"),
+            # an edge that repeats a pair and has a bad weight is a duplicate
+            (4, ((2, 1, 1.0), (1, 2, -1.0)), "duplicate edge (1,2)"),
+            # indices are truncated as int() does: (0, 1.7) repeats (1, 0)
+            (4, ((1, 0, 1.0), (0, 1.7, 1.0), (3, 3, 1.0)), "duplicate edge (0,1)"),
+            # a self-loop out of range is a self-loop
+            (4, ((0, 1, 1.0), (7, 7, 1.0)), "self-loop at vertex 7"),
+        ],
+    )
+    def test_first_faulty_edge_raises(self, n, edges, message):
+        """With several faulty edges, the first one raises the error of the
+        first check it fails: self-loop, range, duplicate, weight."""
+        with pytest.raises(InvariantViolation, match="^" + re.escape(message) + "$"):
+            Graph(n_vertices=n, edges=edges)
+
+    def test_edges_must_be_triples(self):
+        with pytest.raises(InvariantViolation, match="triples"):
+            Graph(n_vertices=3, edges=((0, 1, 1.0, 5.0),))
 
     def test_coordinates_shape_checked(self):
         with pytest.raises(InvariantViolation, match="coordinates"):
@@ -137,17 +168,24 @@ class TestRandomSensorGraph:
         c = random_sensor_graph(40, 4, seed=12)
         assert a.edges != c.edges
 
-    @pytest.mark.parametrize("k", [1, 3, 4, 7, 35])
-    def test_neighbors_match_full_stable_sort_under_ties(self, k):
+    @pytest.mark.parametrize(
+        "k, chunk_rows",
+        [pytest.param(k, None, id=str(k)) for k in (1, 3, 4, 7, 35)]
+        + [pytest.param(k, 7, id=f"{k}-rows7") for k in (1, 4, 35)],
+    )
+    def test_neighbors_match_full_stable_sort_under_ties(self, monkeypatch, k, chunk_rows):
         """Lattice coordinates (exact binary fractions) tie many distances in
         every row; the neighbors and weights equal those of a stable sort of
-        each whole row, which keeps the lowest index first."""
+        each whole row, which keeps the lowest index first.  With a row budget
+        of 7 rows the 36 rows come in ragged chunks (5 of 7, one of 1)."""
         from graphpsd import graphs
 
         side = 6
         lattice = np.array([(x, y) for y in range(side) for x in range(side)], float) / 8.0
         lattice = lattice[np.random.default_rng(0).permutation(side * side)]
         n = len(lattice)
+        if chunk_rows is not None:
+            monkeypatch.setattr(graphs, "_KNN_BYTES", chunk_rows * 8 * n)
 
         class LatticeRng:
             def random(self, shape):
@@ -172,6 +210,21 @@ class TestRandomSensorGraph:
             random_sensor_graph(1, 1, seed=0)
         with pytest.raises(InvariantViolation):
             random_sensor_graph(5, 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, edges, connected",
+        [
+            (1, (), True),
+            (2, (), False),
+            (5, ((3, 4, 1.0), (2, 3, 1.0), (1, 2, 1.0), (0, 1, 1.0)), True),
+            (5, ((0, 4, 1.0), (1, 2, 1.0), (2, 3, 1.0)), False),
+            (4, ((0, 1, 1.0), (2, 3, 1.0)), False),
+        ],
+    )
+    def test_is_connected(self, n, edges, connected):
+        from graphpsd import graphs
+
+        assert graphs._is_connected(n, edges) is connected
 
     def test_exhausted_attempts_raise(self, monkeypatch):
         """If every draw comes out disconnected the generator gives up."""
