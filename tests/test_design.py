@@ -474,7 +474,9 @@ class TestGeneratedRows:
             for (name, got), (_, want) in pairs:
                 assert got.shape == want.shape, (case, name)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (case, name)
-            np.testing.assert_allclose(generated.epsilon, explicit.epsilon, rtol=1e-12, err_msg=case)
+            np.testing.assert_allclose(
+                generated.epsilon, explicit.epsilon, rtol=1e-12, err_msg=case
+            )
             assert np.all(np.abs(generated.pair_rows - explicit.pair_rows) <= 1e-12 * scale), case
 
     def test_vertex_eigenvalues_checked(self):
