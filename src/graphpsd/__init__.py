@@ -80,6 +80,7 @@ from .spectral import (
     CovarianceEstimate,
     GraphFilter,
     SpectralBasis,
+    basis_filter_rows,
     eigendecompose,
     filter_matrix,
     filter_rows,

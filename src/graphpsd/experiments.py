@@ -9,7 +9,6 @@ deterministic CSV/JSON results plus gnuplot-ready plot data.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -218,13 +217,13 @@ class ExperimentConfig:
         try:
             graph = GraphSpec(**data.get("graph", {}))
             filt = data.get("filter", {})
-            coefficients = filt.get("coefficients")
-            filt = FilterSpec(
-                profile=filt.get("profile", "lowpass_exp" if "coefficients" not in filt else None),
-                rate=filt.get("rate", 3.0),
-                length=filt.get("length", 7),
-                coefficients=None if coefficients is None else tuple(coefficients),
-            )
+            if not isinstance(filt, dict):
+                raise ConfigError(f"filter must be an object, got {filt!r}")
+            profile = None if "coefficients" in filt else "lowpass_exp"
+            # an unknown filter key is a TypeError, as an unknown graph key is
+            filt = FilterSpec(**{"profile": profile, **filt})
+            if filt.coefficients is not None:
+                filt = dataclasses.replace(filt, coefficients=tuple(filt.coefficients))
             names = {f.name for f in dataclasses.fields(cls)}
             unknown = set(data) - names
             if unknown:
@@ -371,46 +370,32 @@ class Setting:
     def covariances(self, seed, patterns):
         """K x K covariance at each pattern's vertices, in order.
 
-        The population covariance's principal submatrices, or the sample
-        covariances of one snapshot draw seeded with ``seed``, each
-        synthesized only at its pattern's vertices.  The spectral domain
-        filters through the Fourier basis; the vertex domain through the
-        filter's K rows ``H_X`` (:func:`spectral.filter_rows`), as
-        ``H_X n`` for the same draw ``n`` or ``H_X H_X^T`` for the
-        population, so neither the N x N filter nor the N x N covariance is
-        built.  A pattern of another vertex count is a ConfigError.
+        Each comes from the filter's K rows ``H_X`` at its pattern's
+        vertices: :func:`spectral.basis_filter_rows` in the spectral domain,
+        :func:`spectral.filter_rows` (sparse products with the shift) in the
+        vertex domain.  A population run takes ``H_X H_X^T``, a sampled run
+        the sample covariance of ``H_X n`` for one noise draw ``n`` seeded
+        with ``seed``, so neither the N x N filter nor an N x N covariance
+        is built.  A pattern of another vertex count is a ConfigError.
         """
         for pattern in patterns:
             self._check_pattern(pattern)
-        population = self.config.use_population_covariance
-        n_snapshots = self.config.n_snapshots
-        if self.spectral:
-            if population:
-                cov = self._population_covariance
-                return [sampling_mod.subsampled_covariance(cov, pattern) for pattern in patterns]
-            noise = spectral_mod.white_noise(self.graph.n_vertices, n_snapshots, seed=seed)
-            return [
-                spectral_mod.sample_covariance(
-                    spectral_mod.synthesize(
-                        self.filter, self.basis, n_snapshots, vertices=pattern.selected, noise=noise
-                    )
-                )
-                for pattern in patterns
-            ]
-        rows = [spectral_mod.filter_rows(self.filter, self.shift, p.selected) for p in patterns]
-        if population:
+        # one K x N block of rows alive at a time
+        rows = (self._filter_rows(pattern.selected) for pattern in patterns)
+        if self.config.use_population_covariance:
             return [spectral_mod.population_covariance(r) for r in rows]
-        noise = spectral_mod.white_noise(self.graph.n_vertices, n_snapshots, seed=seed)
+        noise = spectral_mod.white_noise(self.graph.n_vertices, self.config.n_snapshots, seed=seed)
         return [spectral_mod.sample_covariance(r @ noise) for r in rows]
+
+    def _filter_rows(self, vertices):
+        if self.spectral:
+            return spectral_mod.basis_filter_rows(self.filter, self.basis, vertices)
+        return spectral_mod.filter_rows(self.filter, self.shift, vertices)
 
     def covariance(self, seed, pattern):
         """K x K covariance at ``pattern``'s vertices (see :meth:`covariances`)."""
         (cov,) = self.covariances(seed, [pattern])
         return cov
-
-    @functools.cached_property
-    def _population_covariance(self):
-        return spectral_mod.true_covariance(self.filter, self.basis)
 
     def model(self, pattern):
         """Model matrix of ``pattern``; a pattern of another vertex count is a ConfigError."""

@@ -21,6 +21,7 @@ import numpy as np
 import scipy
 
 from .errors import FailedToConnect, InvariantViolation, ParseError
+from .spectral import is_symmetric
 
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
@@ -105,9 +106,10 @@ class ShiftOperator:
 
     ``kind`` is either :data:`LAPLACIAN` or :data:`ADJACENCY`.  The matrix
     is built symmetrically by construction, never symmetrized after the
-    fact.  :attr:`sparse` is the same matrix in CSR form, built once on
-    first use and shared by every sparse product with the shift;
-    scipy.sparse is imported on first use.
+    fact; one that is not symmetric (to 1e-12 of its largest entry) is an
+    :class:`InvariantViolation`.  :attr:`sparse` is the same matrix in CSR
+    form, built once on first use and shared by every sparse product with
+    the shift; scipy.sparse is imported on first use.
     """
 
     kind: str
@@ -119,6 +121,8 @@ class ShiftOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolation("shift operator must be square")
+        if not is_symmetric(m):  # eigh would read one triangle only
+            raise InvariantViolation("shift operator is not symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

@@ -21,8 +21,8 @@ contend with numpy's, so the package uses scipy only for ``scipy.sparse``,
 in the vertex domain's products with the shift; it is imported on first
 use, so the spectral domain runs on numpy alone.
 
-Vectorization is column-major everywhere; all Kronecker/Khatri-Rao identities
-in this module assume that single convention.
+The covariance reaches the solver as its K x K matrix; row ``i + j K`` of a
+model's ``matrix`` is the vertex pair (i, j).
 """
 
 from __future__ import annotations
@@ -137,14 +137,6 @@ class CovarianceModelMatrix:
             self.domain, pattern=self.pattern, order=self.order, matrix=self.matrix[:, support]
         )
 
-    def vectorize(self, cov_matrix):
-        """Flatten a K x K covariance in this model's row order."""
-        k = self.pattern.k
-        m = np.asarray(cov_matrix, dtype=float)
-        if m.shape != (k, k):
-            raise InvariantViolation(f"expected a {k} x {k} covariance, got {m.shape}")
-        return m.reshape(-1, order="F")
-
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
@@ -163,12 +155,6 @@ class SpectrumEstimate:
     rank: int
     rank_tolerance: float
     alpha_hat: np.ndarray | None = None
-
-
-def _upper_triangle_rows(k):
-    # positions of upper-triangle entries in the column-major vectorization
-    a, b = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    return np.flatnonzero((a <= b).reshape(-1, order="F"))
 
 
 def subsample(x, pattern):
@@ -228,35 +214,24 @@ def build_vertex_model(shift, pattern, q_order):
     return CovarianceModelMatrix(VERTEX, pattern=pattern, matrix=cols, order=q_order)
 
 
-def _solved_rows(model):
-    """Rows of ``model`` that the solver factors, their transposed rows and weights.
+def _equilibrated_r(model, cov):
+    """R factor of the model's weighted, column-equilibrated pair rows.
 
-    A K^2-row model holds each off-diagonal pair twice, as (i, j) and
-    (j, i).  Its K(K+1)/2 upper-triangle rows, the off-diagonal ones and
-    their right-hand sides (the mean over both orders) weighted by sqrt(2),
-    give the same normal equations, column norms, singular values and
-    residual norm.
-    """
-    k = model.pattern.k
-    upper = _upper_triangle_rows(k)
-    weights = np.where(upper % (k + 1) == 0, 1.0, np.sqrt(2.0))
-    return upper, (upper % k) * k + upper // k, weights
-
-
-def _equilibrated_r(model, rhs):
-    """R factor of the model's weighted, column-equilibrated solve rows.
-
-    The solve rows (:func:`_solved_rows`), with their weighted right-hand
-    side appended as one more column, are gathered into one array and
+    The model holds each off-diagonal pair twice, as (i, j) and (j, i).  Its
+    K(K+1)/2 rows with i <= j (by j, then i, as ``np.tril_indices`` gives
+    them), the off-diagonal ones and their right-hand sides ``(C_ij + C_ji)
+    / 2`` from the K x K covariance ``cov`` weighted by sqrt(2), give the
+    same normal equations, column norms, singular values and residual norm.
+    Those rows, with the right-hand side appended as one more column, are
     factored by a single ``np.linalg.qr(..., mode="r")``, so Q is never
-    formed.  ``R`` is the first ``cols`` columns of that factor and
-    ``Q^T b`` its last column.  The gathered model entries, and then the
-    right-hand sides, are checked for non-finite values before the QR.
+    formed: ``R`` is the first ``cols`` columns of the factor and ``Q^T b``
+    its last.  The model entries, then the right-hand sides, are checked
+    for non-finite values before the QR.
 
     Columns are scaled to unit norm so the rank reflects genuine dependence
     rather than column scaling (vertex models span many orders of
     magnitude).  The scales are the column norms of ``R``, which equal
-    those of the solve rows: Householder QR is columnwise backward stable
+    those of the pair rows: Householder QR is columnwise backward stable
     (Higham 2002, Thm 19.4), so ``R`` is the exact factor of the rows
     perturbed column by column by a few ulps of each column's norm, and
     scaling ``R`` is as good as scaling the rows before the QR.  A zero
@@ -271,24 +246,26 @@ def _equilibrated_r(model, rhs):
     norm)``; both count the model's K^2 rows.
 
     Returns ``(r, qtb, scale, tol)``: ``qtb`` is ``Q^T`` times the weighted
-    ``rhs``, and the solution is divided by ``scale``.
+    right-hand side, and the solution is divided by ``scale``.
     """
-    rows, transposed, weights = _solved_rows(model)
+    k = model.pattern.k
+    j, i = np.tril_indices(k)
+    weights = np.where(i == j, 1.0, np.sqrt(2.0))
     cols = model.n_unknowns
-    augmented = np.empty((rows.size, cols + 1))
-    np.multiply(model.matrix[rows], weights[:, None], out=augmented[:, :cols])
+    augmented = np.empty((i.size, cols + 1))
+    np.multiply(model.matrix[i + j * k], weights[:, None], out=augmented[:, :cols])
     if not np.all(np.isfinite(augmented[:, :cols])):
         raise NonFinite("model matrix is not finite")
-    augmented[:, cols] = (rhs[rows] + rhs[transposed]) / 2.0 * weights
+    augmented[:, cols] = (cov[i, j] + cov[j, i]) / 2.0 * weights
     if not np.all(np.isfinite(augmented[:, cols])):
         raise NonFinite("covariance is not finite")
     factor = np.linalg.qr(augmented, mode="r")
-    k = min(rows.size, cols)
-    r, qtb = factor[:k, :cols], factor[:k, cols]
+    top = min(i.size, cols)
+    r, qtb = factor[:top, :cols], factor[:top, cols]
     col_norms = np.linalg.norm(r, axis=0)
     if not np.all(np.isfinite(col_norms)):
         raise NonFinite("model matrix is not finite")
-    eps_rows = max(model.matrix.shape[0], cols) * np.finfo(float).eps
+    eps_rows = max(k * k, cols) * np.finfo(float).eps
     negligible = eps_rows * col_norms.max() if model.domain == SPECTRAL else 0.0
     scale = np.where(col_norms > negligible, col_norms, np.inf)
     r = r / scale
@@ -394,22 +371,24 @@ def _gram_factor(model):
     return inverse, scale, tol
 
 
-def _gram_solve(model, rhs, inverse, scale):
+def _gram_solve(model, cov, inverse, scale):
     """Least squares from :func:`_gram_factor`'s ``L^-T`` and column scales.
 
     The right-hand side of the normal equations is
-    ``A^T vec(C) = diag(U_X^T C U_X)``.  The first solve, ``(L L^T)^-1``
-    applied as ``L^-T (L^-1 v)``, loses accuracy with the squared
-    condition number; one correction step (Bjorck 1987, "Stability analysis
-    of the method of seminormal equations for linear least squares
-    problems") solves again for the residual of that solution, the K x K
+    ``A^T vec(C) = diag(U_X^T C U_X)``, read from the K x K covariance
+    ``cov`` in column-major layout (``np.asfortranarray``): the products
+    with ``U_X`` round by layout, and this one keeps the recorded reference
+    outputs byte for byte.  The first solve, ``(L L^T)^-1`` applied as
+    ``L^-T (L^-1 v)``, loses accuracy with the squared condition number;
+    one correction step (Bjorck 1987, "Stability analysis of the method of
+    seminormal equations for linear least squares problems") solves again
+    for the residual of that solution, the K x K
     matrix ``C - U_X diag(x) U_X^T``.  Returns ``(solution, residual)``,
     where ``residual`` is the Frobenius norm of that matrix at the returned
     solution, which is ``||A x - vec(C)||`` over all K^2 rows.
     """
     u_x = model.basis_rows
-    k = model.pattern.k
-    cov = rhs.reshape(k, k, order="F")
+    cov = np.asfortranarray(cov)
     if not np.all(np.isfinite(cov)):
         raise NonFinite("covariance is not finite")
 
@@ -435,34 +414,39 @@ def model_rank(model):
     """
     if _gram_factor(model) is not None:
         return model.n_unknowns, True
-    r, _, _, tol = _equilibrated_r(model, np.zeros(model.matrix.shape[0]))
+    k = model.pattern.k
+    r, _, _, tol = _equilibrated_r(model, np.zeros((k, k)))
     rank = int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
     return rank, rank == model.n_unknowns
 
 
-def _solve_least_squares(model, rhs):
-    """Minimum-norm least squares: ``(solution, rank, tol, residual)``.
+def _solve_least_squares(model, cov):
+    """Minimum-norm least squares for the K x K covariance ``cov``.
 
-    A spectral model whose Gram factor certifies full rank
-    (:func:`_gram_factor`) is solved from ``U_X`` by :func:`_gram_solve`,
-    and its K^2 x N matrix is never formed.  Every other system is solved
+    Returns ``(solution, rank, tol, residual)``; a ``cov`` of another shape
+    is an :class:`InvariantViolation`.  A spectral model whose Gram factor
+    certifies full rank (:func:`_gram_factor`) is solved from ``U_X`` by
+    :func:`_gram_solve`, and its K^2 x N matrix is never formed.  Every other system is solved
     on the equilibrated R factor of its pair rows (one QR,
     :func:`_equilibrated_r`): the SVD of ``R`` gives the rank (singular
     values above the tolerance) and the minimum-norm solution.
-    ``residual`` is ``||model.matrix @ solution - rhs||`` over all of the
-    model's rows.
+    ``residual`` is the norm of ``model.matrix @ solution`` minus the
+    column-major ``cov``, over all of the model's K^2 rows.
     """
+    k = model.pattern.k
+    if cov.shape != (k, k):
+        raise InvariantViolation(f"expected a {k} x {k} covariance, got {cov.shape}")
     factor = _gram_factor(model)
     if factor is not None:
         inverse, scale, tol = factor
-        solution, residual = _gram_solve(model, rhs, inverse, scale)
+        solution, residual = _gram_solve(model, cov, inverse, scale)
         return solution, model.n_unknowns, tol, residual
-    r, qtb, scale, tol = _equilibrated_r(model, rhs)
+    r, qtb, scale, tol = _equilibrated_r(model, cov)
     u, s, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(s > tol))
     projected = u[:, :rank].T @ qtb
     solution = (vt[:rank].T @ (projected / s[:rank])) / scale
-    residual = float(np.linalg.norm(model.matrix @ solution - rhs))
+    residual = float(np.linalg.norm(model.matrix @ solution - cov.ravel(order="F")))
     return solution, rank, tol, residual
 
 
@@ -475,8 +459,7 @@ def estimate_spectrum_spectral(cov_sub, model):
     """
     if model.domain != SPECTRAL:
         raise InvariantViolation("model is not spectral-domain")
-    rhs = model.vectorize(cov_sub.matrix)
-    p_hat, rank, tol, residual = _solve_least_squares(model, rhs)
+    p_hat, rank, tol, residual = _solve_least_squares(model, cov_sub.matrix)
     return SpectrumEstimate(
         p_hat=p_hat,
         domain=SPECTRAL,
@@ -501,8 +484,7 @@ def estimate_spectrum_spectral_reduced(cov_sub, model, support):
         raise InvalidSupport("empty spectral support")
     if support[0] < 0 or support[-1] >= n:
         raise InvalidSupport(f"support index out of range for N={n}")
-    rhs = model.vectorize(cov_sub.matrix)
-    coef, rank, tol, residual = _solve_least_squares(model.columns(support), rhs)
+    coef, rank, tol, residual = _solve_least_squares(model.columns(support), cov_sub.matrix)
     p_hat = np.zeros(n)
     p_hat[support] = coef
     return SpectrumEstimate(
@@ -524,8 +506,7 @@ def estimate_spectrum_vertex(cov_sub, model, basis):
     """
     if model.domain != VERTEX:
         raise InvariantViolation("model is not vertex-domain")
-    rhs = model.vectorize(cov_sub.matrix)
-    alpha_hat, rank, tol, residual = _solve_least_squares(model, rhs)
+    alpha_hat, rank, tol, residual = _solve_least_squares(model, cov_sub.matrix)
     p_hat = vandermonde(basis.eigenvalues, model.order) @ alpha_hat
     return SpectrumEstimate(
         p_hat=p_hat,

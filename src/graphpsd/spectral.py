@@ -10,7 +10,8 @@ shift, and the spectrum follows from the eigenvalue Vandermonde matrix.  So
 a basis can hold eigenvalues alone (``eigendecompose(shift,
 eigenvectors=False)``), and the filter's rows at the observed vertices come
 from sparse products with the shift (:func:`filter_rows`), as the matrix
-polynomial ``sum_l h_l S^l`` it is.
+polynomial ``sum_l h_l S^l`` it is.  The spectral domain's rows come from
+the Fourier basis (:func:`basis_filter_rows`).
 """
 
 from __future__ import annotations
@@ -79,6 +80,19 @@ class GraphFilter:
         return self.coefficients.shape[0]
 
 
+def is_symmetric(m):
+    """Whether the square array ``m`` is symmetric to 1e-12 of its largest entry.
+
+    Exact symmetry, the cheap test, comes first.  Non-finite entries never
+    fail the test; they are left to the checks of what reads the matrix.
+    """
+    if np.array_equal(m, m.T):
+        return True
+    scale = np.abs(m).max() if m.size else 0.0
+    with np.errstate(invalid="ignore"):
+        return not (scale and np.abs(m - m.T).max() > 1e-12 * scale)
+
+
 @dataclass(frozen=True)
 class CovarianceEstimate:
     """Symmetric covariance matrix tagged with the snapshot count behind it.
@@ -93,8 +107,7 @@ class CovarianceEstimate:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolation("covariance must be square")
-        scale = np.abs(m).max() if m.size else 0.0
-        if scale and np.abs(m - m.T).max() > 1e-12 * scale:
+        if not is_symmetric(m):
             raise InvariantViolation("covariance is not symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -154,8 +167,24 @@ def filter_matrix(filt, basis):
 
     Equals the matrix polynomial ``sum_l h_l S^l`` evaluated directly.
     """
+    return basis_filter_rows(filt, basis)
+
+
+def basis_filter_rows(filt, basis, vertices=None):
+    """Rows ``H[X, :] = (U_X diag(V_L h)) U^T`` of the filter at the ``vertices`` X.
+
+    The spectral domain's counterpart of :func:`filter_rows`: a K x N array
+    whose rows follow the order of ``vertices``.  Only those K rows are
+    formed; with no ``vertices`` they are all N, the filter matrix.
+    """
     u = basis.eigenvectors
-    return (u * frequency_response(filt, basis)) @ u.T
+    rows = u
+    if vertices is not None:
+        idx = np.asarray(vertices, dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= basis.n):
+            raise InvariantViolation(f"vertices must lie in [0, {basis.n})")
+        rows = u[idx]
+    return (rows * frequency_response(filt, basis)) @ u.T
 
 
 def true_power_spectrum(filt, basis):
@@ -215,29 +244,22 @@ def synthesize(filt, basis, n_snapshots, seed=0, vertices=None, noise=None):
 
     Returns a ``K x n_snapshots`` array whose columns are independent
     samples ``H n`` with ``n`` i.i.d. standard normal, observed at the K
-    ``vertices`` (in their order; all N vertices by default).  Only those
-    rows are computed, as ``((U_X diag(V_L h)) U^T) n``, so the N x N
-    filter matrix is never formed.  ``noise`` is the ``N x n_snapshots``
-    draw to filter, ``white_noise(N, n_snapshots, seed)`` by default;
-    passing one draw to several calls observes the same realizations at
-    different vertex sets.  The rows of a call with ``vertices`` agree
-    with the same rows of an all-vertex call to rounding, not bitwise,
-    because the products run at another shape.
+    ``vertices`` (in their order; all N vertices by default), as
+    :func:`basis_filter_rows` times the noise.  ``noise`` is the ``N x
+    n_snapshots`` draw to filter, ``white_noise(N, n_snapshots, seed)`` by
+    default; passing one draw to several calls observes the same
+    realizations at different vertex sets.  The rows of a call with
+    ``vertices`` agree with the same rows of an all-vertex call to
+    rounding, not bitwise, because the products run at another shape.
     """
-    u = basis.eigenvectors
-    rows = u
-    if vertices is not None:
-        idx = np.asarray(vertices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= basis.n):
-            raise InvariantViolation(f"vertices must lie in [0, {basis.n})")
-        rows = u[idx]
+    rows = basis_filter_rows(filt, basis, vertices)
     if noise is None:
         noise = white_noise(basis.n, n_snapshots, seed)
     elif noise.shape != (basis.n, n_snapshots):
         raise InvariantViolation(
             f"noise is {noise.shape[0]} x {noise.shape[1]}, expected {basis.n} x {n_snapshots}"
         )
-    return ((rows * frequency_response(filt, basis)) @ u.T) @ noise
+    return rows @ noise
 
 
 def sample_covariance(snapshots, subtract_mean=False):

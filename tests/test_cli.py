@@ -98,6 +98,8 @@ class TestRun:
             {"filter": {"coefficients": [1, "a"]}},
             {"filter": {"coefficients": []}},
             {"use_population_covariance": "no"},
+            {"filter": "x"},
+            {"filter": {"rte": 5}},
         ],
     )
     def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):

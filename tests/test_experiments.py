@@ -104,6 +104,8 @@ class TestConfig:
             ({"filter": {"coefficients": [1, "a"]}}, "filter.coefficients must be a non-empty"),
             ({"filter": {"coefficients": []}}, "filter.coefficients must be a non-empty"),
             ({"use_population_covariance": "no"}, "use_population_covariance must be true or false"),
+            ({"filter": "x"}, "filter must be an object"),
+            ({"filter": {"rte": 5}}, "unexpected keyword argument 'rte'"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -437,14 +439,20 @@ class TestObservedCovariance:
         with pytest.raises(ConfigError, match="for 100 vertices"):
             setting.covariance(0, SamplingPattern(100, (0, 5, 50)))
 
-    def test_covariance_stage_builds_nothing_beyond_the_noise(self):
-        """N=600, K=100, 1000 snapshots: the stage holds the 4.8 MB noise
-        draw, and its K x N and K x 1000 products.  The peak stays below the
-        noise plus one N x N array, so neither the N x N filter matrix nor
-        N x 1000 snapshots nor an N x N covariance is built."""
+    @pytest.mark.parametrize("population", [False, True], ids=["sampled", "population"])
+    def test_covariance_stage_builds_nothing_beyond_the_noise(self, population):
+        """N=600, K=100, 1000 snapshots: a sampled run holds the 4.8 MB
+        noise draw, and its K x N and K x 1000 products; a population run
+        holds only the K x N rows and their K x K product.  The peak stays
+        below the noise (if any) plus one N x N array, so neither the N x N
+        filter matrix nor N x 1000 snapshots nor an N x N covariance is
+        built."""
         n, k, n_snapshots = 600, 100, 1000
         setting = prepare(
-            ExperimentConfig(graph=GraphSpec(n=n), k=k, sampler="random", n_snapshots=n_snapshots)
+            ExperimentConfig(
+                graph=GraphSpec(n=n), k=k, sampler="random", n_snapshots=n_snapshots,
+                use_population_covariance=population,
+            )
         )
         pattern, _, _ = setting.design()
         tracemalloc.start()
@@ -455,8 +463,8 @@ class TestObservedCovariance:
         finally:
             tracemalloc.stop()
         assert cov.matrix.shape == (k, k)
-        assert cov.n_snapshots == n_snapshots
-        assert peak < 8 * (n * n_snapshots + n * n)
+        assert cov.n_snapshots == (0 if population else n_snapshots)
+        assert peak < 8 * ((0 if population else n * n_snapshots) + n * n)
 
 
 class TestVertexDomainWithoutEigenvectors:
@@ -558,10 +566,13 @@ class TestCompressionSweep:
         compression_sweep(small_cfg(seed=4), [12, 20, 30], 2)
         assert [kwargs["seed"] for kwargs in calls] == [4, 5]
 
-    def test_one_population_covariance_in_total(self, monkeypatch):
+    def test_no_covariance_of_all_vertices(self, monkeypatch):
+        """A population sweep forms each covariance from its pattern's filter
+        rows, never from the N x N covariance or filter matrix."""
         calls = count_calls(monkeypatch, spectral_mod, "true_covariance")
+        calls += count_calls(monkeypatch, spectral_mod, "filter_matrix")
         compression_sweep(small_cfg(use_population_covariance=True), [12, 30], 3)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_repeated_budget_estimated_once(self, monkeypatch, tmp_path):
         calls = count_calls(monkeypatch, sampling_mod, "estimate_spectrum_spectral")

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from graphpsd import (
+    ConvergenceFailure,
     Graph,
     InvariantViolation,
     ParseError,
+    ShiftOperator,
     build_adjacency,
     build_laplacian,
     build_shift_operator,
@@ -124,6 +126,33 @@ class TestAdjacencyAndLaplacian:
         np.testing.assert_array_equal(adj.matrix, build_adjacency(path3))
         with pytest.raises(InvariantViolation):
             build_shift_operator(path3, "normalized")
+
+    def test_asymmetric_shift_rejected(self):
+        """The eigensolvers read one triangle only: on this matrix they
+        report the eigenvalues [0.314, 0.5, 3.186] of its lower triangle,
+        where its own are about [0.237, 0.685, 3.078]."""
+        def with_corner(value):
+            return np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [value, -1.0, 1.0]])
+
+        with pytest.raises(InvariantViolation, match="not symmetric"):
+            ShiftOperator("laplacian", with_corner(0.5))
+        # the largest entry is 2, so 2e-12 is within the rule and 3e-12 is not
+        assert ShiftOperator("laplacian", with_corner(2e-12)).n == 3
+        with pytest.raises(InvariantViolation, match="not symmetric"):
+            ShiftOperator("laplacian", with_corner(3e-12))
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.full((2, 2), np.nan), np.full((2, 2), np.inf), [[np.inf, 1.0], [2.0, 0.0]]],
+        ids=["nan", "inf", "inf_diagonal"],
+    )
+    def test_non_finite_shift_reaches_the_eigensolver(self, m):
+        """Non-finite entries pass the symmetry check, so the eigensolver's
+        own check still reports them."""
+        shift = ShiftOperator("adjacency", np.array(m))
+        for eigenvectors in (True, False):
+            with pytest.raises(ConvergenceFailure, match="non-finite"):
+                eigendecompose(shift, eigenvectors=eigenvectors)
 
     def test_shift_sparsity_pattern(self, sensor100):
         """Off-diagonal entries appear only on edges."""

@@ -298,6 +298,22 @@ class TestSpectralEstimation:
         with pytest.raises(InvariantViolation):
             estimate_spectrum_spectral(cov, vmodel)
 
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize("estimator", ["spectral", "reduced", "vertex"])
+    def test_covariance_must_be_k_by_k(self, sensor100, sensor100_basis, estimator, size):
+        """A K=4 pattern's estimators refuse a covariance that is not 4 x 4."""
+        pattern = SamplingPattern(100, (0, 1, 2, 3))
+        cov = CovarianceEstimate(np.eye(size))
+        with pytest.raises(InvariantViolation, match="expected a 4 x 4 covariance"):
+            if estimator == "vertex":
+                model = build_vertex_model(build_laplacian(sensor100), pattern, 3)
+                estimate_spectrum_vertex(cov, model, sensor100_basis)
+            elif estimator == "reduced":
+                model = build_spectral_model(sensor100_basis, pattern)
+                estimate_spectrum_spectral_reduced(cov, model, range(5))
+            else:
+                estimate_spectrum_spectral(cov, build_spectral_model(sensor100_basis, pattern))
+
     def test_pattern_order_does_not_change_estimate(
         self, sensor100_basis, sensor100_filter
     ):
@@ -550,7 +566,7 @@ class TestSolverMatchesDenseSvd:
         rows, cols = pattern.k * (pattern.k + 1) // 2, model.n_unknowns
         qr_shapes = count_calls(monkeypatch, "qr")
         svd_shapes = count_calls(monkeypatch, "svd")
-        sampling._solve_least_squares(model, vec(cov_sub.matrix))
+        sampling._solve_least_squares(model, cov_sub.matrix)
         assert qr_shapes == [(rows, cols + 1)]
         assert svd_shapes == [(min(rows, cols), cols)]
         assert model_rank(model)[1]
@@ -593,7 +609,7 @@ class TestSolverMatchesDenseSvd:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         assert model_rank(model) == (rank, True)
         assert len(calls) == 1
-        _, solved_rank, _, _ = sampling._solve_least_squares(model, np.zeros(k * k))
+        _, solved_rank, _, _ = sampling._solve_least_squares(model, np.zeros((k, k)))
         assert solved_rank == rank
         assert len(calls) == 2
 
@@ -802,7 +818,7 @@ class TestNonFiniteSystems:
         cov[9, 9] = np.nan
         monkeypatch.setattr(np.linalg, "qr", factor_must_not_run)
         with pytest.raises(NonFinite, match="model"):
-            sampling._solve_least_squares(model, vec(cov))
+            sampling._solve_least_squares(model, cov)
 
     def test_nan_covariance_of_a_dense_model(self, sensor100_basis):
         """K=20 given as its dense matrix, so the pair rows take the QR
