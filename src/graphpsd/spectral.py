@@ -128,8 +128,12 @@ def eigendecompose(shift, eigenvectors=True):
     and the basis holds no eigenvectors; its eigenvalues agree with those of
     ``eigh`` to rounding, not bitwise.
 
-    Raises :class:`ConvergenceFailure` if the eigensolver fails.
+    Raises :class:`ConvergenceFailure` if the shift is not finite (LAPACK
+    reads one triangle of the matrix and can pass over a NaN or infinity) or
+    if the eigensolver fails.
     """
+    if not np.all(np.isfinite(shift.matrix)):
+        raise ConvergenceFailure("eigendecomposition of a shift with non-finite entries")
     try:
         if eigenvectors:
             lam, u = np.linalg.eigh(shift.matrix)

@@ -324,9 +324,9 @@ class TestGreedyDesign:
         counted = []
         original = design_mod._candidate_gains
 
-        def counting(objective, factor, chosen, value, candidates, gain_method):
+        def counting(objective, factor, chosen, value, candidates, gain_method, bounds=None):
             counted.append(len(candidates))
-            return original(objective, factor, chosen, value, candidates, gain_method)
+            return original(objective, factor, chosen, value, candidates, gain_method, bounds)
 
         monkeypatch.setattr(design_mod, "_candidate_gains", counting)
         obj = spectral_objective(9, seed=28)
@@ -401,6 +401,92 @@ class TestGreedyDesign:
             greedy_design(obj, 0)
         with pytest.raises(InvariantViolation):
             greedy_design(obj, 6)
+
+
+def weighted_tensor_objective(n=30, m=4, seed=33):
+    """Explicit symmetric pair rows whose vertices differ in scale, so gains spread."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, n, m))
+    rows = rows + rows.transpose(1, 0, 2)
+    weight = rng.uniform(0.2, 3.0, n)
+    rows *= weight[:, None, None] * weight[None, :, None]
+    return DesignObjective(kind=LOGDET_EPS, pair_rows=rows, epsilon=1.0)
+
+
+class TestGainBounds:
+    """The block path scores only the candidates whose gain bound can win a round."""
+
+    @staticmethod
+    def vertex_objective():
+        return DesignObjective.vertex(build_laplacian(random_weighted_graph(40, 0.3, seed=31)), 5)
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: spectral_objective(60, seed=30), 12),
+            (vertex_objective, 10),
+            (weighted_tensor_objective, 8),
+        ],
+        ids=["spectral-n60", "vertex-q5", "tensor"],
+    )
+    def test_bounds_hold_and_orders_match_full_scoring(self, monkeypatch, make, k):
+        """Every round scores all candidates as well: no exact gain exceeds the
+        bound carried for it by more than 1e-12 of the round's best gain, and
+        the bounded run's order and gains are those of full scoring, bit for bit."""
+        obj = make()
+        original = design_mod._candidate_gains
+        excess = []
+
+        def checking(objective, factor, chosen, value, candidates, gain_method, bounds=None):
+            gains, scored = original(objective, factor, chosen, value, candidates, gain_method, bounds)
+            exact, _ = original(objective, factor, chosen, value, candidates, gain_method)
+            scale = abs(exact.max())
+            excess.append(float(np.max(exact - bounds[candidates])) / scale)
+            best = int(np.argmax(exact))
+            assert int(np.argmax(gains)) == best
+            assert gains[best] == exact[best]
+            return gains, scored
+
+        monkeypatch.setattr(design_mod, "_candidate_gains", checking)
+        _, bounded = greedy_design(obj, k)
+        assert len(excess) == k
+        assert max(excess) <= 1e-12
+        assert sum(bounded.scored) < k * obj.n_vertices - k * (k - 1) // 2
+
+        def scoring_all(objective, factor, chosen, value, candidates, gain_method, bounds=None):
+            return original(objective, factor, chosen, value, candidates, gain_method)
+
+        monkeypatch.setattr(design_mod, "_candidate_gains", scoring_all)
+        _, full = greedy_design(obj, k)
+        assert bounded.chosen == full.chosen
+        assert bounded.gains == full.gains
+        assert bounded.final_value == full.final_value
+
+    def test_nonfinite_gain_in_a_later_round(self):
+        """An overflowing pair row (4, 2) enters the gains only once 2 is chosen."""
+        rows = np.array(weighted_tensor_objective(n=6, m=3).pair_rows)
+        rows[2, 2] *= 100.0
+        rows[4, 2] = rows[2, 4] = 1e200
+        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows, epsilon=1.0)
+        _, trace = greedy_design(obj, 1)
+        assert trace.chosen == (2,)
+        with pytest.raises(NonFinite):
+            greedy_design(obj, 2)
+
+    def test_scored_counts(self):
+        """Fewer exact gains than candidates considered; the oracles score them all."""
+        obj = self.vertex_objective()
+        n, k = obj.n_vertices, 8
+        considered = k * n - k * (k - 1) // 2
+        _, trace = greedy_design(obj, k)
+        assert len(trace.scored) == k
+        assert trace.scored[0] == n
+        assert sum(trace.scored) < considered
+        _, validated = greedy_design(obj, k, validate_gains=True)
+        assert sum(validated.scored) == considered
+        _, updated = greedy_design(obj, k, gain_method="updates")
+        assert sum(updated.scored) == considered
+        assert validated.chosen == updated.chosen == trace.chosen
 
 
 class TestGeneratedRows:
@@ -517,7 +603,7 @@ class TestBenchmarkOrders:
         _, trace = greedy_design(objective, 50)
         assert list(trace.chosen) == golden["reference"]["chosen"]
 
-    @pytest.mark.parametrize("which", [0, -1])
+    @pytest.mark.parametrize("which", [0, 18, 36, 54, 73, 91, 109, -1])
     def test_vertex_large_order(self, golden, which):
         graph_seed = golden["vertex_large"]["pool"][which]
         shift = build_laplacian(random_sensor_graph(800, 6, seed=graph_seed))

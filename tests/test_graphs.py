@@ -143,12 +143,20 @@ class TestAdjacencyAndLaplacian:
 
     @pytest.mark.parametrize(
         "m",
-        [np.full((2, 2), np.nan), np.full((2, 2), np.inf), [[np.inf, 1.0], [2.0, 0.0]]],
-        ids=["nan", "inf", "inf_diagonal"],
+        [
+            np.full((2, 2), np.nan),
+            np.full((2, 2), np.inf),
+            [[np.inf, 1.0], [2.0, 0.0]],
+            [[np.nan, 1.0], [1.0, 0.0]],
+            [[0.0, np.inf], [1.0, 0.0]],
+        ],
+        ids=["nan", "inf", "inf_diagonal", "nan_diagonal", "inf_pair"],
     )
     def test_non_finite_shift_reaches_the_eigensolver(self, m):
         """Non-finite entries pass the symmetry check, so the eigensolver's
-        own check still reports them."""
+        own check reports them, also where LAPACK would pass over them: a
+        NaN diagonal gave finite eigenvalues without eigenvectors, and the
+        upper-triangle infinity was never read."""
         shift = ShiftOperator("adjacency", np.array(m))
         for eigenvectors in (True, False):
             with pytest.raises(ConvergenceFailure, match="non-finite"):
