@@ -60,8 +60,13 @@ def _config_from_args(args, validate=True):
 def _cmd_gen_graph(args):
     if args.n < 2 or not (1 <= args.k_neighbors < args.n):
         raise ConfigError("need n >= 2 and 1 <= k-neighbors < n")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     graph = graphs_mod.random_sensor_graph(args.n, args.k_neighbors, args.seed)
-    graphs_mod.save_graph(graph, args.out)
+    try:
+        graphs_mod.save_graph(graph, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.out}: {graph.n_vertices} vertices, {graph.n_edges} edges")
     return 0
 
@@ -127,7 +132,12 @@ def _cmd_sweep(args):
 
 
 def _cmd_check(args):
-    report = exp.run_property_suites(seed=args.seed or 0, trials=args.trials)
+    # with no trial no diminishing-returns chain is sampled, and the verb would pass
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+    report = exp.run_property_suites(seed=args.seed, trials=args.trials)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         exp._write_json(f"{args.out}/check.json", report)

@@ -175,7 +175,7 @@ class _VertexRows(_RowSource):
 
     def __init__(self, shift, q_order, eigenvalues=None):
         self.n, self.m = shift.n, q_order
-        self.matrix = shift.matrix
+        self.operator = shift
         self.shift = shift.sparse
         if eigenvalues is not None:
             eigenvalues = np.asarray(eigenvalues, dtype=float)
@@ -238,9 +238,9 @@ class _VertexRows(_RowSource):
     def default_epsilon(self):
         lam = self.eigenvalues
         if lam is None:
-            if not np.all(np.isfinite(self.matrix)):
+            if not np.all(np.isfinite(self.operator.data)):
                 raise InvariantViolation("pair_rows must be finite")
-            lam = np.linalg.eigvalsh(self.matrix)
+            lam = np.linalg.eigvalsh(self.operator.matrix)
         with np.errstate(over="ignore", invalid="ignore"):
             squared_norm = float(np.sum(np.power.outer(lam * lam, np.arange(self.m))))
         if not np.isfinite(squared_norm):

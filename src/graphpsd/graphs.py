@@ -1,21 +1,25 @@
 """Undirected weighted graphs, shift operators, and sensor-graph generation.
 
-Graphs are small (desk scale), so the adjacency and Laplacian are plain
-NxN arrays; a shift operator also keeps one CSR view of itself for the
-sparse products of the vertex domain.  That view is the package's only use
-of ``scipy.sparse``, which is imported on first use (scipy loads its
+A shift operator keeps only its nonzeros, as the three arrays of a CSR
+matrix, built straight from the graph's edges.  Its dense N x N matrix is
+built afresh when read, which the eigensolver does once, and its CSR
+arrays are wrapped as a ``scipy.sparse`` matrix for the sparse products of
+the vertex domain.  That wrapper is the package's only use of
+``scipy.sparse``, which is imported on first use (scipy loads its
 submodules lazily), so a spectral-domain process never pays for it.
 
-Edge lists are checked, canonicalized and scattered into matrices as
-arrays.  The k-nearest-neighbor sensor graph is built in row chunks of
-about 1 MB of distances, so no N x N distance array is held; the kernel
-width and the edge weights come from the (N, k) neighbor distances.
+Edge lists are checked and canonicalized as arrays, and a graph keeps
+those arrays beside its edge tuple for every later reader.  The
+k-nearest-neighbor sensor graph is built in row chunks of about 1 MB of
+distances, so no N x N distance array is held; the kernel width and the
+edge weights come from the (N, k) neighbor distances.  The Laplacian's
+degrees are summed over dense adjacency rows in chunks of the same size.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -29,17 +33,22 @@ ADJACENCY = "adjacency"
 # Bytes of the distance rows a k-nearest-neighbor chunk holds at a time.
 _KNN_BYTES = 1 << 20
 
+# Bytes of the dense adjacency rows a chunk of the degree sums holds at a time.
+_DEGREE_BYTES = 1 << 20
+
 
 def _canonical_edges(n, edges):
-    """Edges as sorted ``(i, j, weight)`` triples with ``i < j``, checked on arrays.
+    """Edges as sorted ``i``, ``j`` and weight columns with ``i < j``, checked on arrays.
 
-    An edge is faulty if it is a self-loop, leaves ``range(n)``, repeats an
-    earlier pair or has a weight that is not strictly positive and finite;
-    indices are truncated to integers, as ``int`` does.  The first faulty
-    edge raises the error of the first of these checks it fails.
+    ``edges`` holds ``(i, j, weight)`` triples, as a sequence or an (E, 3)
+    array.  An edge is faulty if it is a self-loop, leaves ``range(n)``,
+    repeats an earlier pair or has a weight that is not strictly positive
+    and finite; indices are truncated to integers, as ``int`` does.  The
+    first faulty edge raises the error of the first of these checks it
+    fails.
     """
     if not len(edges):
-        return ()
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
     table = np.array(edges, dtype=float)
     if table.ndim != 2 or table.shape[1] != 3:
         raise InvariantViolation("edges must be (i, j, weight) triples")
@@ -65,7 +74,7 @@ def _canonical_edges(n, edges):
         if repeat[t]:
             raise InvariantViolation(f"duplicate edge ({i},{j})")
         raise InvariantViolation(f"edge ({i},{j}) has invalid weight {w}")
-    return tuple(zip(lo[order].tolist(), hi[order].tolist(), weights[order].tolist()))
+    return lo[order], hi[order], weights[order]
 
 
 @dataclass(frozen=True)
@@ -73,19 +82,27 @@ class Graph:
     """Undirected weighted graph with optional 2-D vertex coordinates.
 
     Edges are canonicalized to ``(i, j, weight)`` triples with ``i < j``,
-    sorted lexicographically.  Construction rejects self-loops, duplicate
-    edges, and weights that are not strictly positive and finite.
+    sorted lexicographically; they may be given as an (E, 3) array too.
+    Construction rejects self-loops, duplicate edges, and weights that are
+    not strictly positive and finite.  The graph keeps the ``i``, ``j`` and
+    weight columns of its edges as read-only arrays beside the tuple, and
+    the shift operators are built from those.
     """
 
     n_vertices: int
     edges: tuple
     coordinates: np.ndarray | None = None
+    _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_vertices
         if n < 1:
             raise InvariantViolation("graph needs at least one vertex")
-        object.__setattr__(self, "edges", _canonical_edges(n, self.edges))
+        columns = _canonical_edges(n, self.edges)
+        for column in columns:
+            column.flags.writeable = False
+        object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in columns))))
+        object.__setattr__(self, "_columns", columns)
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
@@ -100,85 +117,140 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShiftOperator:
-    """Symmetric matrix sharing the graph's sparsity pattern.
+    """Symmetric matrix sharing the graph's sparsity pattern, kept as its nonzeros.
 
-    ``kind`` is either :data:`LAPLACIAN` or :data:`ADJACENCY`.  The matrix
-    is built symmetrically by construction, never symmetrized after the
-    fact; one that is not symmetric (to 1e-12 of its largest entry) is an
-    :class:`InvariantViolation`.  :attr:`sparse` is the same matrix in CSR
-    form, built once on first use and shared by every sparse product with
-    the shift; scipy.sparse is imported on first use.
+    ``kind`` is either :data:`LAPLACIAN` or :data:`ADJACENCY`.  The operator
+    holds its size ``n`` and the three read-only arrays of its CSR form:
+    ``data``, ``indices`` and ``indptr``, the indices of scipy's index
+    type.  Nothing of size N x N is kept.  :attr:`matrix` builds the dense
+    matrix afresh on each read, and :attr:`sparse` wraps the three arrays as
+    a ``scipy.sparse.csr_array`` on first use, shared by every sparse
+    product with the shift.
+
+    ``ShiftOperator(kind, matrix)`` keeps the nonzeros of a dense matrix,
+    which must be square and symmetric (to 1e-12 of its largest entry): one
+    that is not is an :class:`InvariantViolation`.  The builders
+    (:func:`build_laplacian`, :func:`build_shift_operator`) make the
+    nonzeros from the graph's edges, symmetric by construction, and never
+    an N x N array.
     """
 
     kind: str
-    matrix: np.ndarray
+    n: int
+    data: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.kind not in (LAPLACIAN, ADJACENCY):
-            raise InvariantViolation(f"unknown shift kind {self.kind!r}")
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, kind, matrix):
+        if kind not in (LAPLACIAN, ADJACENCY):
+            raise InvariantViolation(f"unknown shift kind {kind!r}")
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolation("shift operator must be square")
         if not is_symmetric(m):  # eigh would read one triangle only
             raise InvariantViolation("shift operator is not symmetric")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    @functools.cached_property
-    def sparse(self):
-        """The shift as a ``scipy.sparse.csr_array``, built on first use.
-
-        Its ``data``, ``indices`` and ``indptr`` are those scipy builds from
-        the dense matrix, read from its nonzeros here.  scipy.sparse is
-        imported on first use too: ``scipy`` resolves the submodule on first
-        attribute access.
-        """
-        n = self.n
+        n = m.shape[0]
         # the nonzeros in row-major order; nonzero of a flat mask is the fast one
-        rows, cols = np.divmod(np.flatnonzero(self.matrix != 0.0), n)
+        rows, cols = np.divmod(np.flatnonzero(m != 0.0), n)
+        self._keep(kind, n, rows, cols, m[rows, cols])
+
+    @classmethod
+    def _from_entries(cls, kind, n, rows, cols, values):
+        """The operator of these nonzeros, given in row-major order; unchecked."""
+        shift = object.__new__(cls)
+        shift._keep(kind, n, rows, cols, values)
+        return shift
+
+    def _keep(self, kind, n, rows, cols, values):
         # scipy's index type: 32-bit while the counts fit
         index = np.int32 if max(len(cols), n) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = cols.astype(index)
+        for array in (values, indices, indptr):
+            array.flags.writeable = False
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "data", values)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indptr", indptr)
+
+    @property
+    def matrix(self):
+        """The dense N x N matrix, built afresh (and read-only) on each read."""
+        m = np.zeros((self.n, self.n))
+        m[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.data
+        m.flags.writeable = False
+        return m
+
+    @functools.cached_property
+    def sparse(self):
+        """The shift as a ``scipy.sparse.csr_array`` over its own arrays, built on first use.
+
+        scipy.sparse is imported on first use too: ``scipy`` resolves the
+        submodule on first attribute access.
+        """
         return scipy.sparse.csr_array(
-            (self.matrix[rows, cols], cols.astype(index), indptr), shape=(n, n)
+            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
         )
-
-
-def _edge_arrays(edges):
-    """The ``i``, ``j`` and weight columns of an edge list, as three arrays."""
-    if not edges:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
-    i, j, w = zip(*edges)
-    return np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.array(w, dtype=float)
 
 
 def build_adjacency(graph):
     """Dense symmetric adjacency matrix of a graph."""
     a = np.zeros((graph.n_vertices, graph.n_vertices))
-    i, j, w = _edge_arrays(graph.edges)
+    i, j, w = graph._columns
     a[i, j] = w
     a[j, i] = w
     return a
+
+
+def _adjacency_entries(graph):
+    """Rows, columns and weights of the adjacency's nonzeros, in row-major order."""
+    i, j, w = graph._columns
+    rows = np.concatenate([i, j])
+    cols = np.concatenate([j, i])
+    order = np.argsort(rows * graph.n_vertices + cols)
+    return rows[order], cols[order], np.concatenate([w, w])[order]
+
+
+def _row_sums(n, rows, cols, values):
+    """Sums of the rows of the N x N matrix with these nonzeros (``rows`` ascending).
+
+    Each is numpy's sum of the dense row, zeros included, as ``m.sum(axis=1)``
+    gives it: its pairwise summation groups the entries by their columns, so
+    a sum of the nonzeros alone could round otherwise.  The dense rows are
+    built a chunk of about 1 MB at a time.
+    """
+    chunk = min(n, max(1, _DEGREE_BYTES // (8 * n)))
+    block = np.zeros((chunk, n))
+    sums = np.empty(n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        lo, hi = np.searchsorted(rows, (start, stop))
+        at = rows[lo:hi] - start, cols[lo:hi]
+        block[at] = values[lo:hi]
+        np.sum(block[: stop - start], axis=1, out=sums[start:stop])
+        block[at] = 0.0
+    return sums
 
 
 def build_laplacian(graph):
     """Combinatorial Laplacian ``L = D - A`` as a shift operator.
 
     ``D`` is the diagonal matrix of weighted degrees, so every row of the
-    result sums to zero.  Built in place on the adjacency matrix.
+    result sums to zero.  Built as nonzeros, from the edges.
     """
-    lap = build_adjacency(graph)
-    degrees = lap.sum(axis=1)
-    np.subtract(0.0, lap, out=lap)  # 0 - a, not -a: no negative zeros
-    np.fill_diagonal(lap, degrees)
-    return ShiftOperator(LAPLACIAN, lap)
+    n = graph.n_vertices
+    rows, cols, weights = _adjacency_entries(graph)
+    degrees = _row_sums(n, rows, cols, weights)
+    diagonal = np.flatnonzero(degrees)
+    rows = np.concatenate([rows, diagonal])
+    cols = np.concatenate([cols, diagonal])
+    values = np.concatenate([-weights, degrees[diagonal]])
+    order = np.argsort(rows * n + cols)
+    return ShiftOperator._from_entries(LAPLACIAN, n, rows[order], cols[order], values[order])
 
 
 def build_shift_operator(graph, kind=LAPLACIAN):
@@ -186,20 +258,22 @@ def build_shift_operator(graph, kind=LAPLACIAN):
     if kind == LAPLACIAN:
         return build_laplacian(graph)
     if kind == ADJACENCY:
-        return ShiftOperator(ADJACENCY, build_adjacency(graph))
+        return ShiftOperator._from_entries(ADJACENCY, graph.n_vertices, *_adjacency_entries(graph))
     raise InvariantViolation(f"unknown shift kind {kind!r}")
 
 
 def _is_connected(n, edges):
     """Whether the edges join all n vertices, by label propagation.
 
-    Each vertex's label falls to the smallest label across its edges, then
-    to its label's label, until nothing changes: the graph is connected
-    when every label is 0.
+    ``edges`` holds ``(i, j, weight)`` triples, as a sequence or an (E, 3)
+    array.  Each vertex's label falls to the smallest label across its
+    edges, then to its label's label, until nothing changes: the graph is
+    connected when every label is 0.
     """
     if n == 1:
         return True
-    i, j, _ = _edge_arrays(edges)
+    table = np.asarray(edges, dtype=float).reshape(-1, 3)
+    i, j = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
     ends = np.concatenate([i, j])
     others = np.concatenate([j, i])
     labels = np.arange(n)
@@ -254,11 +328,12 @@ def _knn_graph(n, k_neighbors, rng):
     rows, cols = np.divmod(keys, n)
     # one scalar expression per edge: an np.float64's ** 2 calls pow(), an
     # array's ** 2 is x * x, and the two differ by an ulp on some edges
-    edges = tuple(
-        (i, j, float(np.exp(-d ** 2 / (2.0 * sigma**2))))
-        for i, j, d in zip(rows.tolist(), cols.tolist(), knn_dist.ravel()[first])
+    weights = np.fromiter(
+        (np.exp(-d ** 2 / (2.0 * sigma**2)) for d in knn_dist.ravel()[first]),
+        dtype=float,
+        count=len(keys),
     )
-    return coords, edges
+    return coords, np.column_stack((rows, cols, weights))
 
 
 def random_sensor_graph(n, k_neighbors=6, seed=0, max_attempts=100):

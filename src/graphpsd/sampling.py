@@ -273,7 +273,7 @@ def _equilibrated_r(model, cov):
     return r, qtb, scale, tol
 
 
-def _upper_inverse(upper):
+def _upper_inverse(upper, out=None):
     """Inverse of an upper-triangular matrix, by numpy alone, block by block.
 
     ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]`` down to blocks
@@ -288,15 +288,22 @@ def _upper_inverse(upper):
     run, against about 7 ms alone).  Not one ``np.linalg.inv`` of the whole
     matrix either: its LU took about 1 ms a call at m=100 inside the
     pipeline.
+
+    Every block is written into one m x m output (``out`` of the
+    recursion), so besides it only the m/2 x m/2 product ``B C^-1`` is held.
     """
     m = upper.shape[0]
+    if out is None:
+        out = np.zeros((m, m))
     if m <= 32:
-        return np.linalg.inv(upper)
+        out[...] = np.linalg.inv(upper)
+        return out
     h = m // 2
-    out = np.zeros((m, m))
-    out[:h, :h] = top = _upper_inverse(upper[:h, :h])
-    out[h:, h:] = bottom = _upper_inverse(upper[h:, h:])
-    out[:h, h:] = -(top @ (upper[:h, h:] @ bottom))
+    top = _upper_inverse(upper[:h, :h], out[:h, :h])
+    bottom = _upper_inverse(upper[h:, h:], out[h:, h:])
+    corner = upper[:h, h:] @ bottom
+    np.negative(corner, out=corner)
+    np.matmul(top, corner, out=out[:h, h:])
     return out
 
 
@@ -311,6 +318,8 @@ def _gram_factor(model):
     column rule of :func:`_equilibrated_r` reads them as it reads the norms
     of ``R``.  The equilibrated ``G = L L^T`` is factored by
     ``np.linalg.cholesky`` and ``L^-T`` formed by :func:`_upper_inverse`.
+    Each N x N array is dropped once the next one exists, so at most two
+    are held at a time (with the half-size block of the inversion).
 
     The normal equations square the condition number, so the certificate
     asks for more than the rank tolerance.  With ``n = max(K, cols)`` and u
@@ -364,7 +373,9 @@ def _gram_factor(model):
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
+    del gram
     inverse = _upper_inverse(lower.T)
+    del lower
     margin = 2.0 * max(k, cols) * np.sqrt(np.finfo(float).eps / 2.0)
     if not 1.0 / np.linalg.norm(inverse) > max(cols * tol, margin):
         return None

@@ -128,19 +128,24 @@ def eigendecompose(shift, eigenvectors=True):
     and the basis holds no eigenvectors; its eigenvalues agree with those of
     ``eigh`` to rounding, not bitwise.
 
+    The dense matrix of the shift is built once, for the solver, and
+    dropped when it returns; the eigenvectors' signs are fixed in place.
+
     Raises :class:`ConvergenceFailure` if the shift is not finite (LAPACK
     reads one triangle of the matrix and can pass over a NaN or infinity) or
     if the eigensolver fails.
     """
-    if not np.all(np.isfinite(shift.matrix)):
+    if not np.all(np.isfinite(shift.data)):
         raise ConvergenceFailure("eigendecomposition of a shift with non-finite entries")
+    matrix = shift.matrix
     try:
         if eigenvectors:
-            lam, u = np.linalg.eigh(shift.matrix)
+            lam, u = np.linalg.eigh(matrix)
         else:
-            lam, u = np.linalg.eigvalsh(shift.matrix), None
+            lam, u = np.linalg.eigvalsh(matrix), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    del matrix
     if not np.all(np.isfinite(lam)) or (u is not None and not np.all(np.isfinite(u))):
         raise ConvergenceFailure("eigendecomposition produced non-finite values")
     if u is None:
@@ -149,7 +154,8 @@ def eigendecompose(shift, eigenvectors=True):
     pivot = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[pivot, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    return SpectralBasis(eigenvalues=lam, eigenvectors=u * signs)
+    u *= signs
+    return SpectralBasis(eigenvalues=lam, eigenvectors=u)
 
 
 def vandermonde(eigenvalues, order):

@@ -22,9 +22,16 @@ class TestGenGraph:
         assert g.n_vertices == 25
         assert g.coordinates is not None
 
-    def test_bad_arguments_exit_2(self, tmp_path):
+    def test_bad_arguments_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
-        assert run_cli("gen-graph", "--n", "1", "--out", str(out)) == 2
+        for args in (
+            ("--n", "1", "--out", str(out)),
+            ("--seed", "-1", "--out", str(out)),
+            ("--out", str(tmp_path / "missing" / "g.txt")),
+        ):
+            assert run_cli("gen-graph", *args) == 2, args
+            assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -230,6 +237,18 @@ class TestCheck:
         assert report["incremental_gains"]["ok"]
         assert report["estimator_agreement"]["ok"]
         assert code == (0 if report["ok"] else 3)
+
+    def test_bad_trials_exit_2(self, tmp_path, capsys):
+        """With no trial the diminishing-returns suite would sample nothing
+        and the verb would pass."""
+        for trials in ("-1", "0"):
+            assert run_cli("check", "--trials", trials, "--out", str(tmp_path)) == 2
+            assert "--trials must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "check.json").exists()
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert run_cli("check", "--trials", "1", "--seed", "-1") == 2
+        assert "--seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestDeterminism:

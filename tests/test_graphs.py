@@ -1,9 +1,11 @@
 """Graph construction, shift operators, sensor-graph generation, file format."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from graphpsd import (
     ConvergenceFailure,
@@ -19,6 +21,9 @@ from graphpsd import (
     random_sensor_graph,
     save_graph,
 )
+from graphpsd.graphs import ADJACENCY, LAPLACIAN
+
+from conftest import random_weighted_graph
 
 
 class TestGraphInvariants:
@@ -173,6 +178,59 @@ class TestAdjacencyAndLaplacian:
         assert np.all(off[~mask] == 0.0)
 
 
+    def test_laplacian_keeps_only_its_nonzeros(self):
+        """N=300: the operator keeps its CSR arrays (about 30 KB), not the
+        720 KB dense matrix."""
+        graph = random_sensor_graph(300, 6, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            shift = build_laplacian(graph)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert shift.n == 300
+        assert kept < 300 * 300 * 8 / 10
+
+    @pytest.mark.parametrize("name", ["sensor", "dense_random", "hub_and_isolated"])
+    @pytest.mark.parametrize(
+        "kind, chunk_rows",
+        [(LAPLACIAN, None), (LAPLACIAN, 7), (ADJACENCY, None)],
+        ids=["laplacian", "laplacian-rows7", "adjacency"],
+    )
+    def test_shift_equals_the_dense_build(self, monkeypatch, kind, chunk_rows, name):
+        """The operator built from the edges equals, bit for bit and dtypes
+        included, the one built from ``build_adjacency``: ``0 - A`` with the
+        numpy row sums of A on its diagonal, and the CSR arrays scipy makes of
+        that.  A row sum is pairwise over the whole dense row, so the hub's
+        298 random weights would round otherwise if summed alone; with a
+        7-row budget the degrees come in ragged chunks."""
+        from graphpsd import graphs
+
+        n = 300
+        if name == "sensor":
+            graph = random_sensor_graph(n, 6, seed=3)
+        elif name == "dense_random":
+            graph = random_weighted_graph(n, 0.3, seed=1)
+        else:  # vertex n-1 has no edge, so no diagonal entry either
+            weights = np.random.default_rng(1).uniform(0.1, 3.0, n - 2)
+            graph = Graph(n, tuple((0, i, float(w)) for i, w in enumerate(weights, start=1)))
+        if chunk_rows is not None:
+            monkeypatch.setattr(graphs, "_DEGREE_BYTES", chunk_rows * 8 * n)
+        dense = build_adjacency(graph)
+        if kind == LAPLACIAN:
+            degrees = dense.sum(axis=1)
+            dense = 0.0 - dense
+            np.fill_diagonal(dense, degrees)
+        shift = build_shift_operator(graph, kind)
+        assert shift.matrix.tobytes() == dense.tobytes()
+        expected = scipy.sparse.csr_array(dense)
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(shift.sparse, part), getattr(expected, part)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRandomSensorGraph:
     def test_structural_properties(self, sensor100):
         g = sensor100
@@ -240,7 +298,7 @@ class TestRandomSensorGraph:
             (i, j, float(np.exp(-dist[i, j] ** 2 / (2.0 * sigma**2)))) for i, j in pairs
         )
         np.testing.assert_array_equal(coords, lattice)
-        assert edges == expected
+        np.testing.assert_array_equal(edges, expected)  # an (E, 3) table of the triples
 
     def test_argument_validation(self):
         with pytest.raises(InvariantViolation):
