@@ -53,10 +53,11 @@ from a row source with two accessors, the diagonal rows ``(s, s)`` of some
 candidates and the block of rows ``(i, j)`` for ``i`` and ``j`` in two index
 lists: the spectral source multiplies rows of the Fourier basis, the vertex
 source keeps the diagonals of the powers ``S^q`` and builds the columns
-``S^q e_j`` of the vertices greedy chooses, by sparse products with the
-shift, and an explicit tensor is indexed.  The vertex diagonals take half a
-power sweep, up to ``S^(Q//2)``: ``(S^(a+b))_cc = <S^a e_c, S^b e_c>`` for a
-symmetric shift, the moment identity of Lin, Saad and Yang (2016).  Its
+``S^q e_j`` of the vertices greedy chooses, both from the shift's one power
+routine, ``ShiftOperator.powers``, and an explicit tensor is indexed.  The
+vertex diagonals take half a power sweep, up to ``S^(Q//2)``:
+``(S^(a+b))_cc = <S^a e_c, S^b e_c>`` for a symmetric shift, the moment
+identity of Lin, Saad and Yang (2016).  Its
 regularizer needs ``sum_q |S^q|_F^2``, which is ``sum_q sum_n lam_n^(2q)``
 over the shift's eigenvalues, so no power is swept for it.
 """
@@ -160,23 +161,23 @@ class _SpectralRows(_RowSource):
 
 
 class _VertexRows(_RowSource):
-    """Row ``(i, j)`` holds ``(S^q)_ij`` for q < Q, from sparse products with S.
+    """Row ``(i, j)`` holds ``(S^q)_ij`` for q < Q, from the shift's powers.
 
     The diagonals (n x Q) come from one sweep over column chunks of the
-    powers up to ``S^(Q//2)`` only: ``(S^2a)_cc = |S^a e_c|^2`` and
+    powers up to ``S^(Q//2)`` only, consecutive pairs of the blocks
+    :meth:`ShiftOperator.powers` yields: ``(S^2a)_cc = |S^a e_c|^2`` and
     ``(S^(2a+1))_cc = <S^a e_c, S^(a+1) e_c>`` for a symmetric S.  The
     regularizer's ``sum_q |S^q|_F^2`` is ``sum_q sum_n lam_n^(2q)``, from the
     eigenvalues of S (given, or computed once when epsilon is asked for).
-    The columns ``S^q e_j`` are computed for the ``j`` a block asks for only,
-    and kept in one growing (n, cap, Q) array in the order they were first
-    asked for: greedy asks for those of its chosen vertices, in turn, so its
-    blocks are one slice of that array.
+    The columns ``S^q e_j`` are computed, by the same routine, for the ``j``
+    a block asks for only, and kept in one growing (n, cap, Q) array in the
+    order they were first asked for: greedy asks for those of its chosen
+    vertices, in turn, so its blocks are one slice of that array.
     """
 
     def __init__(self, shift, q_order, eigenvalues=None):
         self.n, self.m = shift.n, q_order
-        self.operator = shift
-        self.shift = shift.sparse
+        self.shift = shift
         if eigenvalues is not None:
             eigenvalues = np.asarray(eigenvalues, dtype=float)
             if eigenvalues.shape != (self.n,):
@@ -187,27 +188,16 @@ class _VertexRows(_RowSource):
         chunk = max(1, _BLOCK_BYTES // (4 * 8 * self.n))
         for start in range(0, self.n, chunk):
             cols = np.arange(start, min(start + chunk, self.n))
-            power = np.zeros((self.n, len(cols)))
-            power[cols, np.arange(len(cols))] = 1.0
-            for a in range((q_order + 1) // 2):
-                self.diag[cols, 2 * a] = np.einsum("ij,ij->j", power, power)
-                if 2 * a + 1 < q_order:
-                    following = self.shift @ power
-                    self.diag[cols, 2 * a + 1] = np.einsum("ij,ij->j", power, following)
-                    power = following
+            for a, power in enumerate(shift.powers(cols, q_order // 2 + 1)):
+                if a:
+                    self.diag[cols, 2 * a - 1] = np.einsum("ij,ij->j", previous, power)
+                if 2 * a < q_order:
+                    self.diag[cols, 2 * a] = np.einsum("ij,ij->j", power, power)
+                previous = power
         if not np.all(np.isfinite(self.diag)):
             raise InvariantViolation("pair_rows must be finite")
         self._columns = np.empty((self.n, 0, q_order))
         self._slots = {}
-
-    def _powers(self, cols):
-        """Yield the columns ``cols`` of ``S^q``, an (n, len(cols)) block, for q < Q."""
-        power = np.zeros((self.n, len(cols)))
-        power[cols, np.arange(len(cols))] = 1.0
-        for q in range(self.m):
-            yield power
-            if q + 1 < self.m:
-                power = self.shift @ power
 
     def diagonal(self, cands):
         return self.diag[cands]
@@ -222,7 +212,7 @@ class _VertexRows(_RowSource):
                 grown[:, :used] = self._columns[:, :used]
                 self._columns = grown
             added = self._columns[:, used : used + len(new)]
-            for q, power in enumerate(self._powers(new)):
+            for q, power in enumerate(self.shift.powers(new, self.m)):
                 added[:, :, q] = power
             if not np.all(np.isfinite(added)):
                 raise InvariantViolation("pair_rows must be finite")
@@ -238,9 +228,9 @@ class _VertexRows(_RowSource):
     def default_epsilon(self):
         lam = self.eigenvalues
         if lam is None:
-            if not np.all(np.isfinite(self.operator.data)):
+            if not np.all(np.isfinite(self.shift.data)):
                 raise InvariantViolation("pair_rows must be finite")
-            lam = np.linalg.eigvalsh(self.operator.matrix)
+            lam = np.linalg.eigvalsh(self.shift.matrix)
         with np.errstate(over="ignore", invalid="ignore"):
             squared_norm = float(np.sum(np.power.outer(lam * lam, np.arange(self.m))))
         if not np.isfinite(squared_norm):
@@ -262,7 +252,7 @@ class DesignObjective:
     ``pair_rows`` is an explicit (n, n, m) tensor, read by indexing (the
     objective keeps a read-only view of it).  :meth:`spectral` and
     :meth:`vertex` instead generate the rows they are asked for, from the
-    Fourier basis or from sparse powers of the shift, and never hold the
+    Fourier basis or from powers of the shift, and never hold the
     tensor; their :attr:`pair_rows` builds it on demand.
     """
 
@@ -494,7 +484,7 @@ def _gain_by_block(whitening, new_rows):
     return 2.0 * np.sum(np.log(np.diagonal(small_factor, axis1=1, axis2=2)), axis=1)
 
 
-def _candidate_gains(objective, factor, chosen, value, candidates, gain_method, bounds=None):
+def _candidate_gains(objective, factor, chosen, value, candidates, gain_method, bounds):
     """Marginal gains of adding each of ``candidates`` to ``chosen``, and the number scored.
 
     ``value`` is the objective value of ``chosen`` and ``factor`` the
@@ -504,9 +494,10 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method, 
     place: the last chosen vertex's term is added to each candidate's bound,
     and a scored candidate's bound becomes its gain.  Then only the
     candidates whose bound can reach the round's best gain are scored (see
-    the module docstring); NaN and infinite bounds always are.  An unscored
-    candidate's entry is its bound, which is below the best gain, so the
-    first maximum of the returned gains is that of the exact ones.
+    the module docstring); NaN and infinite bounds always are, so bounds
+    that are all ``+inf`` score every candidate.  An unscored candidate's
+    entry is its bound, which is below the best gain, so the first maximum
+    of the returned gains is that of the exact ones.
     """
     if objective.kind == FRAME_POTENTIAL:
         gains = np.array([objective_value(objective, chosen + [s]) - value for s in candidates])
@@ -523,9 +514,6 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method, 
     def score(cands):
         return _gain_by_block(whitening, objective.candidate_rows(chosen, cands))
 
-    if bounds is None:
-        gains = [score(candidates[i : i + block]) for i in range(0, len(candidates), block)]
-        return np.concatenate(gains), len(candidates)
     if chosen:
         # the new row sqrt(2) psi_st of each candidate s against the last chosen t
         step = max(1, _BLOCK_BYTES // (8 * m))
@@ -652,8 +640,10 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
     scored = []
     value = 0.0
     max_check_error = 0.0
-    bounds = None if validate_gains or gain_method == "updates" else np.full(n, np.inf)
+    bounds = np.full(n, np.inf)
     for _ in range(k):
+        if validate_gains:
+            bounds = np.full(n, np.inf)  # every candidate is checked, so score them all
         round_gains, round_scored = _candidate_gains(
             objective, factor, chosen, value, remaining, gain_method, bounds
         )

@@ -2,11 +2,13 @@
 
 A shift operator keeps only its nonzeros, as the three arrays of a CSR
 matrix, built straight from the graph's edges.  Its dense N x N matrix is
-built afresh when read, which the eigensolver does once, and its CSR
-arrays are wrapped as a ``scipy.sparse`` matrix for the sparse products of
-the vertex domain.  That wrapper is the package's only use of
-``scipy.sparse``, which is imported on first use (scipy loads its
-submodules lazily), so a spectral-domain process never pays for it.
+built afresh when read, which the eigensolver does once.  Every product
+with the shift is the operator's own: ``shift @ block`` for one step, and
+``shift.powers(columns, count)`` for the blocks ``S^q E`` of unit columns
+``E`` that the vertex domain's objective and model read.  Both multiply by
+the CSR arrays wrapped as a ``scipy.sparse`` matrix, the package's only use
+of scipy, which is imported on first use (scipy loads its submodules
+lazily), so a spectral-domain process never pays for it.
 
 Edge lists are checked and canonicalized as arrays, and a graph keeps
 those arrays beside its edge tuple for every later reader.  The
@@ -125,9 +127,9 @@ class ShiftOperator:
     holds its size ``n`` and the three read-only arrays of its CSR form:
     ``data``, ``indices`` and ``indptr``, the indices of scipy's index
     type.  Nothing of size N x N is kept.  :attr:`matrix` builds the dense
-    matrix afresh on each read, and :attr:`sparse` wraps the three arrays as
-    a ``scipy.sparse.csr_array`` on first use, shared by every sparse
-    product with the shift.
+    matrix afresh on each read.  ``shift @ block`` and :meth:`powers` are
+    the package's products with the shift; both multiply by :attr:`sparse`,
+    the three arrays wrapped as a ``scipy.sparse.csr_array`` on first use.
 
     ``ShiftOperator(kind, matrix)`` keeps the nonzeros of a dense matrix,
     which must be square and symmetric (to 1e-12 of its largest entry): one
@@ -195,6 +197,24 @@ class ShiftOperator:
         return scipy.sparse.csr_array(
             (self.data, self.indices, self.indptr), shape=(self.n, self.n)
         )
+
+    def __matmul__(self, block):
+        """The product ``S @ block`` of an (n, ...) array, by the sparse shift."""
+        return self.sparse @ block
+
+    def powers(self, columns, count):
+        """Yield the (n, len(columns)) blocks ``S^q E`` for q < ``count``.
+
+        ``E`` holds the unit columns ``e_j`` for ``j`` in ``columns``; each
+        block is the shift times the one before it, and none is computed
+        beyond the last one asked for.
+        """
+        power = np.zeros((self.n, len(columns)))
+        power[columns, np.arange(len(columns))] = 1.0
+        for q in range(count):
+            yield power
+            if q + 1 < count:
+                power = self @ power
 
 
 def build_adjacency(graph):

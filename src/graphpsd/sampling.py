@@ -17,8 +17,9 @@ system (vertex models, underdetermined or nearly rank-deficient spectral
 ones) is solved by one numpy QR of the model's distinct pair rows, and the
 SVD of the small R factor decides the rank and gives the minimum-norm
 solution.  All of it is numpy: scipy loads its own OpenBLAS, whose threads
-contend with numpy's, so the package uses scipy only for ``scipy.sparse``,
-in the vertex domain's products with the shift; it is imported on first
+contend with numpy's.  The vertex model's columns come from the shift's
+one power routine, ``ShiftOperator.powers``, the only products with the
+shift here; the operator owns its ``scipy.sparse`` form, imported on first
 use, so the spectral domain runs on numpy alone.
 
 The covariance reaches the solver as its K x K matrix; row ``i + j K`` of a
@@ -196,21 +197,16 @@ def build_vertex_model(shift, pattern, q_order):
 
     Column q holds the vectorized K x K submatrix of ``S^q`` for
     q = 0..Q-1, computed by iterated multiplication (no eigendecomposition)
-    of the K selected columns only: ``S^q[:, X]`` is an N x K block, stepped
-    by products with the sparse shift (:attr:`ShiftOperator.sparse`).
+    of the K selected columns only: ``S^q[:, X]`` is the N x K block that
+    :meth:`ShiftOperator.powers` yields for the pattern's vertices.
     """
     n = shift.n
     if not (1 <= q_order <= n):
         raise InvariantViolation(f"need 1 <= Q <= {n}, got {q_order}")
     idx = list(pattern.selected)
-    k = pattern.k
-    cols = np.empty((k * k, q_order))
-    block = np.zeros((n, k))
-    block[idx, np.arange(k)] = 1.0
-    for q in range(q_order):
-        cols[:, q] = block[idx].reshape(-1, order="F")
-        if q + 1 < q_order:
-            block = shift.sparse @ block
+    cols = np.empty((pattern.k**2, q_order))
+    for q, power in enumerate(shift.powers(idx, q_order)):
+        cols[:, q] = power[idx].reshape(-1, order="F")
     return CovarianceModelMatrix(VERTEX, pattern=pattern, matrix=cols, order=q_order)
 
 

@@ -9,8 +9,10 @@ The vertex domain needs the frequencies only: its model holds powers of the
 shift, and the spectrum follows from the eigenvalue Vandermonde matrix.  So
 a basis can hold eigenvalues alone (``eigendecompose(shift,
 eigenvectors=False)``), and the filter's rows at the observed vertices come
-from sparse products with the shift (:func:`filter_rows`), as the matrix
-polynomial ``sum_l h_l S^l`` it is.  The spectral domain's rows come from
+from products with the shift (:func:`filter_rows`), as the matrix
+polynomial ``sum_l h_l S^l`` it is: Horner's rule steps ``shift @ block``,
+the operator's own product, from the unit columns its power routine
+``ShiftOperator.powers`` starts at.  The spectral domain's rows come from
 the Fourier basis (:func:`basis_filter_rows`).
 """
 
@@ -209,20 +211,19 @@ def filter_rows(filt, shift, vertices):
     ``S`` is symmetric, so ``H[X, :]`` is the transpose of ``H[:, X]``,
     which Horner's rule builds from the N x K block of unit columns ``E_X``
     as ``B <- S B + h_l E_X`` for l = L-2 .. 0, starting at ``h_{L-1} E_X``:
-    L-1 products of the sparse shift (:attr:`ShiftOperator.sparse`) with an
-    N x K block.  No eigenvector and no N x N matrix is used.  Returns a
-    K x N array whose rows follow the order of ``vertices``.
+    L-1 products ``shift @ block`` of the shift operator with an N x K
+    block.  No eigenvector and no N x N matrix is used.  Returns a K x N
+    array whose rows follow the order of ``vertices``.
     """
     idx = np.asarray(vertices, dtype=int)
     n = shift.n
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvariantViolation(f"vertices must lie in [0, {n})")
     h = filt.coefficients
-    unit = np.zeros((n, idx.size))
-    unit[idx, np.arange(idx.size)] = 1.0
+    (unit,) = shift.powers(idx, 1)  # E_X, the zeroth power
     block = h[-1] * unit
     for coefficient in h[-2::-1]:
-        block = shift.sparse @ block
+        block = shift @ block
         block += coefficient * unit
     return block.T
 

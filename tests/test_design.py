@@ -439,7 +439,8 @@ class TestGainBounds:
 
         def checking(objective, factor, chosen, value, candidates, gain_method, bounds=None):
             gains, scored = original(objective, factor, chosen, value, candidates, gain_method, bounds)
-            exact, _ = original(objective, factor, chosen, value, candidates, gain_method)
+            everything = np.full(len(bounds), np.inf)
+            exact, _ = original(objective, factor, chosen, value, candidates, gain_method, everything)
             scale = abs(exact.max())
             excess.append(float(np.max(exact - bounds[candidates])) / scale)
             best = int(np.argmax(exact))
@@ -454,7 +455,8 @@ class TestGainBounds:
         assert sum(bounded.scored) < k * obj.n_vertices - k * (k - 1) // 2
 
         def scoring_all(objective, factor, chosen, value, candidates, gain_method, bounds=None):
-            return original(objective, factor, chosen, value, candidates, gain_method)
+            everything = np.full(len(bounds), np.inf)
+            return original(objective, factor, chosen, value, candidates, gain_method, everything)
 
         monkeypatch.setattr(design_mod, "_candidate_gains", scoring_all)
         _, full = greedy_design(obj, k)

@@ -1,5 +1,7 @@
 """Graph construction, shift operators, sensor-graph generation, file format."""
 
+import ast
+import pathlib
 import re
 import tracemalloc
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import graphpsd
 from graphpsd import (
     ConvergenceFailure,
     Graph,
@@ -229,6 +232,30 @@ class TestAdjacencyAndLaplacian:
             got, want = getattr(shift.sparse, part), getattr(expected, part)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+class TestOneShiftOwner:
+    def test_only_graphs_names_scipy_or_the_sparse_shift(self):
+        """Every product with the shift goes through ``ShiftOperator``
+        (``shift @ block`` and ``shift.powers``): no other module of the
+        package imports scipy or reads a ``.sparse`` attribute."""
+        package = pathlib.Path(graphpsd.__file__).resolve().parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "graphs.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                if any(m.split(".")[0] == "scipy" for m in modules):
+                    offenders.append(f"{path.name}:{node.lineno} imports scipy")
+                if isinstance(node, ast.Attribute) and node.attr == "sparse":
+                    offenders.append(f"{path.name}:{node.lineno} reads .sparse")
+        assert not offenders, offenders
 
 
 class TestRandomSensorGraph:

@@ -249,6 +249,35 @@ class TestVertexModel:
         scale = max(np.abs(direct).max(), 1.0)
         assert np.abs(direct - viabasis).max() <= 1e-8 * scale
 
+    @pytest.mark.parametrize("sampler", ["greedy", "random"])
+    def test_equals_the_objective_rows_and_dense_powers(self, sampler):
+        """N=200, Q=13: the model's columns, one N x K block per power, equal
+        bit for bit the design objective's rows of the same pairs, computed
+        a column at a time in the order greedy or a random draw asked for
+        them; both match the dense powers ``S^q`` to 1e-12 of the largest
+        observed entry of each power."""
+        n, q, k = 200, 13, 15
+        shift = build_laplacian(random_sensor_graph(n, seed=7))
+        objective = DesignObjective.vertex(shift, q)
+        if sampler == "greedy":
+            pattern, _ = greedy_design(objective, k)
+        else:
+            drawn = np.random.default_rng(8).choice(n, size=k, replace=False)
+            for j in drawn:  # computes column j alone
+                objective.rows_for_set([int(j)])
+            pattern = SamplingPattern(n, tuple(drawn))
+        x = list(pattern.selected)
+        model = build_vertex_model(shift, pattern, q).matrix
+        # row a * K + b of rows_for_set is the pair (x_a, x_b), row a + b * K of the model
+        rows = objective.rows_for_set(x).reshape(k, k, q).transpose(1, 0, 2).reshape(k * k, q)
+        np.testing.assert_array_equal(model, rows)
+        dense = shift.matrix
+        for p in range(q):
+            power = np.linalg.matrix_power(dense, p)[np.ix_(x, x)]
+            np.testing.assert_allclose(
+                model[:, p], vec(power), rtol=0, atol=1e-12 * np.abs(power).max()
+            )
+
     def test_order_validated(self, sensor100):
         shift = build_laplacian(sensor100)
         pattern = SamplingPattern(100, (0, 1))
