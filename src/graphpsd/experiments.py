@@ -269,7 +269,7 @@ def load_pattern(path):
         raise ConfigError(f"cannot load pattern {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Outcome of one pipeline run, with enough context to plot it."""
 

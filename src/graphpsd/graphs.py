@@ -14,13 +14,18 @@ Edge lists are checked and canonicalized as arrays, and a graph keeps
 those arrays beside its edge tuple for every later reader.  The
 k-nearest-neighbor sensor graph is built in row chunks of about 1 MB of
 distances, so no N x N distance array is held; the kernel width and the
-edge weights come from the (N, k) neighbor distances.  The Laplacian's
-degrees are summed over dense adjacency rows in chunks of the same size.
+edge weights come from the (N, k) neighbor distances.  A weight squares
+its distance by libm ``pow`` (``math.pow(d, 2.0)``, which an
+``np.float64``'s ``** 2`` also calls), so it is bit for bit the scalar
+``np.exp(-d ** 2 / (2.0 * sigma**2))`` of its np.float64 distance.  The
+Laplacian's degrees are summed over dense adjacency rows in chunks of the
+same size.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,12 +93,13 @@ class Graph:
     Construction rejects self-loops, duplicate edges, and weights that are
     not strictly positive and finite.  The graph keeps the ``i``, ``j`` and
     weight columns of its edges as read-only arrays beside the tuple, and
-    the shift operators are built from those.
+    the shift operators are built from those.  Graphs compare and hash on
+    ``n_vertices`` and ``edges``; their coordinates are left out.
     """
 
     n_vertices: int
     edges: tuple
-    coordinates: np.ndarray | None = None
+    coordinates: np.ndarray | None = field(default=None, compare=False)
     _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,7 +125,7 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ShiftOperator:
     """Symmetric matrix sharing the graph's sparsity pattern, kept as its nonzeros.
 
@@ -346,13 +352,9 @@ def _knn_graph(n, k_neighbors, rng):
     b = order.ravel()
     keys, first = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)
     rows, cols = np.divmod(keys, n)
-    # one scalar expression per edge: an np.float64's ** 2 calls pow(), an
-    # array's ** 2 is x * x, and the two differ by an ulp on some edges
-    weights = np.fromiter(
-        (np.exp(-d ** 2 / (2.0 * sigma**2)) for d in knn_dist.ravel()[first]),
-        dtype=float,
-        count=len(keys),
-    )
+    # squares by libm pow, never d * d or np.power, which round some of them otherwise
+    squares = np.array([math.pow(d, 2.0) for d in knn_dist.ravel()[first].tolist()])
+    weights = np.exp(-squares / (2.0 * sigma**2))
     return coords, np.column_stack((rows, cols, weights))
 
 

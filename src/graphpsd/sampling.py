@@ -73,7 +73,7 @@ class SamplingPattern:
         return w
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CovarianceModelMatrix:
     """Tall matrix mapping spectrum unknowns to the vectorized K x K covariance.
 
@@ -139,7 +139,7 @@ class CovarianceModelMatrix:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Least-squares spectrum recovery result.
 

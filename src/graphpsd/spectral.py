@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceFailure, InvariantViolation
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralBasis:
     """Eigendecomposition of a shift operator.
 
@@ -62,7 +62,7 @@ class SpectralBasis:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphFilter:
     """Polynomial filter ``H = sum_l h_l S^l`` given by its coefficients."""
 
@@ -95,7 +95,7 @@ def is_symmetric(m):
         return not (scale and np.abs(m - m.T).max() > 1e-12 * scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
     """Symmetric covariance matrix tagged with the snapshot count behind it.
 

@@ -20,6 +20,7 @@ from graphpsd import (
     GraphSpec,
     SamplingPattern,
     compression_sweep,
+    emit_plot_data,
     load_pattern,
     prepare,
     rank_threshold_scan,
@@ -127,6 +128,20 @@ class TestConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(ExperimentConfig(), id="default"),
+            pytest.param(small_cfg(filter=FilterSpec(coefficients=(1.0, -0.5, 0.25))), id="coefficients"),
+            pytest.param(
+                small_cfg(graph=GraphSpec(path="graph.txt"), domain="vertex", q=5, k=4),
+                id="graph-file-vertex",
+            ),
+        ],
+    )
+    def test_round_trip_through_json(self, cfg):
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
 
 class TestRunExperiment:
     def test_population_covariance_recovers_exactly(self):
@@ -215,6 +230,15 @@ class TestRunExperiment:
         marks = sum(int(r.split()[2]) for r in node_rows)
         assert marks == 12
 
+    def test_emit_plot_data_writes_the_run_s_plot_files(self, tmp_path):
+        result = run_experiment(small_cfg(output_dir=str(tmp_path / "run")))
+        os.makedirs(tmp_path / "emitted")
+        emit_plot_data(result, str(tmp_path / "emitted"))
+        for name in ("spectrum_true.dat", "spectrum_estimate.dat", "nodes.dat"):
+            assert (tmp_path / "emitted" / name).read_bytes() == (
+                tmp_path / "run" / name
+            ).read_bytes(), name
+
     def test_deterministic_outputs(self, tmp_path):
         """Identical configs produce byte-identical CSV/JSON/dat outputs."""
         cfg_a = small_cfg(output_dir=str(tmp_path / "a"))
@@ -248,6 +272,54 @@ class TestRunExperiment:
         assert set(result.runtimes) >= {"graph", "basis", "covariance", "design", "estimate"}
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert "runtimes" not in metrics
+
+
+def _value_types(cfg):
+    """One of each value type that holds arrays, built from ``cfg``."""
+    setting = prepare(cfg)
+    result = run_experiment(cfg)
+    return {
+        "Graph": setting.graph,
+        "ShiftOperator": setting.shift,
+        "SpectralBasis": setting.basis,
+        "GraphFilter": setting.filter,
+        "CovarianceEstimate": setting.covariance(cfg.seed, result.pattern),
+        "CovarianceModelMatrix": setting.model(result.pattern),
+        "SpectrumEstimate": result.estimate,
+        "ExperimentResult": result,
+    }
+
+
+@pytest.fixture(scope="module")
+def same_seed_values():
+    cfg = small_cfg(sampler="random")
+    return _value_types(cfg), _value_types(cfg)
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Graph",
+            "ShiftOperator",
+            "SpectralBasis",
+            "GraphFilter",
+            "CovarianceEstimate",
+            "CovarianceModelMatrix",
+            "SpectrumEstimate",
+            "ExperimentResult",
+        ],
+    )
+    def test_hashable_and_comparable(self, same_seed_values, name):
+        """Graphs compare by their vertices and edges; the other types by identity."""
+        a, b = (values[name] for values in same_seed_values)
+        assert type(a).__name__ == name
+        assert isinstance(hash(a), int) and isinstance(hash(b), int)
+        assert a == a
+        if name == "Graph":
+            assert a == b and hash(a) == hash(b)
+        else:
+            assert a != b
 
 
 class TestPatternFiles:

@@ -327,6 +327,22 @@ class TestRandomSensorGraph:
         np.testing.assert_array_equal(coords, lattice)
         np.testing.assert_array_equal(edges, expected)  # an (E, 3) table of the triples
 
+    @pytest.mark.parametrize("n, seed", [(100, 1), (600, 2000), (800, 1000)])
+    def test_weights_are_the_scalar_expression_bit_for_bit(self, n, seed):
+        """Every weight equals ``np.exp(-d ** 2 / (2.0 * sigma**2))`` on the
+        np.float64 distance ``d``, whose ``** 2`` is libm ``pow``; squaring
+        by ``d * d`` or ``np.power`` rounds a few of these graphs' weights
+        otherwise."""
+        g = random_sensor_graph(n, 6, seed=seed)
+        x, y = g.coordinates.T
+        dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
+        dist = np.sqrt(dx * dx + dy * dy)
+        np.fill_diagonal(dist, np.inf)
+        sigma = float(np.sort(dist, axis=1)[:, :6].mean())
+        weights = [w for _, _, w in g.edges]
+        expected = [float(np.exp(-dist[i, j] ** 2 / (2.0 * sigma**2))) for i, j, _ in g.edges]
+        assert weights == expected
+
     def test_argument_validation(self):
         with pytest.raises(InvariantViolation):
             random_sensor_graph(1, 1, seed=0)

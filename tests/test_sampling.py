@@ -125,6 +125,9 @@ class TestSamplingPattern:
         p = SamplingPattern(6, (1, 4))
         np.testing.assert_array_equal(p.mask, [0, 1, 0, 0, 1, 0])
         assert SamplingPattern.from_mask(p.mask) == p
+        assert SamplingPattern.from_mask([0, 1, 1, 0, 1]) == SamplingPattern(5, (1, 2, 4))
+        with pytest.raises(InvariantViolation):
+            SamplingPattern.from_mask([False, False, False])
 
 
 class TestSubsample:
