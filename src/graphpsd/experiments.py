@@ -170,6 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"use_population_covariance must be true or false, got {population!r}")
         coefficients = self.filter.coefficients
         if coefficients is None:
+            if self.filter.profile != "lowpass_exp":
+                raise ConfigError(f"unknown filter profile {self.filter.profile!r}")
             if not _is_real(self.filter.rate):
                 raise ConfigError(f"filter.rate must be a finite number, got {self.filter.rate!r}")
         elif not (coefficients and all(_is_real(c) for c in coefficients)):
@@ -577,6 +579,27 @@ def _write_plot_data(result, out_dir, p_true, p_hat):
         )
 
 
+def _greedy_prefix_models(cfg, k_values):
+    """The setting of ``cfg`` and ``(k, model)`` of the greedy prefix of each ``k``.
+
+    One greedy design at the largest budget gives every smaller budget's
+    pattern as a prefix of its selection order.  The models are built as
+    they are read, in the order of ``k_values``.  An empty list, or a
+    budget below 1, is a ConfigError.
+    """
+    if not k_values:
+        raise ConfigError("no budgets given")
+    if min(k_values) < 1:
+        raise ConfigError("budget outside [1, n]")
+    setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
+    _, trace, _ = setting.greedy(max(k_values))
+    n = setting.graph.n_vertices
+    models = (
+        (k, setting.model(sampling_mod.SamplingPattern(n, trace.chosen[:k]))) for k in k_values
+    )
+    return setting, models
+
+
 def rank_threshold_scan(cfg, k_range):
     """Full-rank threshold of the model along the greedy selection order.
 
@@ -584,19 +607,8 @@ def rank_threshold_scan(cfg, k_range):
     ``(K, rank_ok)`` for every prefix size in ``k_range``, reusing the
     nested structure of greedy selections.
     """
-    k_values = sorted(set(int(k) for k in k_range))
-    if not k_values:
-        raise ConfigError("empty k range")
-    if k_values[0] < 1:
-        raise ConfigError("k range outside [1, n]")
-    setting = prepare(dataclasses.replace(cfg, k=k_values[-1], sampler="greedy"))
-    _, trace, _ = setting.greedy(k_values[-1])
-    n = setting.graph.n_vertices
-    rows = []
-    for k in k_values:
-        model = setting.model(sampling_mod.SamplingPattern(n, trace.chosen[:k]))
-        rows.append((k, sampling_mod.model_rank(model)[1]))
-    return rows
+    _, models = _greedy_prefix_models(cfg, sorted(set(int(k) for k in k_range)))
+    return [(k, sampling_mod.model_rank(model)[1]) for k, model in models]
 
 
 def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
@@ -607,35 +619,33 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     column rank.  Each seed draws its snapshot noise once, and every
     pattern's covariance is synthesized from that draw at its own vertices,
     exactly as :func:`run_experiment` does; a repeated budget is estimated
-    once and its rows repeated.
+    once and its rows repeated.  Each greedy prefix's model is built once
+    and shared by every seed, so its Gram factor is formed once.
     Returns the rows and optionally writes ``sweep.csv``.
     """
     k_values = [int(k) for k in k_list]
-    if not k_values:
-        raise ConfigError("empty k list")
     if n_seeds < 1:
         raise ConfigError("need at least one seed")
-    if min(k_values) < 1:
-        raise ConfigError("k outside [1, n]")
-    setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
-    _, trace, _ = setting.greedy(max(k_values))
-    n = setting.graph.n_vertices
-    # runs[k][sampler] collects (rank_ok, nmse) of budget k, one entry per seed;
     # a budget listed twice is estimated once and reported twice
-    runs = {k: {"greedy": [], "random": []} for k in k_values}
+    setting, prefixes = _greedy_prefix_models(cfg, list(dict.fromkeys(k_values)))
+    greedy = dict(prefixes)
+    n = setting.graph.n_vertices
+    # runs[k][sampler] collects (rank_ok, nmse) of budget k, one entry per seed
+    runs = {k: {"greedy": [], "random": []} for k in greedy}
     for seed in range(cfg.seed, cfg.seed + n_seeds):
         cells = [
-            (cell[sampler], pattern)
-            for k, cell in runs.items()
+            (k, sampler, pattern)
+            for k in runs
             for sampler, pattern in (
-                ("greedy", sampling_mod.SamplingPattern(n, trace.chosen[:k])),
+                ("greedy", greedy[k].pattern),
                 ("random", design_mod.random_design(n, k, seed=seed)),
             )
         ]
-        covs = setting.covariances(seed, [pattern for _, pattern in cells])
-        for (stats, pattern), cov_sub in zip(cells, covs):
-            est, nmse = setting.estimate(cov_sub, setting.model(pattern))
-            stats.append((est.rank_ok, nmse))
+        covs = setting.covariances(seed, [pattern for _, _, pattern in cells])
+        for (k, sampler, pattern), cov_sub in zip(cells, covs):
+            model = greedy[k] if sampler == "greedy" else setting.model(pattern)
+            est, nmse = setting.estimate(cov_sub, model)
+            runs[k][sampler].append((est.rank_ok, nmse))
     rows = [
         {
             "k": k,
@@ -789,7 +799,7 @@ def run_property_suites(seed=0, trials=200):
             spectral_mod.synthesize(filt, basis, 200, seed=600 + i, vertices=pattern.selected)
         )
         model = sampling_mod.build_spectral_model(basis, pattern)
-        gram_solves += sampling_mod._gram_factor(model) is not None
+        gram_solves += model.gram_factor is not None
         # the same system given by its dense matrix takes the QR path
         dense = sampling_mod.CovarianceModelMatrix(
             sampling_mod.SPECTRAL, pattern=pattern, matrix=model.matrix

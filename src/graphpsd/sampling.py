@@ -29,7 +29,8 @@ model's ``matrix`` is the vertex pair (i, j).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class SamplingPattern:
     @classmethod
     def from_mask(cls, mask):
         mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 1:
+            raise InvariantViolation(f"a mask must be 1-D, got shape {mask.shape}")
         return cls(n_vertices=mask.size, selected=tuple(np.flatnonzero(mask)))
 
     @property
@@ -85,7 +88,7 @@ class CovarianceModelMatrix:
     selected vertices: column n of the model is ``vec(u_n u_n^T)``, so
     ``matrix`` (the K^2 x N Khatri-Rao product ``U_X (.) U_X``) is built
     only when it is read, and the estimator solves from ``U_X`` alone (see
-    :func:`_gram_factor`).  A model built from a raw ``matrix`` holds that
+    :attr:`gram_factor`).  A model built from a raw ``matrix`` holds that
     matrix, and the estimator factors its rows.
     """
 
@@ -121,6 +124,15 @@ class CovarianceModelMatrix:
         m = (u[None, :, :] * u[:, None, :]).reshape(self.pattern.k ** 2, u.shape[1])
         m.flags.writeable = False
         return m
+
+    @functools.cached_property
+    def gram_factor(self):
+        """The certified Gram factor ``(L^-T, scale, tol)`` of :func:`_gram_factor`, or None.
+
+        Formed on first read and kept, so every solve and rank query of the
+        model shares one factorization.
+        """
+        return _gram_factor(self)
 
     @property
     def n_unknowns(self):
@@ -415,11 +427,11 @@ def model_rank(model):
     """Numerical rank of a model matrix and whether it has full column rank.
 
     A full rank certified by the Gram factor of a spectral model
-    (:func:`_gram_factor`) is taken as it is.  Any other model's rank
-    counts the singular values of its equilibrated ``R``
+    (:attr:`CovarianceModelMatrix.gram_factor`) is taken as it is.  Any
+    other model's rank counts the singular values of its equilibrated ``R``
     (:func:`_equilibrated_r`) above the tolerance.
     """
-    if _gram_factor(model) is not None:
+    if model.gram_factor is not None:
         return model.n_unknowns, True
     k = model.pattern.k
     r, _, _, tol = _equilibrated_r(model, np.zeros((k, k)))
@@ -432,8 +444,9 @@ def _solve_least_squares(model, cov):
 
     Returns ``(solution, rank, tol, residual)``; a ``cov`` of another shape
     is an :class:`InvariantViolation`.  A spectral model whose Gram factor
-    certifies full rank (:func:`_gram_factor`) is solved from ``U_X`` by
-    :func:`_gram_solve`, and its K^2 x N matrix is never formed.  Every other system is solved
+    certifies full rank (:attr:`CovarianceModelMatrix.gram_factor`) is
+    solved from ``U_X`` by :func:`_gram_solve`, and its K^2 x N matrix is
+    never formed.  Every other system is solved
     on the equilibrated R factor of its pair rows (one QR,
     :func:`_equilibrated_r`): the SVD of ``R`` gives the rank (singular
     values above the tolerance) and the minimum-norm solution.
@@ -443,9 +456,8 @@ def _solve_least_squares(model, cov):
     k = model.pattern.k
     if cov.shape != (k, k):
         raise InvariantViolation(f"expected a {k} x {k} covariance, got {cov.shape}")
-    factor = _gram_factor(model)
-    if factor is not None:
-        inverse, scale, tol = factor
+    if model.gram_factor is not None:
+        inverse, scale, tol = model.gram_factor
         solution, residual = _gram_solve(model, cov, inverse, scale)
         return solution, model.n_unknowns, tol, residual
     r, qtb, scale, tol = _equilibrated_r(model, cov)
@@ -457,19 +469,14 @@ def _solve_least_squares(model, cov):
     return solution, rank, tol, residual
 
 
-def estimate_spectrum_spectral(cov_sub, model):
-    """Recover the full power spectrum from a subsampled covariance.
-
-    Solves the spectral-domain system by least squares.  Needs K^2 >= N
-    observations for a full-rank model; with fewer (or an unlucky pattern)
-    the minimum-norm solution is returned and flagged via ``rank_ok``.
-    """
-    if model.domain != SPECTRAL:
-        raise InvariantViolation("model is not spectral-domain")
-    p_hat, rank, tol, residual = _solve_least_squares(model, cov_sub.matrix)
+def _estimate(cov_sub, model, domain):
+    """The least-squares estimate of the unknowns of a ``domain`` model from ``cov_sub``."""
+    if model.domain != domain:
+        raise InvariantViolation(f"model is not {domain}-domain")
+    solution, rank, tol, residual = _solve_least_squares(model, cov_sub.matrix)
     return SpectrumEstimate(
-        p_hat=p_hat,
-        domain=SPECTRAL,
+        p_hat=solution,
+        domain=domain,
         residual_norm=residual,
         rank_ok=rank == model.n_unknowns,
         rank=rank,
@@ -477,31 +484,36 @@ def estimate_spectrum_spectral(cov_sub, model):
     )
 
 
+def estimate_spectrum_spectral(cov_sub, model):
+    """Recover the full power spectrum from a subsampled covariance.
+
+    Solves the spectral-domain system by least squares.  Needs K^2 >= N
+    observations for a full-rank model; with fewer (or an unlucky pattern)
+    the minimum-norm solution is returned and flagged via ``rank_ok``.
+    """
+    return _estimate(cov_sub, model, SPECTRAL)
+
+
 def estimate_spectrum_spectral_reduced(cov_sub, model, support):
     """Reduced-order recovery when the spectrum's support is known.
 
     Solves the least-squares problem over the given columns only and
-    zero-fills the rest, enabling recovery with K^2 below N.
+    zero-fills the rest, enabling recovery with K^2 below N.  Support
+    entries must be integers.
     """
-    if model.domain != SPECTRAL:
-        raise InvariantViolation("model is not spectral-domain")
-    support = sorted({int(b) for b in support})
+    try:
+        support = sorted({operator.index(b) for b in support})
+    except TypeError as exc:
+        raise InvalidSupport(f"spectral support entries must be integers: {exc}") from exc
     n = model.n_unknowns
     if len(support) == 0:
         raise InvalidSupport("empty spectral support")
     if support[0] < 0 or support[-1] >= n:
         raise InvalidSupport(f"support index out of range for N={n}")
-    coef, rank, tol, residual = _solve_least_squares(model.columns(support), cov_sub.matrix)
+    est = _estimate(cov_sub, model.columns(support), SPECTRAL)
     p_hat = np.zeros(n)
-    p_hat[support] = coef
-    return SpectrumEstimate(
-        p_hat=p_hat,
-        domain=SPECTRAL,
-        residual_norm=residual,
-        rank_ok=rank == len(support),
-        rank=rank,
-        rank_tolerance=tol,
-    )
+    p_hat[support] = est.p_hat
+    return replace(est, p_hat=p_hat)
 
 
 def estimate_spectrum_vertex(cov_sub, model, basis):
@@ -510,20 +522,15 @@ def estimate_spectrum_vertex(cov_sub, model, basis):
     Least squares gives the expansion coefficients of the covariance in
     powers of the shift operator; mapping them through the eigenvalue
     Vandermonde matrix (which needs all N eigenvalues) yields the spectrum.
+    A basis of another vertex count than the model's pattern is an
+    :class:`InvariantViolation`.
     """
-    if model.domain != VERTEX:
-        raise InvariantViolation("model is not vertex-domain")
-    alpha_hat, rank, tol, residual = _solve_least_squares(model, cov_sub.matrix)
-    p_hat = vandermonde(basis.eigenvalues, model.order) @ alpha_hat
-    return SpectrumEstimate(
-        p_hat=p_hat,
-        domain=VERTEX,
-        residual_norm=residual,
-        rank_ok=rank == model.n_unknowns,
-        rank=rank,
-        rank_tolerance=tol,
-        alpha_hat=alpha_hat,
-    )
+    n = model.pattern.n_vertices
+    if basis.n != n:
+        raise InvariantViolation(f"basis has {basis.n} eigenvalues, pattern expects {n}")
+    est = _estimate(cov_sub, model, VERTEX)
+    p_hat = vandermonde(basis.eigenvalues, model.order) @ est.p_hat
+    return replace(est, p_hat=p_hat, alpha_hat=est.p_hat)
 
 
 def required_q(filter_length, n):

@@ -356,7 +356,10 @@ def load_matrix_csv(path):
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            values = [float(t) for t in line.split(",")]
+            try:
+                values = [float(t) for t in line.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"bad number: {exc}", lineno) from exc
             if len(values) != cols:
                 raise ParseError(f"expected {cols} columns", lineno)
             data.append(values)

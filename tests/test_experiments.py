@@ -107,6 +107,8 @@ class TestConfig:
             ({"use_population_covariance": "no"}, "use_population_covariance must be true or false"),
             ({"filter": "x"}, "filter must be an object"),
             ({"filter": {"rte": 5}}, "unexpected keyword argument 'rte'"),
+            ({"filter": {"profile": "highpass"}}, "unknown filter profile 'highpass'"),
+            ({"filter": {"profile": None}}, "unknown filter profile None"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -654,6 +656,14 @@ class TestCompressionSweep:
         assert rows[6:] == rows[:2]
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[7:] == lines[1:3]
+
+    def test_each_greedy_prefix_factored_once(self, monkeypatch):
+        """N=100, K = 14, 20, 35, 50 over 5 seeds: one Gram factor per greedy
+        budget, shared by every seed, and one per random pattern."""
+        calls = count_calls(monkeypatch, sampling_mod, "_gram_factor")
+        cfg = small_cfg(graph=GraphSpec(n=100, k_neighbors=6, seed=1))
+        compression_sweep(cfg, [14, 20, 35, 50], 5)
+        assert len(calls) == 4 + 4 * 5
 
     def test_greedy_row_matches_run_experiment(self):
         cfg = small_cfg(seed=3)

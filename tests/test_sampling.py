@@ -1,5 +1,6 @@
 """Subsampling, the two covariance models, and least-squares recovery."""
 
+import ast
 import json
 import pathlib
 import tracemalloc
@@ -128,6 +129,8 @@ class TestSamplingPattern:
         assert SamplingPattern.from_mask([0, 1, 1, 0, 1]) == SamplingPattern(5, (1, 2, 4))
         with pytest.raises(InvariantViolation):
             SamplingPattern.from_mask([False, False, False])
+        with pytest.raises(InvariantViolation, match="1-D"):
+            SamplingPattern.from_mask([[0, 1, 0], [1, 0, 0]])
 
 
 class TestSubsample:
@@ -403,6 +406,13 @@ class TestReducedEstimation:
         with pytest.raises(InvalidSupport):
             estimate_spectrum_spectral_reduced(cov, model, [100])
 
+    def test_non_integer_support_rejected(self, sensor100_basis):
+        pattern = SamplingPattern(100, (0, 1))
+        model = build_spectral_model(sensor100_basis, pattern)
+        cov = CovarianceEstimate(np.eye(2))
+        with pytest.raises(InvalidSupport, match="integers"):
+            estimate_spectrum_spectral_reduced(cov, model, [0.5, 1.9, 3])
+
 
 class TestVertexEstimation:
     def test_exact_recovery_with_polynomial_coefficients_oracle(
@@ -450,6 +460,13 @@ class TestVertexEstimation:
             basis,
         )
         assert not est.rank_ok
+
+    def test_basis_of_another_size_rejected(self):
+        shift = build_laplacian(random_sensor_graph(20, 4, seed=3))
+        model = build_vertex_model(shift, SamplingPattern(20, (1, 7, 12)), 3)
+        other = eigendecompose(build_laplacian(random_sensor_graph(25, 4, seed=3)))
+        with pytest.raises(InvariantViolation, match="25 eigenvalues"):
+            estimate_spectrum_vertex(CovarianceEstimate(np.eye(3)), model, other)
 
     def test_p_hat_is_vandermonde_times_alpha(self, sensor100, sensor100_basis):
         shift = build_laplacian(sensor100)
@@ -737,6 +754,49 @@ class TestGramPath:
         np.testing.assert_array_equal(est.p_hat, expected.p_hat)
         assert est.rank_tolerance == expected.rank_tolerance
         assert est.residual_norm == expected.residual_norm
+
+    def test_model_factors_once(self, monkeypatch, sensor100_basis):
+        """A model forms its Gram factor on first read and keeps it: a rank
+        query and two estimates share one factorization."""
+        pattern = SamplingPattern(100, tuple(range(0, 100, 5)))
+        model = build_spectral_model(sensor100_basis, pattern)
+        factor = sampling._gram_factor
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return factor(m)
+
+        monkeypatch.setattr(sampling, "_gram_factor", counted)
+        assert model_rank(model) == (100, True)
+        cov = CovarianceEstimate(np.eye(pattern.k))
+        first = estimate_spectrum_spectral(cov, model)
+        again = estimate_spectrum_spectral(cov, model)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first.p_hat, again.p_hat)
+
+    def test_only_the_model_forms_its_gram_factor(self):
+        """``_gram_factor`` is called only by ``CovarianceModelMatrix.gram_factor``,
+        and no module but ``sampling.py`` names it."""
+        package = pathlib.Path(sampling.__file__).resolve().parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path.name == "sampling.py":
+                owner = next(
+                    node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "gram_factor"
+                )
+                allowed = {id(node) for node in ast.walk(owner)}
+            else:
+                allowed = set()
+            for node in ast.walk(tree):
+                named = (isinstance(node, ast.Name) and node.id == "_gram_factor") or (
+                    isinstance(node, ast.Attribute) and node.attr == "_gram_factor"
+                )
+                if named and id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders, offenders
 
     def test_nan_covariance(self, monkeypatch, sensor100_basis):
         pattern = SamplingPattern(100, tuple(range(0, 100, 5)))

@@ -432,3 +432,12 @@ class TestMatrixCsv:
 
         with pytest.raises(ParseError):
             load_matrix_csv(path)
+
+    def test_non_numeric_entry_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# 1 2\n1.0,abc\n")
+        from graphpsd import ParseError
+
+        with pytest.raises(ParseError, match="line 2") as info:
+            load_matrix_csv(path)
+        assert info.value.line_number == 2
