@@ -15,21 +15,22 @@ near-optimal pattern in practice.  A frame-potential objective (squared
 Frobenius norm of the Gram matrix) is available as an alternative cost.
 
 Marginal gains are evaluated through the Cholesky factor of the regularized
-Gram matrix: either as block updates via the matrix determinant lemma
-(default; each greedy round inverts the m x m factor once, whitens the |X|+1
-new rows ``W`` of all remaining candidates in place by GEMMs against that
-inverse, and factors the smaller of their systems ``I + W W^T`` and
-``I + W^T W``, which share a determinant, with one batched Cholesky, in
-blocks of about 1 MB) or as the equivalent sequence of 2|X|+1 rank-one
-factor updates per candidate over the ordered rows.  GEMM, not a triangular
-solve, whitens the rows because a threaded triangular solve costs several
-milliseconds per call at these shapes and a GEMM does not; the inverse is
-computed with numpy, as every other BLAS call of a round is.  Both paths agree to roundoff and are
-cross-checked against from-scratch recomputation in tests.
+Gram matrix as block updates via the matrix determinant lemma: each greedy
+round inverts the m x m factor once, whitens the |X|+1 new rows ``W`` of the
+remaining candidates in place by GEMMs against that inverse, and factors the
+smaller of their systems ``I + W W^T`` and ``I + W^T W``, which share a
+determinant, with one batched Cholesky, in blocks of about 1 MB.  GEMM, not
+a triangular solve, whitens the rows because a threaded triangular solve
+costs several milliseconds per call at these shapes and a GEMM does not; the
+inverse is computed with numpy, as every other BLAS call of a round is.  The
+rank-one algebra stays as the oracle: :func:`greedy_gain` applies a
+candidate's 2|X|+1 ordered rows as successive rank-one factor updates
+(:func:`cholesky_rank1_update`), and ``validate_gains=True`` checks every
+gain of a greedy run against it and against from-scratch recomputation.
 
-The block path scores only the candidates whose gain can still win a
-round.  It carries an upper bound on every candidate's gain from round to
-round: when vertex t is chosen, candidate s gets one new row
+Greedy scores only the candidates whose gain can still win a round.  It
+carries an upper bound on every candidate's gain from round to round:
+when vertex t is chosen, candidate s gets one new row
 ``v = sqrt(2) psi_st``, and its bound grows by ``log(1 + v A^-1 v^T)``,
 with A the grown regularized Gram matrix, whose inverse factor the next
 round's whitening already holds.  This needs no submodularity (the
@@ -353,10 +354,11 @@ class DesignObjective:
 class GreedyTrace:
     """Selection order, per-step gains, and final objective of a greedy run.
 
-    ``scored`` is the number of exact gains computed in each round (the
-    block path skips candidates whose gain bound cannot win the round).
+    ``scored`` is the number of exact gains computed in each round (greedy
+    skips candidates whose gain bound cannot win the round).
     ``max_gain_check_error`` is set by ``validate_gains=True``: the worst
-    relative deviation of a gain from its from-scratch recomputation.  At
+    relative deviation of a gain, or of its rank-one-update oracle
+    :func:`greedy_gain`, from its from-scratch recomputation.  At
     the default epsilon that reference is a difference of two
     log-determinants of about 1e3, so it is itself off by up to about 1e-8
     relative (measured 4.1e-9 spectral, N=60, K=12; 1.0e-8 vertex, N=40,
@@ -484,12 +486,12 @@ def _gain_by_block(whitening, new_rows):
     return 2.0 * np.sum(np.log(np.diagonal(small_factor, axis1=1, axis2=2)), axis=1)
 
 
-def _candidate_gains(objective, factor, chosen, value, candidates, gain_method, bounds):
+def _candidate_gains(objective, factor, chosen, value, candidates, bounds):
     """Marginal gains of adding each of ``candidates`` to ``chosen``, and the number scored.
 
     ``value`` is the objective value of ``chosen`` and ``factor`` the
     Cholesky factor of its regularized Gram matrix (log-det only).
-    ``bounds`` (block path only) is the length-n array of gain bounds that
+    ``bounds`` (log-det only) is the length-n array of gain bounds that
     :func:`greedy_design` carries from round to round, updated here in
     place: the last chosen vertex's term is added to each candidate's bound,
     and a scored candidate's bound becomes its gain.  Then only the
@@ -501,11 +503,6 @@ def _candidate_gains(objective, factor, chosen, value, candidates, gain_method, 
     """
     if objective.kind == FRAME_POTENTIAL:
         gains = np.array([objective_value(objective, chosen + [s]) - value for s in candidates])
-        return gains, len(candidates)
-    if gain_method == "updates":
-        gains = np.array(
-            [_gain_by_updates(factor, objective.rows_for_candidate(chosen, s)) for s in candidates]
-        )
         return gains, len(candidates)
     whitening = _upper_inverse(factor.T)
     m = objective.n_unknowns
@@ -587,38 +584,39 @@ def greedy_gain(objective, selected, candidate, factor=None):
     return _gain_by_updates(factor, objective.rows_for_candidate(idx, candidate))
 
 
-def greedy_design(objective, k, gain_method="block", validate_gains=False):
+def greedy_design(objective, k, validate_gains=False):
     """Greedy maximization of the design objective under a cardinality budget.
 
     Each round adds the first maximizer of the unselected vertices' gains,
-    so ties go to the lowest index and the result is deterministic.
-    ``gain_method`` picks the log-det gain evaluation: "block" whitens the
-    |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)`` of candidates by GEMMs
-    against the inverse of the round's Cholesky factor and factors their
-    small systems with one batched Cholesky, in blocks of about 1 MB, and
-    scores only the candidates whose gain bound can reach the round's best
-    gain.  The bound is the candidate's last exact gain plus
-    ``log(1 + v A^-1 v^T)`` for each row ``v = sqrt(2) psi_st`` it gained
-    since, A being the regularized Gram matrix after t was added; it holds
-    without submodularity because A only grows (see the module docstring).
-    Candidates within 1e-6 of the best gain are scored, so rounding in a
-    bound cannot skip a winner, and NaN or infinite bounds always are.
-    "updates" applies the 2|X|+1 ordered rows as rank-one updates per
-    candidate and scores every candidate (slow; an oracle).  The running
-    Gram matrix adds the chosen vertex's ordered rows, and those rows must
-    be symmetric: an ``(s, j)`` row that differs from its ``(j, s)`` row
-    by more than 1e-10 of the largest entry of its unknown raises
-    :class:`InvariantViolation`.  A gain that is not finite raises
-    :class:`NonFinite` in the round where it appears.  With
-    ``validate_gains=True`` every candidate gain is recomputed from scratch
-    and the worst relative deviation of both the selecting gain and the
-    rank-one-update gain is recorded on the trace (slow; meant for small
-    instances); every candidate is then scored.  ``trace.scored`` counts
-    the exact gains of each round.  At the default epsilon the from-scratch
-    reference is a difference of two log-determinants of about 1e3, so it
-    carries an error of its own near 1e-8 relative (measured 4.1e-9 on a spectral objective,
-    N=60, K=12, and 1.0e-8 on a vertex one, N=40, Q=5): a recorded error
-    below about 1e-8 cannot tell a wrong gain from that rounding.
+    so ties go to the lowest index and the result is deterministic.  A
+    log-det round whitens the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)``
+    of candidates by GEMMs against the inverse of the round's Cholesky
+    factor, factors their small systems with one batched Cholesky, in
+    blocks of about 1 MB, and scores only the candidates whose gain bound
+    can reach the round's best gain.  The bound is the candidate's last
+    exact gain plus ``log(1 + v A^-1 v^T)`` for each row
+    ``v = sqrt(2) psi_st`` it gained since, A being the regularized Gram
+    matrix after t was added; it holds without submodularity because A
+    only grows (see the module docstring).  Candidates within 1e-6 of the
+    best gain are scored, so rounding in a bound cannot skip a winner, and
+    NaN or infinite bounds always are.  The running Gram matrix adds the
+    chosen vertex's ordered rows, and those rows must be symmetric: an
+    ``(s, j)`` row that differs from its ``(j, s)`` row by more than 1e-10
+    of the largest entry of its unknown raises :class:`InvariantViolation`.
+    A gain that is not finite raises :class:`NonFinite` in the round where
+    it appears.  ``trace.scored`` counts the exact gains of each round.
+
+    With ``validate_gains=True`` every candidate is scored and its gain
+    recomputed from scratch, and the worst relative deviation from that
+    reference of both the selecting gain and the rank-one-update gain (the
+    oracle of :func:`greedy_gain`, which applies the 2|X|+1 ordered rows
+    one at a time) is recorded on the trace (slow; meant for small
+    instances).  At the default epsilon the from-scratch reference is a
+    difference of two log-determinants of about 1e3, so it carries an
+    error of its own near 1e-8 relative (measured 4.1e-9 on a spectral
+    objective, N=60, K=12, and 1.0e-8 on a vertex one, N=40, Q=5): a
+    recorded error below about 1e-8 cannot tell a wrong gain from that
+    rounding.
 
     Returns ``(pattern, trace)`` where the pattern is the sorted vertex set
     and the trace records the selection order and per-step gains.
@@ -626,8 +624,6 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
     n = objective.n_vertices
     if not (1 <= k <= n):
         raise InvariantViolation(f"need 1 <= k <= {n}, got {k}")
-    if gain_method not in ("block", "updates"):
-        raise InvariantViolation(f"unknown gain method {gain_method!r}")
     logdet = objective.kind == LOGDET_EPS
     m = objective.n_unknowns
     factor = None
@@ -645,7 +641,7 @@ def greedy_design(objective, k, gain_method="block", validate_gains=False):
         if validate_gains:
             bounds = np.full(n, np.inf)  # every candidate is checked, so score them all
         round_gains, round_scored = _candidate_gains(
-            objective, factor, chosen, value, remaining, gain_method, bounds
+            objective, factor, chosen, value, remaining, bounds
         )
         scored.append(round_scored)
         bad = np.flatnonzero(~np.isfinite(round_gains))

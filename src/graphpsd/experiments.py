@@ -148,6 +148,11 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validate(self):
+        paths = {"graph.path": self.graph.path, "pattern_path": self.pattern_path,
+                 "output_dir": self.output_dir}
+        for name, value in paths.items():
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         counts = {"k": self.k, "q": self.q, "n_snapshots": self.n_snapshots}
         if self.graph.path is None:
             counts["graph.n"] = self.graph.n
@@ -394,11 +399,6 @@ class Setting:
             return spectral_mod.basis_filter_rows(self.filter, self.basis, vertices)
         return spectral_mod.filter_rows(self.filter, self.shift, vertices)
 
-    def covariance(self, seed, pattern):
-        """K x K covariance at ``pattern``'s vertices (see :meth:`covariances`)."""
-        (cov,) = self.covariances(seed, [pattern])
-        return cov
-
     def model(self, pattern):
         """Model matrix of ``pattern``; a pattern of another vertex count is a ConfigError."""
         self._check_pattern(pattern)
@@ -471,7 +471,7 @@ def run_experiment(cfg):
         with timer.stage("model"):
             model = setting.model(pattern)
         with timer.stage("covariance"):
-            cov_sub = setting.covariance(cfg.seed, pattern)
+            (cov_sub,) = setting.covariances(cfg.seed, [pattern])
         with timer.stage("estimate"):
             estimate, nmse = setting.estimate(cov_sub, model)
         result = ExperimentResult(

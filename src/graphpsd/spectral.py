@@ -250,27 +250,18 @@ def white_noise(n, n_snapshots, seed=0):
     return np.random.default_rng(seed).standard_normal((n, n_snapshots))
 
 
-def synthesize(filt, basis, n_snapshots, seed=0, vertices=None, noise=None):
+def synthesize(filt, basis, n_snapshots, seed=0, vertices=None):
     """Draw stationary realizations by filtering white noise.
 
     Returns a ``K x n_snapshots`` array whose columns are independent
-    samples ``H n`` with ``n`` i.i.d. standard normal, observed at the K
-    ``vertices`` (in their order; all N vertices by default), as
-    :func:`basis_filter_rows` times the noise.  ``noise`` is the ``N x
-    n_snapshots`` draw to filter, ``white_noise(N, n_snapshots, seed)`` by
-    default; passing one draw to several calls observes the same
-    realizations at different vertex sets.  The rows of a call with
+    samples ``H n`` with ``n = white_noise(N, n_snapshots, seed)``, observed
+    at the K ``vertices`` (in their order; all N vertices by default), as
+    :func:`basis_filter_rows` times the noise.  The rows of a call with
     ``vertices`` agree with the same rows of an all-vertex call to
     rounding, not bitwise, because the products run at another shape.
     """
     rows = basis_filter_rows(filt, basis, vertices)
-    if noise is None:
-        noise = white_noise(basis.n, n_snapshots, seed)
-    elif noise.shape != (basis.n, n_snapshots):
-        raise InvariantViolation(
-            f"noise is {noise.shape[0]} x {noise.shape[1]}, expected {basis.n} x {n_snapshots}"
-        )
-    return rows @ noise
+    return rows @ white_noise(basis.n, n_snapshots, seed)
 
 
 def sample_covariance(snapshots, subtract_mean=False):

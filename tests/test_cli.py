@@ -107,6 +107,8 @@ class TestRun:
             {"use_population_covariance": "no"},
             {"filter": "x"},
             {"filter": {"rte": 5}},
+            {"graph": {"path": 0}},
+            {"sampler": "file", "pattern_path": 0},
         ],
     )
     def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):
@@ -114,6 +116,24 @@ class TestRun:
         cfg_path.write_text(json.dumps({"graph": {"n": 30}, "k": 10, **data}))
         assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("output_dir", {"output_dir": 7}),
+            ("graph.path", {"graph": {"path": 0}, "output_dir": "out"}),
+            ("pattern_path", {"sampler": "file", "pattern_path": 0, "output_dir": "out"}),
+        ],
+        ids=["output_dir", "graph.path", "pattern_path"],
+    )
+    def test_path_fields_must_be_strings(self, tmp_path, capsys, name, data):
+        """A path that is not a string is rejected before it is opened: the
+        integer 0 would read and close stdin.  With no --out the config's
+        output_dir is the output directory."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graph": {"n": 30}, "k": 10, **data}))
+        assert run_cli("run", "--config", str(cfg_path)) == 2
+        assert f"{name} must be a string" in capsys.readouterr().err
 
     def test_graph_from_file(self, tmp_path):
         gpath = tmp_path / "g.txt"

@@ -11,6 +11,7 @@ import scipy.linalg
 from graphpsd import (
     DesignObjective,
     Graph,
+    GreedyTrace,
     InvariantViolation,
     NonFinite,
     SamplingPattern,
@@ -51,6 +52,24 @@ def dense_objective_oracle(objective, selected):
     sign, logdet = np.linalg.slogdet(gram + objective.epsilon * np.eye(m))
     assert sign > 0
     return float(logdet - m * math.log(objective.epsilon))
+
+
+def greedy_by_gain_oracle(objective, k):
+    """Greedy over the public rank-one-update gain :func:`greedy_gain`, taking
+    the lowest-index maximizer each round: the reference for the orders and
+    gains of :func:`greedy_design`.  It scores every candidate."""
+    chosen, gains, scored = [], [], []
+    for _ in range(k):
+        candidates = [s for s in range(objective.n_vertices) if s not in chosen]
+        round_gains = [greedy_gain(objective, chosen, s) for s in candidates]
+        best = int(np.argmax(round_gains))
+        chosen.append(candidates[best])
+        gains.append(round_gains[best])
+        scored.append(len(candidates))
+    return GreedyTrace(
+        chosen=tuple(chosen), gains=tuple(gains),
+        final_value=objective_value(objective, chosen), scored=tuple(scored),
+    )
 
 
 def spectral_objective(n, seed, epsilon=None):
@@ -226,8 +245,8 @@ class TestGreedyDesign:
 
     def test_block_and_update_gain_paths_agree(self):
         obj = spectral_objective(9, seed=20)
-        p_block, t_block = greedy_design(obj, 5, gain_method="block")
-        p_upd, t_upd = greedy_design(obj, 5, gain_method="updates")
+        _, t_block = greedy_design(obj, 5)
+        t_upd = greedy_by_gain_oracle(obj, 5)
         assert t_block.chosen == t_upd.chosen
         np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
 
@@ -275,7 +294,7 @@ class TestGreedyDesign:
     def test_batched_gains_match_updates_oracle(self, make, k):
         obj = make()
         _, t_block = greedy_design(obj, k)
-        _, t_upd = greedy_design(obj, k, gain_method="updates")
+        t_upd = greedy_by_gain_oracle(obj, k)
         assert t_block.chosen == t_upd.chosen
         np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
 
@@ -324,9 +343,9 @@ class TestGreedyDesign:
         counted = []
         original = design_mod._candidate_gains
 
-        def counting(objective, factor, chosen, value, candidates, gain_method, bounds=None):
+        def counting(objective, factor, chosen, value, candidates, bounds=None):
             counted.append(len(candidates))
-            return original(objective, factor, chosen, value, candidates, gain_method, bounds)
+            return original(objective, factor, chosen, value, candidates, bounds)
 
         monkeypatch.setattr(design_mod, "_candidate_gains", counting)
         obj = spectral_objective(9, seed=28)
@@ -366,7 +385,7 @@ class TestGreedyDesign:
         assert len(block_rows) >= 2 * k
         assert max(block_rows) > 2 * m
         assert any(rows % m for rows in block_rows)
-        _, t_upd = greedy_design(obj, k, gain_method="updates")
+        t_upd = greedy_by_gain_oracle(obj, k)
         assert t_block.chosen == t_upd.chosen
         np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
         _, t_checked = greedy_design(obj, k, validate_gains=True)
@@ -382,8 +401,8 @@ class TestGreedyDesign:
 
         monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
         obj = spectral_objective(10, seed=32)
-        _, trace = greedy_design(obj, 6, gain_method="block")
-        _, oracle = greedy_design(obj, 6, gain_method="updates")
+        _, trace = greedy_design(obj, 6)
+        oracle = greedy_by_gain_oracle(obj, 6)
         assert trace.chosen == oracle.chosen
 
     @pytest.mark.parametrize("m", [1, 32, 33, 100, 257])
@@ -437,10 +456,10 @@ class TestGainBounds:
         original = design_mod._candidate_gains
         excess = []
 
-        def checking(objective, factor, chosen, value, candidates, gain_method, bounds=None):
-            gains, scored = original(objective, factor, chosen, value, candidates, gain_method, bounds)
+        def checking(objective, factor, chosen, value, candidates, bounds=None):
+            gains, scored = original(objective, factor, chosen, value, candidates, bounds)
             everything = np.full(len(bounds), np.inf)
-            exact, _ = original(objective, factor, chosen, value, candidates, gain_method, everything)
+            exact, _ = original(objective, factor, chosen, value, candidates, everything)
             scale = abs(exact.max())
             excess.append(float(np.max(exact - bounds[candidates])) / scale)
             best = int(np.argmax(exact))
@@ -454,9 +473,9 @@ class TestGainBounds:
         assert max(excess) <= 1e-12
         assert sum(bounded.scored) < k * obj.n_vertices - k * (k - 1) // 2
 
-        def scoring_all(objective, factor, chosen, value, candidates, gain_method, bounds=None):
+        def scoring_all(objective, factor, chosen, value, candidates, bounds=None):
             everything = np.full(len(bounds), np.inf)
-            return original(objective, factor, chosen, value, candidates, gain_method, everything)
+            return original(objective, factor, chosen, value, candidates, everything)
 
         monkeypatch.setattr(design_mod, "_candidate_gains", scoring_all)
         _, full = greedy_design(obj, k)
@@ -486,7 +505,7 @@ class TestGainBounds:
         assert sum(trace.scored) < considered
         _, validated = greedy_design(obj, k, validate_gains=True)
         assert sum(validated.scored) == considered
-        _, updated = greedy_design(obj, k, gain_method="updates")
+        updated = greedy_by_gain_oracle(obj, k)
         assert sum(updated.scored) == considered
         assert validated.chosen == updated.chosen == trace.chosen
 

@@ -109,6 +109,10 @@ class TestConfig:
             ({"filter": {"rte": 5}}, "unexpected keyword argument 'rte'"),
             ({"filter": {"profile": "highpass"}}, "unknown filter profile 'highpass'"),
             ({"filter": {"profile": None}}, "unknown filter profile None"),
+            ({"graph": {"path": 0}}, "graph.path must be a string, got 0"),
+            ({"pattern_path": 5}, "pattern_path must be a string, got 5"),
+            ({"sampler": "file", "pattern_path": 0}, "pattern_path must be a string"),
+            ({"output_dir": 7}, "output_dir must be a string, got 7"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -285,7 +289,7 @@ def _value_types(cfg):
         "ShiftOperator": setting.shift,
         "SpectralBasis": setting.basis,
         "GraphFilter": setting.filter,
-        "CovarianceEstimate": setting.covariance(cfg.seed, result.pattern),
+        "CovarianceEstimate": setting.covariances(cfg.seed, [result.pattern])[0],
         "CovarianceModelMatrix": setting.model(result.pattern),
         "SpectrumEstimate": result.estimate,
         "ExperimentResult": result,
@@ -511,7 +515,7 @@ class TestObservedCovariance:
     def test_pattern_of_another_vertex_count_rejected(self):
         setting = prepare(small_cfg())
         with pytest.raises(ConfigError, match="for 100 vertices"):
-            setting.covariance(0, SamplingPattern(100, (0, 5, 50)))
+            setting.covariances(0, [SamplingPattern(100, (0, 5, 50))])
 
     @pytest.mark.parametrize("population", [False, True], ids=["sampled", "population"])
     def test_covariance_stage_builds_nothing_beyond_the_noise(self, population):
@@ -532,7 +536,7 @@ class TestObservedCovariance:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cov = setting.covariance(0, pattern)
+            cov = setting.covariances(0, [pattern])[0]
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -571,7 +575,7 @@ class TestVertexDomainWithoutEigenvectors:
     def test_population_covariance_is_the_principal_submatrix(self):
         setting = prepare(small_cfg(domain="vertex", use_population_covariance=True))
         pattern = SamplingPattern(30, (1, 4, 9, 16, 25, 29))
-        cov = setting.covariance(0, pattern)
+        cov = setting.covariances(0, [pattern])[0]
         basis = spectral_mod.eigendecompose(setting.shift)
         full = spectral_mod.true_covariance(setting.filter, basis)
         sub = sampling_mod.subsampled_covariance(full, pattern).matrix
@@ -583,7 +587,7 @@ class TestVertexDomainWithoutEigenvectors:
         same seeded noise, to rounding."""
         setting = prepare(small_cfg(domain="vertex"))
         pattern = SamplingPattern(30, (0, 7, 8, 20, 21))
-        cov = setting.covariance(11, pattern).matrix
+        cov = setting.covariances(11, [pattern])[0].matrix
         basis = spectral_mod.eigendecompose(setting.shift)
         reference = spectral_mod.sample_covariance(
             spectral_mod.synthesize(setting.filter, basis, 400, seed=11, vertices=pattern.selected)

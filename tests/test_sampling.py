@@ -828,7 +828,7 @@ class TestGramPath:
             )
         )
         pattern, _, _ = setting.design()
-        return setting, pattern, setting.covariance(seed, pattern)
+        return setting, pattern, setting.covariances(seed, [pattern])[0]
 
     def test_model_and_estimate_peak_below_half_the_khatri_rao_model(self):
         """N=600, K=100 (the first ``estimate_large`` graph): the K^2 x N
@@ -1000,7 +1000,7 @@ class TestBenchmarkPoolRecovery:
             )
         )
         pattern = SamplingPattern(800, tuple(golden["chosen"][str(seed)]))
-        est, _ = setting.estimate(setting.covariance(seed, pattern), setting.model(pattern))
+        est, _ = setting.estimate(setting.covariances(seed, [pattern])[0], setting.model(pattern))
         assert est.rank_ok
         p_true = setting.p_true
         assert np.abs(est.p_hat - p_true).max() <= 1e-6 * np.abs(p_true).max()

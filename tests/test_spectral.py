@@ -28,7 +28,6 @@ from graphpsd import (
     true_covariance,
     true_power_spectrum,
     vandermonde,
-    white_noise,
 )
 
 
@@ -285,22 +284,12 @@ class TestSynthesize:
         again = synthesize(sensor100_filter, sensor100_basis, 300, seed=5, vertices=vertices)
         assert part.tobytes() == again.tobytes()
 
-    def test_shared_noise_is_the_seeded_draw(self, path3_basis):
-        f = GraphFilter([1.0, 0.5])
-        noise = white_noise(3, 8, seed=42)
-        np.testing.assert_array_equal(
-            synthesize(f, path3_basis, 8, noise=noise, vertices=(2, 0)),
-            synthesize(f, path3_basis, 8, seed=42, vertices=(2, 0)),
-        )
-
-    def test_vertices_and_noise_validated(self, path3_basis):
+    def test_vertices_validated(self, path3_basis):
         f = GraphFilter([1.0])
         with pytest.raises(InvariantViolation):
             synthesize(f, path3_basis, 4, vertices=(0, 3))
         with pytest.raises(InvariantViolation):
             synthesize(f, path3_basis, 4, vertices=(-1,))
-        with pytest.raises(InvariantViolation):
-            synthesize(f, path3_basis, 4, noise=np.zeros((3, 5)))
 
 
 class TestFilterRows:
