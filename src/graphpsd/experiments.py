@@ -56,22 +56,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _is_count(value):
     """True for an integer value that is not a bool (JSON ``true`` is not a count)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -82,9 +66,20 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _builtin(obj):
+    """``json``'s fallback: a numpy scalar or array as builtin values.
+
+    ``json`` writes a ``np.float64``, a ``float`` subclass, with
+    ``float.__repr__`` itself, so the bytes match those of a builtin float.
+    """
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_builtin)
         fh.write("\n")
 
 
@@ -584,11 +579,13 @@ def _greedy_prefix_models(cfg, k_values):
 
     One greedy design at the largest budget gives every smaller budget's
     pattern as a prefix of its selection order.  The models are built as
-    they are read, in the order of ``k_values``.  An empty list, or a
-    budget below 1, is a ConfigError.
+    they are read, in the order of ``k_values``.  An empty list, a budget
+    that is not an integer, or a budget below 1, is a ConfigError.
     """
     if not k_values:
         raise ConfigError("no budgets given")
+    if not all(map(_is_count, k_values)):
+        raise ConfigError(f"budgets must be integers, got {k_values!r}")
     if min(k_values) < 1:
         raise ConfigError("budget outside [1, n]")
     setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
@@ -607,7 +604,7 @@ def rank_threshold_scan(cfg, k_range):
     ``(K, rank_ok)`` for every prefix size in ``k_range``, reusing the
     nested structure of greedy selections.
     """
-    _, models = _greedy_prefix_models(cfg, sorted(set(int(k) for k in k_range)))
+    _, models = _greedy_prefix_models(cfg, sorted(set(k_range)))
     return [(k, sampling_mod.model_rank(model)[1]) for k, model in models]
 
 
@@ -623,9 +620,9 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     and shared by every seed, so its Gram factor is formed once.
     Returns the rows and optionally writes ``sweep.csv``.
     """
-    k_values = [int(k) for k in k_list]
-    if n_seeds < 1:
-        raise ConfigError("need at least one seed")
+    k_values = list(k_list)
+    if not (_is_count(n_seeds) and n_seeds >= 1):
+        raise ConfigError(f"need a positive integer number of seeds, got {n_seeds!r}")
     # a budget listed twice is estimated once and reported twice
     setting, prefixes = _greedy_prefix_models(cfg, list(dict.fromkeys(k_values)))
     greedy = dict(prefixes)
@@ -658,34 +655,28 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     ]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(f"{out_dir}/sweep.csv", "w", encoding="utf-8") as fh:
-            fh.write("k,sampler,mean_nmse,rank_ok_fraction\n")
-            for row in rows:
-                fh.write(
-                    f"{row['k']},{row['sampler']},{_fmt(row['mean_nmse'])},"
-                    f"{_fmt(row['rank_ok_fraction'])}\n"
-                )
+        _write_text(
+            f"{out_dir}/sweep.csv",
+            "k,sampler,mean_nmse,rank_ok_fraction\n"
+            + "".join(
+                f"{r['k']},{r['sampler']},{_fmt(r['mean_nmse'])},{_fmt(r['rank_ok_fraction'])}\n"
+                for r in rows
+            ),
+        )
     return rows
 
 
-def _property_instances(seed):
-    """Small deterministic instances used by the property suites."""
-    rng = np.random.default_rng(seed)
-    instances = []
-    for i in range(10):
-        n = int(rng.integers(5, 11))
-        graph = graphs_mod.random_sensor_graph(n, min(3, n - 1), seed=100 + i)
-        shift = graphs_mod.build_laplacian(graph)
-        if i % 2 == 0:
-            basis = spectral_mod.eigendecompose(shift)
-            objective = design_mod.DesignObjective.spectral(basis)
-            domain = sampling_mod.SPECTRAL
-        else:
-            q = int(rng.integers(2, min(6, n) + 1))
-            objective = design_mod.DesignObjective.vertex(shift, q)
-            domain = sampling_mod.VERTEX
-        instances.append((n, domain, objective))
-    return instances
+def _sensor_laplacian(n, k_neighbors, seed):
+    """``(shift, basis)`` of a property-suite instance: the Laplacian of a
+    sensor graph of ``n`` vertices, at most ``n - 1`` neighbours each."""
+    graph = graphs_mod.random_sensor_graph(n, min(k_neighbors, n - 1), seed)
+    shift = graphs_mod.build_laplacian(graph)
+    return shift, spectral_mod.eigendecompose(shift)
+
+
+def _scaled_error(got, want, scale):
+    """Largest absolute difference of ``got`` and ``want`` over ``max(scale, 1)``."""
+    return float(np.abs(got - want).max() / max(scale, 1.0))
 
 
 def run_property_suites(seed=0, trials=200):
@@ -699,9 +690,17 @@ def run_property_suites(seed=0, trials=200):
     """
     report = {}
 
-    instances = _property_instances(seed)
+    rng = np.random.default_rng(seed)
     sub_rows = []
-    for n, domain, objective in instances:
+    for i in range(10):
+        n = int(rng.integers(5, 11))
+        shift, basis = _sensor_laplacian(n, 3, 100 + i)
+        if i % 2 == 0:
+            domain, objective = sampling_mod.SPECTRAL, design_mod.DesignObjective.spectral(basis)
+        else:
+            q = int(rng.integers(2, min(6, n) + 1))
+            # epsilon from the objective's own eigvalsh: eigh's eigenvalues differ by rounding
+            domain, objective = sampling_mod.VERTEX, design_mod.DesignObjective.vertex(shift, q)
         rep = design_mod.check_submodularity(objective, trials=trials, seed=seed)
         sub_rows.append(
             {
@@ -726,9 +725,7 @@ def run_property_suites(seed=0, trials=200):
     bound = 1.0 - 1.0 / math.e
     greedy_rows = []
     for i in range(5):
-        graph = graphs_mod.random_sensor_graph(8, 3, seed=200 + i)
-        shift = graphs_mod.build_laplacian(graph)
-        basis = spectral_mod.eigendecompose(shift)
+        shift, basis = _sensor_laplacian(8, 3, 200 + i)
         if i % 2 == 0:
             objective = design_mod.DesignObjective.spectral(basis)
         else:
@@ -749,38 +746,33 @@ def run_property_suites(seed=0, trials=200):
     worst = 0.0
     for i in range(20):
         n = int(rng.integers(6, 31))
-        graph = graphs_mod.random_sensor_graph(n, min(4, n - 1), seed=300 + i)
-        shift = graphs_mod.build_laplacian(graph)
-        basis = spectral_mod.eigendecompose(shift)
+        shift, basis = _sensor_laplacian(n, 4, 300 + i)
         k = int(rng.integers(2, n + 1))
         pattern = design_mod.random_design(n, k, seed=300 + i)
         q = int(rng.integers(1, min(8, n) + 1))
         vertex = sampling_mod.build_vertex_model(shift, pattern, q).matrix
         spectral = sampling_mod.build_spectral_model(basis, pattern).matrix
         via_basis = spectral @ spectral_mod.vandermonde(basis.eigenvalues, q)
-        scale = max(np.abs(vertex).max(), np.abs(via_basis).max(), 1.0)
-        worst = max(worst, float(np.abs(vertex - via_basis).max() / scale))
+        scale = max(np.abs(vertex).max(), np.abs(via_basis).max())
+        worst = max(worst, _scaled_error(vertex, via_basis, scale))
     report["model_equivalence"] = {"trials": 20, "max_scaled_error": worst, "ok": worst <= 1e-8}
 
     worst = 0.0
     for i in range(20):
         n = int(rng.integers(5, 31))
-        graph = graphs_mod.random_sensor_graph(n, min(4, n - 1), seed=400 + i)
-        basis = spectral_mod.eigendecompose(graphs_mod.build_laplacian(graph))
+        _, basis = _sensor_laplacian(n, 4, 400 + i)
         length = int(rng.integers(1, 6))
         filt = spectral_mod.GraphFilter(coefficients=rng.standard_normal(length))
         h = spectral_mod.filter_matrix(filt, basis)
         u = basis.eigenvectors
         rotated = np.diag(u.T @ (h @ h.T) @ u)
         p = spectral_mod.true_power_spectrum(filt, basis)
-        scale = max(np.abs(p).max(), 1.0)
-        worst = max(worst, float(np.abs(rotated - p).max() / scale))
+        worst = max(worst, _scaled_error(rotated, p, np.abs(p).max()))
     report["spectrum_consistency"] = {"trials": 20, "max_scaled_error": worst, "ok": worst <= 1e-8}
 
     worst = 0.0
     for i, (n, k) in enumerate([(16, 8), (20, 10)]):
-        graph = graphs_mod.random_sensor_graph(n, 4, seed=500 + i)
-        basis = spectral_mod.eigendecompose(graphs_mod.build_laplacian(graph))
+        _, basis = _sensor_laplacian(n, 4, 500 + i)
         objective = design_mod.DesignObjective.spectral(basis, epsilon=1e-6)
         _, trace = design_mod.greedy_design(objective, k, validate_gains=True)
         worst = max(worst, trace.max_gain_check_error)
@@ -790,8 +782,7 @@ def run_property_suites(seed=0, trials=200):
     worst, gram_solves = 0.0, 0
     for i in range(20):
         n = int(rng.integers(6, 31))
-        graph = graphs_mod.random_sensor_graph(n, min(4, n - 1), seed=600 + i)
-        basis = spectral_mod.eigendecompose(graphs_mod.build_laplacian(graph))
+        _, basis = _sensor_laplacian(n, 4, 600 + i)
         k_min = math.ceil((math.sqrt(8 * n + 1) - 1) / 2)
         pattern = design_mod.random_design(n, int(rng.integers(k_min, n + 1)), seed=600 + i)
         filt = spectral_mod.GraphFilter(coefficients=rng.standard_normal(3))
@@ -806,8 +797,7 @@ def run_property_suites(seed=0, trials=200):
         )
         gram = sampling_mod.estimate_spectrum_spectral(cov_sub, model).p_hat
         qr = sampling_mod.estimate_spectrum_spectral(cov_sub, dense).p_hat
-        scale = max(np.abs(qr).max(), 1.0)
-        worst = max(worst, float(np.abs(gram - qr).max() / scale))
+        worst = max(worst, _scaled_error(gram, qr, np.abs(qr).max()))
     report["estimator_agreement"] = {
         "trials": 20, "gram_solves": gram_solves, "max_scaled_error": worst, "ok": worst <= 1e-8
     }

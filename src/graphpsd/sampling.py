@@ -43,19 +43,30 @@ VERTEX = "vertex"
 
 @dataclass(frozen=True)
 class SamplingPattern:
-    """Subset of vertices to observe, kept as sorted distinct indices."""
+    """Subset of vertices to observe, kept as sorted distinct indices.
+
+    ``n_vertices`` and every entry must be integers (numpy integers too);
+    a float is an error, not truncated.
+    """
 
     n_vertices: int
     selected: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.selected)
+        try:
+            n = operator.index(self.n_vertices)
+            idx = tuple(map(operator.index, self.selected))
+        except TypeError as exc:
+            raise InvariantViolation(
+                f"a pattern's vertex count and vertices must be integers: {exc}"
+            ) from exc
         if len(idx) == 0:
             raise InvariantViolation("pattern must select at least one vertex")
         if len(set(idx)) != len(idx):
             raise InvariantViolation("pattern has duplicate vertices")
-        if min(idx) < 0 or max(idx) >= self.n_vertices:
+        if min(idx) < 0 or max(idx) >= n:
             raise InvariantViolation("pattern index out of range")
+        object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "selected", tuple(sorted(idx)))
 
     @classmethod

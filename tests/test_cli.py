@@ -280,6 +280,14 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+    def test_check_same_bytes(self, tmp_path):
+        """Criterion 10 for the ``check`` verb: its report is byte-reproducible."""
+        for name in ("a", "b"):
+            run_cli("check", "--trials", "20", "--out", str(tmp_path / name))
+        a, b = ((tmp_path / name / "check.json").read_bytes() for name in ("a", "b"))
+        assert a == b
+
+
 class TestDesignMatchesRun:
     def test_design_and_run_write_the_same_pattern_and_trace(self, tmp_path):
         args = ["--n", "30", "--k", "12", "--snapshots", "200", "--seed", "1"]

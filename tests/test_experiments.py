@@ -1,5 +1,6 @@
 """Pipeline runs, rank scans, sweeps, and deterministic outputs."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -31,7 +32,8 @@ from graphpsd import (
 from graphpsd import graphs as graphs_mod
 from graphpsd import sampling as sampling_mod
 from graphpsd import spectral as spectral_mod
-from graphpsd.experiments import DETERMINISTIC_OUTPUTS
+from graphpsd import experiments as experiments_mod
+from graphpsd.experiments import DETERMINISTIC_OUTPUTS, _write_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -356,6 +358,36 @@ class TestPatternFiles:
                 load_pattern(path)
 
 
+class TestJsonOutput:
+    def test_numpy_values_write_as_builtins(self, tmp_path):
+        """numpy scalars and arrays, tuples and nested dicts give the bytes
+        of the same payload in builtin types."""
+        matrix = [[0.1, 0.2, 1 / 3], [1e-17, -2.5, 3.0]]
+        numpy_payload = {
+            "flag": np.bool_(True),
+            "count": np.int64(7),
+            "value": np.float64(0.1),
+            "matrix": np.array(matrix),
+            "pair": (np.int64(1), np.float64(2.5)),
+            "nested": {"inner": {"small": np.float64(1e-300), "off": np.bool_(False)}},
+        }
+        builtin_payload = {
+            "flag": True,
+            "count": 7,
+            "value": 0.1,
+            "matrix": matrix,
+            "pair": [1, 2.5],
+            "nested": {"inner": {"small": 1e-300, "off": False}},
+        }
+        _write_json(tmp_path / "numpy.json", numpy_payload)
+        _write_json(tmp_path / "builtin.json", builtin_payload)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "builtin.json").read_bytes()
+
+    def test_unsupported_object_is_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(tmp_path / "bad.json", {"x": object()})
+
+
 class TestRankThresholdScan:
     def test_full_budget_reaches_full_rank(self):
         cfg = small_cfg()
@@ -380,6 +412,16 @@ class TestRankThresholdScan:
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError):
             rank_threshold_scan(small_cfg(), [])
+
+    def test_non_integer_budget_rejected(self):
+        """A budget is not truncated: 5.9 is not K=5."""
+        with pytest.raises(ConfigError, match="budgets must be integers"):
+            rank_threshold_scan(small_cfg(), [5.9, 7.2])
+
+    def test_numpy_integer_budgets_accepted(self):
+        assert rank_threshold_scan(small_cfg(), np.array([7, 30])) == rank_threshold_scan(
+            small_cfg(), [7, 30]
+        )
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_greedy_full_rank_at_the_information_minimum(self, seed):
@@ -615,6 +657,16 @@ class TestCompressionSweep:
         with pytest.raises(ConfigError):
             compression_sweep(small_cfg(), [], 3)
 
+    @pytest.mark.parametrize("k_list, n_seeds", [([6.5], 1), ([12, 30.0], 2), ([14], 1.5), ([14], True)])
+    def test_non_integer_budget_or_seed_count_rejected(self, k_list, n_seeds):
+        with pytest.raises(ConfigError):
+            compression_sweep(small_cfg(), k_list, n_seeds)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_cfg(use_population_covariance=True)
+        rows = compression_sweep(cfg, [np.int64(12), np.int32(30)], np.int64(2))
+        assert rows == compression_sweep(cfg, [12, 30], 2)
+
     def test_full_budget_matches_between_samplers(self):
         """At K = N both samplers observe everything and agree exactly."""
         rows = compression_sweep(small_cfg(use_population_covariance=True), [30], 2)
@@ -737,3 +789,41 @@ class TestPropertySuites:
         for row in report["submodularity"]["instances"]:
             assert row["normalization_ok"]
             assert row["monotonicity_violations"] == 0
+
+
+class TestOneSuiteSetUp:
+    def test_only_sensor_laplacian_builds_a_suite_instance(self):
+        """In ``experiments.py`` the graph generator, the Laplacian and the
+        eigensolver are named only by ``_sensor_laplacian``; ``prepare``
+        builds the pipeline's shift and basis, and ``GraphSpec.build`` its
+        generated graph."""
+        watched = {"random_sensor_graph", "build_laplacian", "build_shift_operator", "eigendecompose"}
+        allowed = {
+            "_sensor_laplacian": {"random_sensor_graph", "build_laplacian", "eigendecompose"},
+            "prepare": {"build_shift_operator", "eigendecompose"},
+            "GraphSpec.build": {"random_sensor_graph"},
+        }
+        tree = ast.parse(pathlib.Path(experiments_mod.__file__).read_text(encoding="utf-8"))
+        scopes = [("", tree)]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                scopes += [
+                    (f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)
+                ]
+        owner = {}
+        for name, scope in scopes:  # inner scopes come later and win
+            owner.update({id(node): name for node in ast.walk(scope)})
+        offenders = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named = node.id
+            elif isinstance(node, ast.Attribute):
+                named = node.attr
+            else:
+                continue
+            scope = owner[id(node)]
+            if named in watched and named not in allowed.get(scope, ()):
+                offenders.append(f"{scope or '<module>'}:{node.lineno} {named}")
+        assert not offenders, offenders

@@ -122,6 +122,16 @@ class TestSamplingPattern:
         with pytest.raises(InvariantViolation):
             SamplingPattern(5, (-1,))
 
+    def test_non_integer_vertices_rejected(self):
+        """Entries and the vertex count are not truncated: (1.5, 2.9) is not
+        vertices 1 and 2.  numpy integers are integers."""
+        for n, selected in ((5, (1.5, 2.9)), (5, (1, 2.0)), (5.0, (1, 2)), (5, ("1",))):
+            with pytest.raises(InvariantViolation, match="must be integers"):
+                SamplingPattern(n, selected)
+        p = SamplingPattern(np.int64(5), (np.int64(3), np.int32(1)))
+        assert p == SamplingPattern(5, (1, 3))
+        assert type(p.n_vertices) is int and all(type(i) is int for i in p.selected)
+
     def test_mask_round_trip(self):
         p = SamplingPattern(6, (1, 4))
         np.testing.assert_array_equal(p.mask, [0, 1, 0, 0, 1, 0])
