@@ -7,7 +7,6 @@ designs that subset with a greedy log-det sampler.
 """
 
 from .design import (
-    FRAME_POTENTIAL,
     LOGDET_EPS,
     DesignObjective,
     GreedyTrace,

@@ -11,8 +11,7 @@ row: greedy gains are scored with the |X|+1 rows ``(s, s)`` and
 
 is normalized (f of the empty set is exactly zero) and monotone; greedy
 maximization with a fixed lowest-index tie-break gives a deterministic,
-near-optimal pattern in practice.  A frame-potential objective (squared
-Frobenius norm of the Gram matrix) is available as an alternative cost.
+near-optimal pattern in practice.
 
 Marginal gains are evaluated through the Cholesky factor of the regularized
 Gram matrix as block updates via the matrix determinant lemma: each greedy
@@ -75,7 +74,6 @@ from .errors import InvariantViolation, NonFinite
 from .sampling import SamplingPattern, _upper_inverse
 
 LOGDET_EPS = "logdet_eps"
-FRAME_POTENTIAL = "frame_potential"
 
 
 # Bytes of one block of work: the candidates of a batched greedy round (their
@@ -254,24 +252,22 @@ class DesignObjective:
     objective keeps a read-only view of it).  :meth:`spectral` and
     :meth:`vertex` instead generate the rows they are asked for, from the
     Fourier basis or from powers of the shift, and never hold the
-    tensor; their :attr:`pair_rows` builds it on demand.
+    tensor; their :attr:`pair_rows` builds it on demand.  ``kind`` must be
+    :data:`LOGDET_EPS`, the only objective.
     """
 
     kind: str
-    epsilon: float | None
+    epsilon: float
     _rows: _RowSource = field(repr=False)
 
     def __init__(self, kind, pair_rows, epsilon=None):
-        rows = pair_rows if isinstance(pair_rows, _RowSource) else _TensorRows(pair_rows)
-        if kind == LOGDET_EPS:
-            eps = rows.default_epsilon() if epsilon is None else epsilon
-            if not (eps > 0.0 and np.isfinite(eps)):
-                raise InvariantViolation("epsilon must be positive and finite")
-            eps = float(eps)
-        elif kind == FRAME_POTENTIAL:
-            eps = None
-        else:
+        if kind != LOGDET_EPS:
             raise InvariantViolation(f"unknown objective kind {kind!r}")
+        rows = pair_rows if isinstance(pair_rows, _RowSource) else _TensorRows(pair_rows)
+        eps = rows.default_epsilon() if epsilon is None else epsilon
+        if not (eps > 0.0 and np.isfinite(eps)):
+            raise InvariantViolation("epsilon must be positive and finite")
+        eps = float(eps)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "_rows", rows)
@@ -410,7 +406,7 @@ def _logdet_cholesky(matrix):
 def objective_value(objective, selection):
     """Evaluate the design objective on a vertex subset.
 
-    The empty set evaluates to exactly 0 for both objective kinds.
+    The empty set evaluates to exactly 0.
     """
     idx = _selection_indices(selection)
     if len(idx) == 0:
@@ -419,8 +415,6 @@ def objective_value(objective, selection):
         gram = objective.gram(idx)
     if not np.all(np.isfinite(gram)):
         raise NonFinite("Gram matrix overflowed")
-    if objective.kind == FRAME_POTENTIAL:
-        return float(np.sum(gram * gram))
     m = objective.n_unknowns
     eps = objective.epsilon
     return _logdet_cholesky(gram + eps * np.eye(m)) - m * math.log(eps)
@@ -486,12 +480,11 @@ def _gain_by_block(whitening, new_rows):
     return 2.0 * np.sum(np.log(np.diagonal(small_factor, axis1=1, axis2=2)), axis=1)
 
 
-def _candidate_gains(objective, factor, chosen, value, candidates, bounds):
+def _candidate_gains(objective, factor, chosen, candidates, bounds):
     """Marginal gains of adding each of ``candidates`` to ``chosen``, and the number scored.
 
-    ``value`` is the objective value of ``chosen`` and ``factor`` the
-    Cholesky factor of its regularized Gram matrix (log-det only).
-    ``bounds`` (log-det only) is the length-n array of gain bounds that
+    ``factor`` is the Cholesky factor of the regularized Gram matrix of
+    ``chosen``.  ``bounds`` is the length-n array of gain bounds that
     :func:`greedy_design` carries from round to round, updated here in
     place: the last chosen vertex's term is added to each candidate's bound,
     and a scored candidate's bound becomes its gain.  Then only the
@@ -501,9 +494,6 @@ def _candidate_gains(objective, factor, chosen, value, candidates, bounds):
     entry is its bound, which is below the best gain, so the first maximum
     of the returned gains is that of the exact ones.
     """
-    if objective.kind == FRAME_POTENTIAL:
-        gains = np.array([objective_value(objective, chosen + [s]) - value for s in candidates])
-        return gains, len(candidates)
     whitening = _upper_inverse(factor.T)
     m = objective.n_unknowns
     block = max(1, _BLOCK_BYTES // (8 * (len(chosen) + 1) * m))
@@ -566,18 +556,13 @@ def _check_symmetric_pairs(rows, vertex, selected):
 def greedy_gain(objective, selected, candidate, factor=None):
     """Marginal gain of adding one vertex to the current selection.
 
-    For the log-det objective the gain is computed by 2|X|+1 Cholesky
-    rank-one updates on a copy of the factor of the regularized Gram matrix
-    (built from scratch when not supplied).  The frame-potential gain is a
-    direct difference of objective values.
+    The gain is computed by 2|X|+1 Cholesky rank-one updates on a copy of
+    the factor of the regularized Gram matrix (built from scratch when not
+    supplied).
     """
     idx = _selection_indices(selected)
     if candidate in idx:
         raise InvariantViolation(f"candidate {candidate} already selected")
-    if objective.kind == FRAME_POTENTIAL:
-        return objective_value(objective, idx + [candidate]) - objective_value(
-            objective, idx
-        )
     if factor is None:
         m = objective.n_unknowns
         factor = np.linalg.cholesky(objective.gram(idx) + objective.epsilon * np.eye(m))
@@ -589,7 +574,7 @@ def greedy_design(objective, k, validate_gains=False):
 
     Each round adds the first maximizer of the unselected vertices' gains,
     so ties go to the lowest index and the result is deterministic.  A
-    log-det round whitens the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)``
+    round whitens the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)``
     of candidates by GEMMs against the inverse of the round's Cholesky
     factor, factors their small systems with one batched Cholesky, in
     blocks of about 1 MB, and scores only the candidates whose gain bound
@@ -624,12 +609,8 @@ def greedy_design(objective, k, validate_gains=False):
     n = objective.n_vertices
     if not (1 <= k <= n):
         raise InvariantViolation(f"need 1 <= k <= {n}, got {k}")
-    logdet = objective.kind == LOGDET_EPS
-    m = objective.n_unknowns
-    factor = None
-    if logdet:
-        gram = objective.epsilon * np.eye(m)
-        factor = np.linalg.cholesky(gram)
+    gram = objective.epsilon * np.eye(objective.n_unknowns)
+    factor = np.linalg.cholesky(gram)
     chosen = []
     remaining = np.arange(n)
     gains = []
@@ -640,9 +621,7 @@ def greedy_design(objective, k, validate_gains=False):
     for _ in range(k):
         if validate_gains:
             bounds = np.full(n, np.inf)  # every candidate is checked, so score them all
-        round_gains, round_scored = _candidate_gains(
-            objective, factor, chosen, value, remaining, bounds
-        )
+        round_gains, round_scored = _candidate_gains(objective, factor, chosen, remaining, bounds)
         scored.append(round_scored)
         bad = np.flatnonzero(~np.isfinite(round_gains))
         if bad.size:
@@ -650,22 +629,17 @@ def greedy_design(objective, k, validate_gains=False):
         if validate_gains:
             for s, gain in zip(remaining, round_gains):
                 reference = objective_value(objective, chosen + [s]) - value
-                checked = [gain]
-                if logdet:
-                    checked.append(
-                        _gain_by_updates(factor, objective.rows_for_candidate(chosen, s))
-                    )
-                for g in checked:
+                oracle = _gain_by_updates(factor, objective.rows_for_candidate(chosen, s))
+                for g in (gain, oracle):
                     scale = max(abs(reference), abs(g), 1e-300)
                     max_check_error = max(max_check_error, abs(g - reference) / scale)
         best = int(np.argmax(round_gains))
         best_vertex = int(remaining[best])
         best_gain = round_gains[best]
-        if logdet:
-            best_rows = objective.rows_for_candidate(chosen, best_vertex)
-            _check_symmetric_pairs(best_rows, best_vertex, chosen)
-            gram = gram + best_rows.T @ best_rows
-            factor = np.linalg.cholesky(gram)
+        best_rows = objective.rows_for_candidate(chosen, best_vertex)
+        _check_symmetric_pairs(best_rows, best_vertex, chosen)
+        gram = gram + best_rows.T @ best_rows
+        factor = np.linalg.cholesky(gram)
         chosen.append(best_vertex)
         remaining = np.delete(remaining, best)
         gains.append(float(best_gain))

@@ -204,7 +204,7 @@ class ExperimentConfig:
                 raise ConfigError("k cannot exceed the number of vertices")
             if self.q is not None and self.q > self.graph.n:
                 raise ConfigError("q cannot exceed the number of vertices")
-        if self.objective_kind not in (design_mod.LOGDET_EPS, design_mod.FRAME_POTENTIAL):
+        if self.objective_kind != design_mod.LOGDET_EPS:
             raise ConfigError(f"unknown objective kind {self.objective_kind!r}")
         return self
 
@@ -579,13 +579,16 @@ def _greedy_prefix_models(cfg, k_values):
 
     One greedy design at the largest budget gives every smaller budget's
     pattern as a prefix of its selection order.  The models are built as
-    they are read, in the order of ``k_values``.  An empty list, a budget
-    that is not an integer, or a budget below 1, is a ConfigError.
+    they are read, once per budget, in the order each budget first appears
+    in ``k_values``.  An empty list, a budget that is not an integer, or a
+    budget below 1, is a ConfigError.
     """
+    k_values = list(k_values)
     if not k_values:
         raise ConfigError("no budgets given")
     if not all(map(_is_count, k_values)):
         raise ConfigError(f"budgets must be integers, got {k_values!r}")
+    k_values = list(dict.fromkeys(k_values))
     if min(k_values) < 1:
         raise ConfigError("budget outside [1, n]")
     setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
@@ -604,8 +607,8 @@ def rank_threshold_scan(cfg, k_range):
     ``(K, rank_ok)`` for every prefix size in ``k_range``, reusing the
     nested structure of greedy selections.
     """
-    _, models = _greedy_prefix_models(cfg, sorted(set(k_range)))
-    return [(k, sampling_mod.model_rank(model)[1]) for k, model in models]
+    _, models = _greedy_prefix_models(cfg, k_range)
+    return sorted((k, sampling_mod.model_rank(model)[1]) for k, model in models)
 
 
 def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
@@ -624,7 +627,7 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
     if not (_is_count(n_seeds) and n_seeds >= 1):
         raise ConfigError(f"need a positive integer number of seeds, got {n_seeds!r}")
     # a budget listed twice is estimated once and reported twice
-    setting, prefixes = _greedy_prefix_models(cfg, list(dict.fromkeys(k_values)))
+    setting, prefixes = _greedy_prefix_models(cfg, k_values)
     greedy = dict(prefixes)
     n = setting.graph.n_vertices
     # runs[k][sampler] collects (rank_ok, nmse) of budget k, one entry per seed

@@ -109,6 +109,9 @@ class TestRun:
             {"filter": {"rte": 5}},
             {"graph": {"path": 0}},
             {"sampler": "file", "pattern_path": 0},
+            {"objective_kind": "frame_potential"},
+            {"objective_kind": "mse"},
+            {"objective_kind": 3},
         ],
     )
     def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):

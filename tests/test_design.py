@@ -28,7 +28,7 @@ from graphpsd import (
     random_sensor_graph,
 )
 from graphpsd import design as design_mod
-from graphpsd.design import FRAME_POTENTIAL, LOGDET_EPS, default_epsilon
+from graphpsd.design import LOGDET_EPS, default_epsilon
 from graphpsd.graphs import ADJACENCY, LAPLACIAN, ShiftOperator
 from graphpsd.spectral import SpectralBasis
 
@@ -46,8 +46,6 @@ def dense_objective_oracle(objective, selected):
         len(idx) ** 2, objective.n_unknowns
     )
     gram = rows.T @ rows
-    if objective.kind == FRAME_POTENTIAL:
-        return float(np.sum(gram * gram))
     m = objective.n_unknowns
     sign, logdet = np.linalg.slogdet(gram + objective.epsilon * np.eye(m))
     assert sign > 0
@@ -82,8 +80,6 @@ class TestObjectiveValue:
     def test_empty_set_is_exactly_zero(self):
         obj = spectral_objective(5, seed=1)
         assert objective_value(obj, ()) == 0.0
-        fp = DesignObjective(kind=FRAME_POTENTIAL, pair_rows=obj.pair_rows)
-        assert objective_value(fp, ()) == 0.0
 
     def test_orthonormal_full_set_closed_form(self):
         """Orthonormal model columns give M * log((1+eps)/eps) on the full set."""
@@ -115,19 +111,15 @@ class TestObjectiveValue:
             x = [v for v in y if rng.random() < 0.5]
             assert objective_value(obj, x) <= objective_value(obj, y) + 1e-9
 
-    def test_frame_potential_is_squared_frobenius_of_gram(self):
-        obj = spectral_objective(5, seed=6)
-        fp = DesignObjective(kind=FRAME_POTENTIAL, pair_rows=obj.pair_rows)
-        subset = (0, 2, 4)
-        gram = obj.gram(subset)
-        np.testing.assert_allclose(
-            objective_value(fp, subset), np.sum(gram * gram), rtol=1e-12
-        )
-
     def test_epsilon_must_be_positive(self):
         obj = spectral_objective(4, seed=7)
         with pytest.raises(InvariantViolation):
             DesignObjective(kind=LOGDET_EPS, pair_rows=obj.pair_rows, epsilon=0.0)
+
+    def test_only_the_logdet_kind_is_accepted(self):
+        obj = spectral_objective(4, seed=7)
+        with pytest.raises(InvariantViolation, match="unknown objective kind 'frame_potential'"):
+            DesignObjective(kind="frame_potential", pair_rows=obj.pair_rows)
 
     def test_overflowing_gram_raises_nonfinite(self):
         """Rows large enough to overflow the Gram matrix surface as an error
@@ -220,9 +212,6 @@ class TestGreedyDesign:
         pattern, trace = greedy_design(obj, 6)
         assert pattern.selected == tuple(range(6))
         assert len(trace.chosen) == 6
-        fp = DesignObjective(kind=FRAME_POTENTIAL, pair_rows=obj.pair_rows)
-        pattern_fp, _ = greedy_design(fp, 6)
-        assert pattern_fp.selected == tuple(range(6))
 
     def test_k_one_picks_dominant_vertex(self):
         """Scaling one vertex's rows makes it the unique best singleton."""
@@ -339,13 +328,15 @@ class TestGreedyDesign:
 
     @pytest.mark.parametrize("k", [1, 4, 9])
     def test_candidate_gain_count(self, monkeypatch, k):
-        """Round r scores the N - r unselected vertices: K*N - K(K-1)/2 in all."""
+        """Round r considers the N - r unselected vertices as candidates:
+        K*N - K(K-1)/2 in all.  ``trace.scored`` counts the gains scored,
+        which the gain bounds make fewer."""
         counted = []
         original = design_mod._candidate_gains
 
-        def counting(objective, factor, chosen, value, candidates, bounds=None):
+        def counting(objective, factor, chosen, candidates, bounds=None):
             counted.append(len(candidates))
-            return original(objective, factor, chosen, value, candidates, bounds)
+            return original(objective, factor, chosen, candidates, bounds)
 
         monkeypatch.setattr(design_mod, "_candidate_gains", counting)
         obj = spectral_objective(9, seed=28)
@@ -456,10 +447,10 @@ class TestGainBounds:
         original = design_mod._candidate_gains
         excess = []
 
-        def checking(objective, factor, chosen, value, candidates, bounds=None):
-            gains, scored = original(objective, factor, chosen, value, candidates, bounds)
+        def checking(objective, factor, chosen, candidates, bounds=None):
+            gains, scored = original(objective, factor, chosen, candidates, bounds)
             everything = np.full(len(bounds), np.inf)
-            exact, _ = original(objective, factor, chosen, value, candidates, everything)
+            exact, _ = original(objective, factor, chosen, candidates, everything)
             scale = abs(exact.max())
             excess.append(float(np.max(exact - bounds[candidates])) / scale)
             best = int(np.argmax(exact))
@@ -473,9 +464,9 @@ class TestGainBounds:
         assert max(excess) <= 1e-12
         assert sum(bounded.scored) < k * obj.n_vertices - k * (k - 1) // 2
 
-        def scoring_all(objective, factor, chosen, value, candidates, bounds=None):
+        def scoring_all(objective, factor, chosen, candidates, bounds=None):
             everything = np.full(len(bounds), np.inf)
-            return original(objective, factor, chosen, value, candidates, everything)
+            return original(objective, factor, chosen, candidates, everything)
 
         monkeypatch.setattr(design_mod, "_candidate_gains", scoring_all)
         _, full = greedy_design(obj, k)
@@ -683,13 +674,22 @@ class TestCheckSubmodularity:
         assert report.monotonicity_violations == 0
 
     def test_equal_sets_give_equal_gains(self):
-        """With X = Y the diminishing-returns inequality is an equality."""
+        """``objective_value`` sorts its selection, so the gain of s at X is the
+        same float however X is given, and the diminishing-returns gap at
+        X = Y is exactly 0.0."""
         obj = spectral_objective(6, seed=41)
-        for x in [(), (0,), (1, 4)]:
-            s = 5
-            lhs = objective_value(obj, list(x) + [s]) - objective_value(obj, x)
-            rhs = lhs
-            assert lhs - rhs == 0.0
+        s = 5
+        gains = [
+            objective_value(obj, x_with_s) - objective_value(obj, x)
+            for x, x_with_s in [
+                ((1, 4), (1, 4, s)),
+                ((4, 1), (4, 1, s)),
+                (SamplingPattern(6, (1, 4)), SamplingPattern(6, (1, 4, s))),
+            ]
+        ]
+        for gain in gains:
+            assert gain.hex() == gains[0].hex()
+            assert gain - gains[0] == 0.0
 
     def test_two_vertex_counterexample_detected(self):
         """The pairwise cross rows create increasing returns: the hand-worked

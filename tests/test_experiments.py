@@ -115,6 +115,9 @@ class TestConfig:
             ({"pattern_path": 5}, "pattern_path must be a string, got 5"),
             ({"sampler": "file", "pattern_path": 0}, "pattern_path must be a string"),
             ({"output_dir": 7}, "output_dir must be a string, got 7"),
+            ({"objective_kind": "frame_potential"}, "unknown objective kind 'frame_potential'"),
+            ({"objective_kind": "mse"}, "unknown objective kind 'mse'"),
+            ({"objective_kind": 3}, "unknown objective kind 3"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -726,6 +729,19 @@ class TestCompressionSweep:
         rows = compression_sweep(cfg, [14], 1)
         greedy = next(r for r in rows if r["sampler"] == "greedy")
         assert greedy["mean_nmse"] == run_experiment(dataclasses.replace(cfg, k=14)).nmse
+
+
+@pytest.mark.parametrize("budgets", [["a", 1], [[12]]], ids=["string", "list"])
+@pytest.mark.parametrize(
+    "scan",
+    [rank_threshold_scan, lambda cfg, budgets: compression_sweep(cfg, budgets, 1)],
+    ids=["rank_threshold_scan", "compression_sweep"],
+)
+def test_budget_of_another_type_rejected(scan, budgets):
+    """A budget that cannot be sorted or hashed is a ConfigError, not the
+    TypeError of deduplicating it."""
+    with pytest.raises(ConfigError, match="budgets must be integers"):
+        scan(small_cfg(), budgets)
 
 
 class TestRandomSamplerStudy:
