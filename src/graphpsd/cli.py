@@ -92,9 +92,9 @@ def _cmd_design(args):
         raise ConfigError("design needs an output directory (--out or output_dir)")
     if cfg.sampler == "file":
         raise ConfigError("design supports greedy or random samplers")
-    pattern, trace, epsilon = exp.prepare(cfg).design()
+    pattern, trace = exp.prepare(cfg).design()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    exp._write_design(cfg.output_dir, cfg.objective_kind, pattern, trace, epsilon)
+    exp._write_design(cfg.output_dir, pattern, trace)
     print(f"designed pattern of {pattern.k} vertices -> {cfg.output_dir}")
     return 0
 

@@ -59,7 +59,8 @@ vertex diagonals take half a power sweep, up to ``S^(Q//2)``:
 ``(S^(a+b))_cc = <S^a e_c, S^b e_c>`` for a symmetric shift, the moment
 identity of Lin, Saad and Yang (2016).  Its
 regularizer needs ``sum_q |S^q|_F^2``, which is ``sum_q sum_n lam_n^(2q)``
-over the shift's eigenvalues, so no power is swept for it.
+over the shift's eigenvalues, so no power is swept for it; the eigenvalues
+come from :func:`spectral.eigendecompose`, the package's one eigensolver.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonFinite
 from .sampling import SamplingPattern, _upper_inverse
+from .spectral import _count, eigendecompose
 
 LOGDET_EPS = "logdet_eps"
 
@@ -227,9 +229,7 @@ class _VertexRows(_RowSource):
     def default_epsilon(self):
         lam = self.eigenvalues
         if lam is None:
-            if not np.all(np.isfinite(self.shift.data)):
-                raise InvariantViolation("pair_rows must be finite")
-            lam = np.linalg.eigvalsh(self.shift.matrix)
+            lam = eigendecompose(self.shift, eigenvectors=False).eigenvalues
         with np.errstate(over="ignore", invalid="ignore"):
             squared_norm = float(np.sum(np.power.outer(lam * lam, np.arange(self.m))))
         if not np.isfinite(squared_norm):
@@ -298,8 +298,8 @@ class DesignObjective:
         """Objective over the vertex-domain model (M = Q columns).
 
         ``eigenvalues`` are those of ``shift``; the default epsilon is read
-        from them, and without them one ``eigvalsh`` of the shift computes
-        them when that epsilon is needed.
+        from them, and without them ``eigendecompose(shift,
+        eigenvectors=False)`` computes them when that epsilon is needed.
         """
         n = shift.n
         if not (1 <= q_order <= n):
@@ -350,8 +350,10 @@ class DesignObjective:
 class GreedyTrace:
     """Selection order, per-step gains, and final objective of a greedy run.
 
-    ``scored`` is the number of exact gains computed in each round (greedy
-    skips candidates whose gain bound cannot win the round).
+    ``objective_kind`` and ``epsilon`` are those of the objective greedy
+    maximized, so the trace alone says what its gains measure.  ``scored``
+    is the number of exact gains computed in each round (greedy skips
+    candidates whose gain bound cannot win the round).
     ``max_gain_check_error`` is set by ``validate_gains=True``: the worst
     relative deviation of a gain, or of its rank-one-update oracle
     :func:`greedy_gain`, from its from-scratch recomputation.  At
@@ -365,6 +367,8 @@ class GreedyTrace:
     chosen: tuple
     gains: tuple
     final_value: float
+    objective_kind: str
+    epsilon: float
     max_gain_check_error: float | None = None
     scored: tuple = ()
 
@@ -553,19 +557,17 @@ def _check_symmetric_pairs(rows, vertex, selected):
         )
 
 
-def greedy_gain(objective, selected, candidate, factor=None):
+def greedy_gain(objective, selected, candidate):
     """Marginal gain of adding one vertex to the current selection.
 
-    The gain is computed by 2|X|+1 Cholesky rank-one updates on a copy of
-    the factor of the regularized Gram matrix (built from scratch when not
-    supplied).
+    The gain is computed by 2|X|+1 Cholesky rank-one updates on the factor
+    of the regularized Gram matrix, built from scratch.
     """
     idx = _selection_indices(selected)
     if candidate in idx:
         raise InvariantViolation(f"candidate {candidate} already selected")
-    if factor is None:
-        m = objective.n_unknowns
-        factor = np.linalg.cholesky(objective.gram(idx) + objective.epsilon * np.eye(m))
+    m = objective.n_unknowns
+    factor = np.linalg.cholesky(objective.gram(idx) + objective.epsilon * np.eye(m))
     return _gain_by_updates(factor, objective.rows_for_candidate(idx, candidate))
 
 
@@ -604,9 +606,12 @@ def greedy_design(objective, k, validate_gains=False):
     rounding.
 
     Returns ``(pattern, trace)`` where the pattern is the sorted vertex set
-    and the trace records the selection order and per-step gains.
+    and the trace records the selection order, the per-step gains and the
+    objective's kind and epsilon.  A budget that is not an integer is an
+    :class:`InvariantViolation`.
     """
     n = objective.n_vertices
+    k = _count(k, "the budget k")
     if not (1 <= k <= n):
         raise InvariantViolation(f"need 1 <= k <= {n}, got {k}")
     gram = objective.epsilon * np.eye(objective.n_unknowns)
@@ -649,6 +654,8 @@ def greedy_design(objective, k, validate_gains=False):
         chosen=tuple(chosen),
         gains=tuple(gains),
         final_value=objective_value(objective, chosen),
+        objective_kind=objective.kind,
+        epsilon=objective.epsilon,
         max_gain_check_error=max_check_error if validate_gains else None,
         scored=tuple(scored),
     )
@@ -680,7 +687,11 @@ def brute_force_design(objective, k):
 
 
 def random_design(n, k, seed=0):
-    """Uniform k-subset without replacement; the baseline sampler."""
+    """Uniform k-subset without replacement; the baseline sampler.
+
+    ``n`` and ``k`` must be integers (numpy integers too).
+    """
+    n, k = _count(n, "the vertex count n"), _count(k, "the budget k")
     if not (1 <= k <= n):
         raise InvariantViolation(f"need 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)

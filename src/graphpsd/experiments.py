@@ -217,10 +217,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data):
         try:
-            graph = GraphSpec(**data.get("graph", {}))
-            filt = data.get("filter", {})
-            if not isinstance(filt, dict):
-                raise ConfigError(f"filter must be an object, got {filt!r}")
+            graph, filt = data.get("graph", {}), data.get("filter", {})
+            for name, value in (("graph", graph), ("filter", filt)):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{name} must be an object, got {value!r}")
+            graph = GraphSpec(**graph)
             profile = None if "coefficients" in filt else "lowpass_exp"
             # an unknown filter key is a TypeError, as an unknown graph key is
             filt = FilterSpec(**{"profile": profile, **filt})
@@ -282,7 +283,6 @@ class ExperimentResult:
     estimate: sampling_mod.SpectrumEstimate
     nmse: float
     trace: design_mod.GreedyTrace | None
-    objective_epsilon: float | None
     eigenvalues: np.ndarray
     config: ExperimentConfig
     runtimes: dict
@@ -339,7 +339,7 @@ class Setting:
         return sampling_mod.required_q(self.filter.length, self.graph.n_vertices)
 
     def greedy(self, k):
-        """Greedy design of ``k`` vertices: ``(pattern, trace, epsilon)``."""
+        """Greedy design of ``k`` vertices: ``(pattern, trace)``."""
         cfg = self.config
         if self.spectral:
             objective = design_mod.DesignObjective.spectral(
@@ -350,17 +350,32 @@ class Setting:
                 self.shift, self.q, kind=cfg.objective_kind, epsilon=cfg.epsilon,
                 eigenvalues=self.basis.eigenvalues,
             )
-        pattern, trace = design_mod.greedy_design(objective, k)
-        return pattern, trace, objective.epsilon
+        return design_mod.greedy_design(objective, k)
 
     def design(self):
-        """The configured sampler's ``(pattern, trace, epsilon)``; greedy only has a trace."""
+        """The configured sampler's ``(pattern, trace)``; greedy only has a trace."""
         cfg = self.config
         if cfg.sampler == "greedy":
             return self.greedy(cfg.k)
         if cfg.sampler == "random":
-            return design_mod.random_design(self.graph.n_vertices, cfg.k, seed=cfg.seed), None, None
-        return load_pattern(cfg.pattern_path), None, None
+            return design_mod.random_design(self.graph.n_vertices, cfg.k, seed=cfg.seed), None
+        return load_pattern(cfg.pattern_path), None
+
+    def check_noise_fits(self):
+        """Raise ConfigError when a sampled covariance's N x n_snapshots
+        float64 noise draw would exceed the machine's physical memory.
+
+        The pipelines that draw noise call this before their design, so such
+        a run fails in milliseconds instead of in the allocation.
+        """
+        cfg, n = self.config, self.graph.n_vertices
+        need = 8 * n * cfg.n_snapshots
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if not cfg.use_population_covariance and need > have:
+            raise ConfigError(
+                f"the {n} x {cfg.n_snapshots} noise draw needs {need / 2**30:.3g} GiB, "
+                f"more than the machine's {have / 2**30:.3g} GiB of memory"
+            )
 
     def _check_pattern(self, pattern):
         n = self.graph.n_vertices
@@ -448,7 +463,8 @@ def run_experiment(cfg):
     estimate: the design picks the K observed vertices, the model checks
     the pattern against the graph, and the covariance is formed only at
     those vertices, so no N x N covariance or N x N_s snapshot array is
-    built.  When ``cfg.output_dir`` is set, writes ``spectrum.csv``,
+    built; a noise draw too large for memory is a ConfigError before the
+    design.  When ``cfg.output_dir`` is set, writes ``spectrum.csv``,
     ``pattern.json``, ``metrics.json``, ``trace.json`` (greedy only), and
     gnuplot ``.dat`` files there; on error a ``failure.json`` naming the
     failed stage is left behind instead.  Stage wall times are returned on
@@ -461,8 +477,9 @@ def run_experiment(cfg):
         os.makedirs(out, exist_ok=True)
     try:
         setting = prepare(cfg, timer)
+        setting.check_noise_fits()
         with timer.stage("design"):
-            pattern, trace, epsilon = setting.design()
+            pattern, trace = setting.design()
         with timer.stage("model"):
             model = setting.model(pattern)
         with timer.stage("covariance"):
@@ -477,7 +494,6 @@ def run_experiment(cfg):
             estimate=estimate,
             nmse=nmse,
             trace=trace,
-            objective_epsilon=epsilon,
             eigenvalues=setting.basis.eigenvalues,
             config=cfg,
             runtimes=timer.runtimes,
@@ -495,8 +511,8 @@ def run_experiment(cfg):
     return result
 
 
-def _write_design(out_dir, objective_kind, pattern, trace, epsilon):
-    """Write ``pattern.json`` and, for a greedy design, ``trace.json``."""
+def _write_design(out_dir, pattern, trace):
+    """Write ``pattern.json`` and, for a greedy design, ``trace.json`` from its trace."""
     save_pattern(pattern, f"{out_dir}/{PATTERN_JSON}")
     if trace is not None:
         _write_json(
@@ -505,8 +521,8 @@ def _write_design(out_dir, objective_kind, pattern, trace, epsilon):
                 "chosen": list(trace.chosen),
                 "gains": list(trace.gains),
                 "final_value": trace.final_value,
-                "epsilon": epsilon,
-                "objective_kind": objective_kind,
+                "epsilon": trace.epsilon,
+                "objective_kind": trace.objective_kind,
             },
         )
 
@@ -520,9 +536,7 @@ def _write_result(result, out_dir):
         "index,eigenvalue,p_true,p_hat\n"
         + "".join(f"{i},{lam},{pt},{ph}\n" for i, (lam, pt, ph) in enumerate(rows)),
     )
-    _write_design(
-        out_dir, cfg.objective_kind, result.pattern, result.trace, result.objective_epsilon
-    )
+    _write_design(out_dir, result.pattern, result.trace)
     est = result.estimate
     _write_json(
         f"{out_dir}/{METRICS_JSON}",
@@ -536,7 +550,7 @@ def _write_result(result, out_dir):
             "use_population_covariance": cfg.use_population_covariance,
             "seed": cfg.seed,
             "objective_kind": cfg.objective_kind,
-            "epsilon": result.objective_epsilon,
+            "epsilon": None if result.trace is None else result.trace.epsilon,
             "rank": est.rank,
             "rank_ok": est.rank_ok,
             "rank_tolerance": est.rank_tolerance,
@@ -578,10 +592,11 @@ def _greedy_prefix_models(cfg, k_values):
     """The setting of ``cfg`` and ``(k, model)`` of the greedy prefix of each ``k``.
 
     One greedy design at the largest budget gives every smaller budget's
-    pattern as a prefix of its selection order.  The models are built as
-    they are read, once per budget, in the order each budget first appears
-    in ``k_values``.  An empty list, a budget that is not an integer, or a
-    budget below 1, is a ConfigError.
+    pattern as a prefix of its selection order.  The design runs when the
+    first model is read, and the models are built as they are read, once
+    per budget, in the order each budget first appears in ``k_values``.  An
+    empty list, a budget that is not an integer, or a budget below 1, is a
+    ConfigError.
     """
     k_values = list(k_values)
     if not k_values:
@@ -592,12 +607,14 @@ def _greedy_prefix_models(cfg, k_values):
     if min(k_values) < 1:
         raise ConfigError("budget outside [1, n]")
     setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
-    _, trace, _ = setting.greedy(max(k_values))
-    n = setting.graph.n_vertices
-    models = (
-        (k, setting.model(sampling_mod.SamplingPattern(n, trace.chosen[:k]))) for k in k_values
-    )
-    return setting, models
+
+    def models():
+        _, trace = setting.greedy(max(k_values))
+        n = setting.graph.n_vertices
+        for k in k_values:
+            yield k, setting.model(sampling_mod.SamplingPattern(n, trace.chosen[:k]))
+
+    return setting, models()
 
 
 def rank_threshold_scan(cfg, k_range):
@@ -628,6 +645,7 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
         raise ConfigError(f"need a positive integer number of seeds, got {n_seeds!r}")
     # a budget listed twice is estimated once and reported twice
     setting, prefixes = _greedy_prefix_models(cfg, k_values)
+    setting.check_noise_fits()
     greedy = dict(prefixes)
     n = setting.graph.n_vertices
     # runs[k][sampler] collects (rank_ok, nmse) of budget k, one entry per seed
@@ -702,7 +720,7 @@ def run_property_suites(seed=0, trials=200):
             domain, objective = sampling_mod.SPECTRAL, design_mod.DesignObjective.spectral(basis)
         else:
             q = int(rng.integers(2, min(6, n) + 1))
-            # epsilon from the objective's own eigvalsh: eigh's eigenvalues differ by rounding
+            # epsilon from the objective's own eigenvalues-only solve: eigh's differ by rounding
             domain, objective = sampling_mod.VERTEX, design_mod.DesignObjective.vertex(shift, q)
         rep = design_mod.check_submodularity(objective, trials=trials, seed=seed)
         sub_rows.append(

@@ -7,8 +7,8 @@ with the shift is the operator's own: ``shift @ block`` for one step, and
 ``shift.powers(columns, count)`` for the blocks ``S^q E`` of unit columns
 ``E`` that the vertex domain's objective and model read.  Both multiply by
 the CSR arrays wrapped as a ``scipy.sparse`` matrix, the package's only use
-of scipy, which is imported on first use (scipy loads its submodules
-lazily), so a spectral-domain process never pays for it.
+of scipy, which is imported there, on first use, so a spectral-domain
+process never loads scipy at all.
 
 Edge lists are checked and canonicalized as arrays, and a graph keeps
 those arrays beside its edge tuple for every later reader.  The
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import FailedToConnect, InvariantViolation, ParseError
 from .spectral import is_symmetric
@@ -197,9 +196,10 @@ class ShiftOperator:
     def sparse(self):
         """The shift as a ``scipy.sparse.csr_array`` over its own arrays, built on first use.
 
-        scipy.sparse is imported on first use too: ``scipy`` resolves the
-        submodule on first attribute access.
+        scipy.sparse is imported here, the package's one import of scipy.
         """
+        import scipy.sparse
+
         return scipy.sparse.csr_array(
             (self.data, self.indices, self.indptr), shape=(self.n, self.n)
         )

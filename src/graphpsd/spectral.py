@@ -18,6 +18,7 @@ the Fourier basis (:func:`basis_filter_rows`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,15 @@ class GraphFilter:
     @property
     def length(self):
         return self.coefficients.shape[0]
+
+
+def _count(value, name):
+    """``value`` as an int, by ``operator.index`` (numpy integers pass);
+    anything else, a float among them, is an :class:`InvariantViolation`."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvariantViolation(f"{name} must be an integer, got {value!r}") from exc
 
 
 def is_symmetric(m):
@@ -244,7 +254,11 @@ def true_covariance(filt, basis):
 
 
 def white_noise(n, n_snapshots, seed=0):
-    """``n x n_snapshots`` i.i.d. standard normal draw, deterministic in ``seed``."""
+    """``n x n_snapshots`` i.i.d. standard normal draw, deterministic in ``seed``.
+
+    Both counts must be integers (numpy integers too).
+    """
+    n, n_snapshots = _count(n, "the vertex count n"), _count(n_snapshots, "n_snapshots")
     if n_snapshots < 1:
         raise InvariantViolation("need n_snapshots >= 1")
     return np.random.default_rng(seed).standard_normal((n, n_snapshots))

@@ -46,6 +46,18 @@ class TestRun:
         assert (out / "metrics.json").exists()
         assert "rank_ok=True" in capsys.readouterr().out
 
+    def test_noise_draw_beyond_memory_exits_2(self, tmp_path, capsys):
+        """A 50 x 1e11 noise draw cannot fit: a config error before the
+        design stage, not numpy's allocation failure after it."""
+        out = tmp_path / "out"
+        huge = ("--n", "50", "--k", "10", "--snapshots", "100000000000")
+        assert run_cli("run", *huge, "--out", str(out)) == 2
+        assert "noise draw needs" in capsys.readouterr().err
+        assert "noise draw needs" in json.loads((out / "failure.json").read_text())["error"]
+        # design draws no noise
+        assert run_cli("design", *huge, "--out", str(tmp_path / "design")) == 0
+        assert (tmp_path / "design" / "trace.json").exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from graphpsd import (
+    ConvergenceFailure,
     DesignObjective,
     Graph,
     GreedyTrace,
@@ -26,6 +27,7 @@ from graphpsd import (
     objective_value,
     random_design,
     random_sensor_graph,
+    white_noise,
 )
 from graphpsd import design as design_mod
 from graphpsd.design import LOGDET_EPS, default_epsilon
@@ -66,7 +68,8 @@ def greedy_by_gain_oracle(objective, k):
         scored.append(len(candidates))
     return GreedyTrace(
         chosen=tuple(chosen), gains=tuple(gains),
-        final_value=objective_value(objective, chosen), scored=tuple(scored),
+        final_value=objective_value(objective, chosen),
+        objective_kind=objective.kind, epsilon=objective.epsilon, scored=tuple(scored),
     )
 
 
@@ -359,7 +362,12 @@ class TestGreedyDesign:
         chunk), some ragged; the gains still match the rank-one-update oracle.
         The regularizers are raised (vertex about 500 times its default) so
         that the from-scratch check, a difference of two log-determinants,
-        resolves 1e-9."""
+        resolves 1e-9.
+
+        The oracle's per-entry loop runs once: ``validate_gains=True``
+        applies it to every candidate of every round, and the same gains
+        make the oracle's own greedy (lowest-index argmax each round), which
+        must choose the block path's vertices with its gains."""
         monkeypatch.setattr(design_mod, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(design_mod, "_WHITEN_BYTES", 1)
         obj = make()
@@ -376,12 +384,25 @@ class TestGreedyDesign:
         assert len(block_rows) >= 2 * k
         assert max(block_rows) > 2 * m
         assert any(rows % m for rows in block_rows)
-        t_upd = greedy_by_gain_oracle(obj, k)
-        assert t_block.chosen == t_upd.chosen
-        np.testing.assert_allclose(t_block.gains, t_upd.gains, rtol=1e-7)
+        # oracle gains by round (a candidate of round r has 2r+1 ordered rows), in candidate order
+        oracle = [[] for _ in range(k)]
+        original_updates = design_mod._gain_by_updates
+
+        def recording_updates(factor, new_rows):
+            gain = original_updates(factor, new_rows)
+            oracle[len(new_rows) // 2].append(gain)
+            return gain
+
+        monkeypatch.setattr(design_mod, "_gain_by_updates", recording_updates)
         _, t_checked = greedy_design(obj, k, validate_gains=True)
         assert t_checked.chosen == t_block.chosen
         assert t_checked.max_gain_check_error <= 1e-9
+        for r, (vertex, gain) in enumerate(zip(t_block.chosen, t_block.gains)):
+            candidates = [s for s in range(obj.n_vertices) if s not in t_block.chosen[:r]]
+            assert len(oracle[r]) == len(candidates)
+            best = int(np.argmax(oracle[r]))
+            assert candidates[best] == vertex
+            np.testing.assert_allclose(gain, oracle[r][best], rtol=1e-7)
 
     def test_block_gains_use_no_triangular_solve(self, monkeypatch):
         """Each round whitens by GEMM against the inverse factor: inside the
@@ -411,6 +432,48 @@ class TestGreedyDesign:
             greedy_design(obj, 0)
         with pytest.raises(InvariantViolation):
             greedy_design(obj, 6)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: spectral_objective(8, seed=19),
+            lambda: spectral_objective(8, seed=19, epsilon=1e-3),
+            lambda: DesignObjective.vertex(
+                build_laplacian(random_weighted_graph(12, 0.4, seed=26)), 5),
+        ],
+        ids=["spectral-default", "spectral-given", "vertex-default"],
+    )
+    def test_trace_records_its_objective(self, make):
+        """The trace carries the kind and epsilon of the objective greedy
+        maximized, so no caller passes them beside it."""
+        obj = make()
+        _, trace = greedy_design(obj, 3)
+        assert trace.objective_kind == obj.kind == LOGDET_EPS
+        assert trace.epsilon == obj.epsilon
+        assert type(trace.epsilon) is float
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: greedy_design(spectral_objective(5, seed=23), 3.0),
+        lambda: random_design(10, 3.0),
+        lambda: white_noise(3, 2.5),
+    ],
+    ids=["greedy_design", "random_design", "white_noise"],
+)
+def test_non_integer_count_rejected(call):
+    """A float count is a typed error, not a bare TypeError from ``range``,
+    ``rng.choice`` or ``standard_normal``."""
+    with pytest.raises(InvariantViolation, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_counts_accepted():
+    obj = spectral_objective(6, seed=23)
+    assert greedy_design(obj, np.int64(3)) == greedy_design(obj, 3)
+    assert random_design(np.int32(10), np.int64(3), seed=1) == random_design(10, 3, seed=1)
+    assert np.array_equal(white_noise(np.int64(3), np.int32(4), seed=2), white_noise(3, 4, seed=2))
 
 
 def weighted_tensor_objective(n=30, m=4, seed=33):
@@ -576,6 +639,24 @@ class TestGeneratedRows:
                 generated.epsilon, explicit.epsilon, rtol=1e-12, err_msg=case
             )
             assert np.all(np.abs(generated.pair_rows - explicit.pair_rows) <= 1e-12 * scale), case
+
+    def test_vertex_default_epsilon_reads_eigendecompose(self):
+        """Without eigenvalues, the vertex objective takes them from the
+        package's one eigensolver, bit for bit."""
+        shift = build_laplacian(random_weighted_graph(12, 0.4, seed=26))
+        lam = eigendecompose(shift, eigenvectors=False).eigenvalues
+        assert DesignObjective.vertex(shift, 5).epsilon == DesignObjective.vertex(
+            shift, 5, eigenvalues=lam).epsilon
+
+    def test_vertex_default_epsilon_of_a_nonfinite_shift(self):
+        """At Q=1 the rows are unit diagonals, finite whatever the shift, so
+        the eigensolve for the default epsilon is what meets the NaN."""
+        matrix = np.zeros((4, 4))
+        matrix[0, 1] = matrix[1, 0] = np.nan
+        shift = ShiftOperator(LAPLACIAN, matrix)
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            DesignObjective.vertex(shift, 1)
+        assert DesignObjective.vertex(shift, 1, epsilon=1.0).epsilon == 1.0
 
     def test_vertex_eigenvalues_checked(self):
         shift = build_laplacian(random_weighted_graph(6, 0.5, 52))

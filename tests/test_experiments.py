@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import graphpsd
 from graphpsd import (
@@ -29,7 +30,7 @@ from graphpsd import (
     run_property_suites,
     save_pattern,
 )
-from graphpsd import graphs as graphs_mod
+from graphpsd import design as design_mod
 from graphpsd import sampling as sampling_mod
 from graphpsd import spectral as spectral_mod
 from graphpsd import experiments as experiments_mod
@@ -118,6 +119,8 @@ class TestConfig:
             ({"objective_kind": "frame_potential"}, "unknown objective kind 'frame_potential'"),
             ({"objective_kind": "mse"}, "unknown objective kind 'mse'"),
             ({"objective_kind": 3}, "unknown objective kind 3"),
+            ({"graph": 5}, "graph must be an object, got 5"),
+            ({"graph": [1]}, r"graph must be an object, got \[1\]"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -227,6 +230,29 @@ class TestRunExperiment:
         trace = json.loads((out / "trace.json").read_text())
         assert len(trace["chosen"]) == 12
 
+    @pytest.mark.parametrize(
+        "domain, epsilon", [("spectral", None), ("spectral", 1e-3), ("vertex", None)]
+    )
+    def test_written_epsilon_comes_from_the_trace(self, tmp_path, domain, epsilon):
+        """``trace.json`` and ``metrics.json`` record the objective the trace
+        carries, and ``epsilon`` is null when a sampler leaves no trace."""
+        result = run_experiment(
+            small_cfg(domain=domain, epsilon=epsilon, output_dir=str(tmp_path / "greedy"))
+        )
+        trace = json.loads((tmp_path / "greedy" / "trace.json").read_text())
+        metrics = json.loads((tmp_path / "greedy" / "metrics.json").read_text())
+        assert trace["epsilon"] == metrics["epsilon"] == result.trace.epsilon
+        assert trace["objective_kind"] == result.trace.objective_kind == "logdet_eps"
+        if epsilon is not None:
+            assert result.trace.epsilon == epsilon
+        run_experiment(
+            small_cfg(domain=domain, sampler="random", output_dir=str(tmp_path / "random"))
+        )
+        assert not (tmp_path / "random" / "trace.json").exists()
+        metrics = json.loads((tmp_path / "random" / "metrics.json").read_text())
+        assert metrics["epsilon"] is None
+        assert metrics["objective_kind"] == "logdet_eps"
+
     def test_plot_data_shapes(self, tmp_path):
         cfg = small_cfg(output_dir=str(tmp_path / "out"))
         run_experiment(cfg)
@@ -276,6 +302,35 @@ class TestRunExperiment:
         failure = json.loads((tmp_path / "out" / "failure.json").read_text())
         assert failure["stage"] == "model"
         assert "error" in failure
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+    def test_noise_draw_beyond_memory_fails_before_design(self, monkeypatch, tmp_path, sweep):
+        """A 50 x 1e11 float64 draw (36 TiB) is a ConfigError raised before
+        the design or the draw."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached past the memory check")
+
+        for module, name in ((design_mod, "greedy_design"), (spectral_mod, "white_noise")):
+            monkeypatch.setattr(module, name, refuse)
+        cfg = ExperimentConfig(graph=GraphSpec(n=50, k_neighbors=5), k=10,
+                               n_snapshots=10**11, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=r"50 x 100000000000 noise draw needs 3.73e\+04 GiB"):
+            compression_sweep(cfg, [10], 1) if sweep else run_experiment(cfg)
+
+    def test_noise_draw_checked_against_physical_memory(self, monkeypatch):
+        """The bound is the machine's physical memory: a draw of exactly its
+        size passes the check and one more snapshot does not.  A population
+        run draws no noise and is not checked."""
+        n, n_snapshots = 30, 400
+        pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": n * n_snapshots}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        prepare(small_cfg(n_snapshots=n_snapshots)).check_noise_fits()
+        with pytest.raises(ConfigError, match="noise draw"):
+            prepare(small_cfg(n_snapshots=n_snapshots + 1)).check_noise_fits()
+        population = small_cfg(n_snapshots=10**11, use_population_covariance=True)
+        prepare(population).check_noise_fits()
+        assert run_experiment(population).estimate.rank_ok
 
     def test_runtimes_present_but_not_written(self, tmp_path):
         cfg = small_cfg(output_dir=str(tmp_path / "out"))
@@ -473,9 +528,10 @@ class TestSparseOnDemand:
     def test_spectral_pipeline_never_imports_scipy_sparse(self, tmp_path):
         """Only the vertex domain's products with the shift use
         ``scipy.sparse``, and its import is most of the package's start-up
-        time, so it loads on first use.  A module-level import of a scipy
-        submodule that pulls it in brings that cost back; a fresh interpreter
-        shows it, because the test modules import scipy themselves."""
+        time, so it loads on first use; until then no scipy module is
+        loaded at all.  A module-level import of scipy brings that cost
+        back; a fresh interpreter shows it, because the test modules import
+        scipy themselves."""
         script = textwrap.dedent(
             """
             import os, sys
@@ -483,7 +539,7 @@ class TestSparseOnDemand:
             from graphpsd.cli import main
 
             def loaded():
-                return "scipy.sparse" in sys.modules
+                return "scipy" in sys.modules
 
             out = sys.argv[1]
             graph = GraphSpec(n=30, k_neighbors=5, seed=2)
@@ -506,7 +562,7 @@ class TestSparseOnDemand:
                 assert main(argv) == 0, argv
                 assert not loaded(), argv[0]
             run_experiment(ExperimentConfig(graph=graph, k=12, n_snapshots=200, domain="vertex"))
-            assert loaded(), "the vertex domain did not load scipy.sparse"
+            assert "scipy.sparse" in sys.modules, "the vertex domain did not load scipy.sparse"
             """
         )
         src = str(pathlib.Path(graphpsd.__file__).resolve().parent.parent)
@@ -577,7 +633,7 @@ class TestObservedCovariance:
                 use_population_covariance=population,
             )
         )
-        pattern, _, _ = setting.design()
+        pattern, _ = setting.design()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -613,7 +669,7 @@ class TestVertexDomainWithoutEigenvectors:
     def test_one_sparse_conversion_per_run(self, monkeypatch):
         """The design objective, the model and the filter rows share the
         shift's one CSR view."""
-        calls = count_calls(monkeypatch, graphs_mod.scipy.sparse, "csr_array")
+        calls = count_calls(monkeypatch, scipy.sparse, "csr_array")
         run_experiment(small_cfg(domain="vertex", k=6))
         assert len(calls) == 1
 

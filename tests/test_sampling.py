@@ -837,7 +837,7 @@ class TestGramPath:
                  "k": 100, "sampler": "random", "seed": seed}
             )
         )
-        pattern, _, _ = setting.design()
+        pattern, _ = setting.design()
         return setting, pattern, setting.covariances(seed, [pattern])[0]
 
     def test_model_and_estimate_peak_below_half_the_khatri_rao_model(self):
@@ -978,7 +978,7 @@ class TestBenchmarkPoolRecovery:
                 }
             )
         )
-        pattern, _, _ = setting.design()
+        pattern, _ = setting.design()
         cov = true_covariance(setting.filter, setting.basis)
         est = estimate_spectrum_spectral(
             subsampled_covariance(cov, pattern), setting.model(pattern)

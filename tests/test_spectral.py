@@ -1,8 +1,12 @@
 """Fourier basis, filters, synthesis, covariance, and the ground-truth spectrum."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import graphpsd
 from graphpsd import (
     ConvergenceFailure,
     CovarianceEstimate,
@@ -126,6 +130,30 @@ class TestEigenvaluesOnly:
         basis = eigendecompose(build_laplacian(path3), eigenvectors=False)
         with pytest.raises(InvariantViolation, match="eigenvalues only"):
             read(basis, GraphFilter([1.0, 0.5]))
+
+
+class TestOneEigensolver:
+    def test_only_eigendecompose_names_an_eigensolver(self):
+        """Every eigenvalue of the package comes from ``spectral.eigendecompose``:
+        no other code of ``src/graphpsd`` names ``eigh`` or ``eigvalsh``, as an
+        attribute, a name or an import."""
+        package = pathlib.Path(graphpsd.__file__).resolve().parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.name == "spectral.py":
+                (solver,) = [node for node in tree.body
+                             if isinstance(node, ast.FunctionDef) and node.name == "eigendecompose"]
+                allowed = {id(node) for node in ast.walk(solver)}
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name.split(".")[-1] in ("eigh", "eigvalsh") \
+                        and id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} names {name}")
+        assert not offenders, offenders
 
 
 class TestVandermonde:
