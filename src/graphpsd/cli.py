@@ -25,37 +25,27 @@ def _add_override_flags(parser):
     parser.add_argument("--n", type=int, help="number of vertices for the generated graph")
     parser.add_argument("--k", type=int, help="sample budget K")
     parser.add_argument("--q", type=int, help="vertex-domain polynomial order Q")
-    parser.add_argument("--snapshots", type=int, help="number of snapshots N_s")
+    parser.add_argument("--snapshots", type=int, dest="n_snapshots", help="number of snapshots N_s")
     parser.add_argument("--domain", choices=["spectral", "vertex"])
     parser.add_argument("--sampler", choices=["greedy", "random", "file"])
     parser.add_argument("--seed", type=int, help="seed for snapshots and the random sampler")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
 
 
-def _config_from_args(args, validate=True):
+# config fields that an override flag of the same dest replaces
+_OVERRIDDEN = ("k", "q", "n_snapshots", "domain", "sampler", "seed", "output_dir")
+
+
+def _config_from_args(args, **fixed):
+    """The config file's (or the default) config with the flags and ``fixed`` applied."""
     cfg = exp.load_config(args.config) if args.config else exp.ExperimentConfig()
-    updates = {}
+    updates = {name: getattr(args, name) for name in _OVERRIDDEN if getattr(args, name) is not None}
     if args.n is not None:
         updates["graph"] = dataclasses.replace(cfg.graph, n=args.n, path=None)
-    if args.k is not None:
-        updates["k"] = args.k
-    if args.q is not None:
-        updates["q"] = args.q
-    if args.snapshots is not None:
-        updates["n_snapshots"] = args.snapshots
-    if args.domain is not None:
-        updates["domain"] = args.domain
-    if args.sampler is not None:
-        updates["sampler"] = args.sampler
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
     if getattr(args, "pattern", None):
         updates["pattern_path"] = args.pattern
         updates["sampler"] = "file"
-    cfg = dataclasses.replace(cfg, **updates)
-    return cfg.validate() if validate else cfg
+    return dataclasses.replace(cfg, **{**updates, **fixed})
 
 
 def _cmd_gen_graph(args):
@@ -114,12 +104,14 @@ def _cmd_estimate(args):
 
 
 def _cmd_sweep(args):
-    # budgets come from --k-list; the sweep validates after substituting them
-    cfg = _config_from_args(args, validate=False)
     try:
         k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --k-list: {exc}") from exc
+    if not k_list:
+        raise ConfigError("no budgets given")
+    # the sweep designs greedily at its largest budget, whatever --k and --sampler say
+    cfg = _config_from_args(args, k=max(k_list), sampler="greedy")
     out_dir = cfg.output_dir
     if out_dir is None:
         raise ConfigError("sweep needs an output directory (--out or output_dir)")

@@ -301,7 +301,7 @@ class DesignObjective:
         from them, and without them ``eigendecompose(shift,
         eigenvectors=False)`` computes them when that epsilon is needed.
         """
-        n = shift.n
+        n, q_order = shift.n, _count(q_order, "the order Q")
         if not (1 <= q_order <= n):
             raise InvariantViolation(f"need 1 <= Q <= {n}, got {q_order}")
         rows = _VertexRows(shift, q_order, eigenvalues)
@@ -668,7 +668,7 @@ def brute_force_design(objective, k):
     Guarded to instances with at most 1e6 candidate subsets.  Ties go to the
     lexicographically smallest subset.
     """
-    n = objective.n_vertices
+    n, k = objective.n_vertices, _count(k, "the budget k")
     if not (1 <= k <= n):
         raise InvariantViolation(f"need 1 <= k <= {n}, got {k}")
     n_subsets = math.comb(n, k)

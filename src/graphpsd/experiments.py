@@ -8,6 +8,7 @@ deterministic CSV/JSON results plus gnuplot-ready plot data.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -142,21 +143,34 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        """Raise ConfigError unless every field holds a usable value; return ``self``.
+
+        Runs when the config is built, so every ``ExperimentConfig`` in
+        existence has passed it.
+        """
         paths = {"graph.path": self.graph.path, "pattern_path": self.pattern_path,
                  "output_dir": self.output_dir}
         for name, value in paths.items():
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
-        counts = {"k": self.k, "q": self.q, "n_snapshots": self.n_snapshots}
+        # each count field and its least value
+        counts = {"k": (self.k, 1), "n_snapshots": (self.n_snapshots, 1)}
+        if self.q is not None:
+            counts["q"] = (self.q, 1)
         if self.graph.path is None:
-            counts["graph.n"] = self.graph.n
-            counts["graph.k_neighbors"] = self.graph.k_neighbors
+            counts["graph.n"] = (self.graph.n, 2)
+            counts["graph.k_neighbors"] = (self.graph.k_neighbors, 1)
         if self.filter.coefficients is None:
-            counts["filter.length"] = self.filter.length
-        for name, value in counts.items():
-            if value is not None and not _is_count(value):
+            counts["filter.length"] = (self.filter.length, 1)
+        for name, (value, least) in counts.items():
+            if not _is_count(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         seeds = {"seed": self.seed}
         if self.graph.path is None:
             seeds["graph.seed"] = self.graph.seed
@@ -184,20 +198,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.sampler == "file" and not self.pattern_path:
             raise ConfigError("sampler 'file' needs pattern_path")
-        if self.n_snapshots < 1:
-            raise ConfigError("n_snapshots must be positive")
-        if self.k < 1:
-            raise ConfigError("k must be positive")
-        if self.q is not None and self.q < 1:
-            raise ConfigError("q must be positive")
         if self.shift_kind not in (graphs_mod.LAPLACIAN, graphs_mod.ADJACENCY):
             raise ConfigError(f"unknown shift kind {self.shift_kind!r}")
-        if self.filter.coefficients is None and self.filter.length < 1:
-            raise ConfigError("filter.length must be positive")
         if self.graph.path is None:
-            if self.graph.n < 2:
-                raise ConfigError("graph.n must be >= 2")
-            if not (1 <= self.graph.k_neighbors < self.graph.n):
+            if self.graph.k_neighbors >= self.graph.n:
                 raise ConfigError("graph.k_neighbors must satisfy 1 <= k_neighbors < graph.n")
             # with a file pattern the budget comes from the file, not from k
             if self.sampler != "file" and self.k > self.graph.n:
@@ -232,7 +236,7 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             known = {k: data[k] for k in names - {"graph", "filter"} if k in data}
-            return cls(graph=graph, filter=filt, **known).validate()
+            return cls(graph=graph, filter=filt, **known)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -289,21 +293,19 @@ class ExperimentResult:
 
 
 class _StageTimer:
+    """Wall time of each finished stage, and the stage running now (None between stages)."""
+
     def __init__(self):
         self.runtimes = {}
         self.current = None
 
+    @contextlib.contextmanager
     def stage(self, name):
-        self.current = name
-        self._t0 = time.perf_counter()
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.runtimes[self.current] = time.perf_counter() - self._t0
-        return False
+        # a stage that raises stays current, so the failure names it
+        self.current, t0 = name, time.perf_counter()
+        yield
+        self.runtimes[name] = time.perf_counter() - t0
+        self.current = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +436,6 @@ def prepare(cfg, timer=None):
     :class:`ConfigError`, as a generated one is.  ``timer`` records the
     ``graph``, ``basis`` and ``filter`` stages.
     """
-    cfg.validate()
     timer = timer or _StageTimer()
     with timer.stage("graph"):
         graph = cfg.graph.build()
@@ -467,10 +468,10 @@ def run_experiment(cfg):
     design.  When ``cfg.output_dir`` is set, writes ``spectrum.csv``,
     ``pattern.json``, ``metrics.json``, ``trace.json`` (greedy only), and
     gnuplot ``.dat`` files there; on error a ``failure.json`` naming the
-    failed stage is left behind instead.  Stage wall times are returned on
-    the result, not written, so outputs stay byte-reproducible.
+    failed stage, or ``checks`` for a check between stages, is left behind
+    instead.  Stage wall times are returned on the result, not written, so
+    outputs stay byte-reproducible.
     """
-    cfg.validate()
     timer = _StageTimer()
     out = cfg.output_dir
     if out is not None:
@@ -502,7 +503,7 @@ def run_experiment(cfg):
         if out is not None:
             _write_json(
                 f"{out}/{FAILURE_JSON}",
-                {"stage": timer.current, "error": f"{type(exc).__name__}: {exc}"},
+                {"stage": timer.current or "checks", "error": f"{type(exc).__name__}: {exc}"},
             )
         raise
     if out is not None:

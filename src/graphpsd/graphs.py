@@ -42,6 +42,9 @@ _KNN_BYTES = 1 << 20
 # Bytes of the dense adjacency rows a chunk of the degree sums holds at a time.
 _DEGREE_BYTES = 1 << 20
 
+# Draws random_sensor_graph tries, at seeds seed, seed + 1, ..., for a connected graph.
+_CONNECT_ATTEMPTS = 100
+
 
 def _canonical_edges(n, edges):
     """Edges as sorted ``i``, ``j`` and weight columns with ``i < j``, checked on arrays.
@@ -358,7 +361,7 @@ def _knn_graph(n, k_neighbors, rng):
     return coords, np.column_stack((rows, cols, weights))
 
 
-def random_sensor_graph(n, k_neighbors=6, seed=0, max_attempts=100):
+def random_sensor_graph(n, k_neighbors=6, seed=0):
     """Random geometric sensor graph on the unit square.
 
     Vertices are placed uniformly at random; each vertex is joined to its
@@ -366,7 +369,7 @@ def random_sensor_graph(n, k_neighbors=6, seed=0, max_attempts=100):
     Gaussian kernel weights ``exp(-d^2 / (2 sigma^2))``, where ``sigma`` is
     the mean of all directed nearest-neighbor distances.  Disconnected draws
     are rejected and regenerated with the seed incremented, up to
-    ``max_attempts`` times.
+    ``_CONNECT_ATTEMPTS`` (100) times.
 
     Deterministic in ``(n, k_neighbors, seed)``.
     """
@@ -374,13 +377,13 @@ def random_sensor_graph(n, k_neighbors=6, seed=0, max_attempts=100):
         raise InvariantViolation("sensor graph needs n >= 2")
     if not (1 <= k_neighbors < n):
         raise InvariantViolation("need 1 <= k_neighbors < n")
-    for attempt in range(max_attempts):
+    for attempt in range(_CONNECT_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         coords, edges = _knn_graph(n, k_neighbors, rng)
         if _is_connected(n, edges):
             return Graph(n_vertices=n, edges=edges, coordinates=coords)
     raise FailedToConnect(
-        f"no connected graph in {max_attempts} attempts (n={n}, k={k_neighbors}, seed={seed})"
+        f"no connected graph in {_CONNECT_ATTEMPTS} attempts (n={n}, k={k_neighbors}, seed={seed})"
     )
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSupport, InvariantViolation, NonFinite
-from .spectral import CovarianceEstimate, vandermonde
+from .spectral import CovarianceEstimate, _count, vandermonde
 
 SPECTRAL = "spectral"
 VERTEX = "vertex"
@@ -105,15 +105,13 @@ class CovarianceModelMatrix:
 
     domain: str
     pattern: SamplingPattern
-    order: int | None = None
     basis_rows: np.ndarray | None = None
 
-    def __init__(self, domain, *, pattern, matrix=None, order=None, basis_rows=None):
+    def __init__(self, domain, *, pattern, matrix=None, basis_rows=None):
         if (matrix is None) == (basis_rows is None):
             raise InvariantViolation("a model needs exactly one of matrix and basis_rows")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "order", order)
         if basis_rows is not None:
             basis_rows = np.asarray(basis_rows, dtype=float)
             if basis_rows.shape[0] != pattern.k:
@@ -154,11 +152,10 @@ class CovarianceModelMatrix:
         """The model restricted to the unknowns in ``support``."""
         if self.basis_rows is not None:
             return CovarianceModelMatrix(
-                self.domain, pattern=self.pattern, order=self.order,
-                basis_rows=self.basis_rows[:, support],
+                self.domain, pattern=self.pattern, basis_rows=self.basis_rows[:, support]
             )
         return CovarianceModelMatrix(
-            self.domain, pattern=self.pattern, order=self.order, matrix=self.matrix[:, support]
+            self.domain, pattern=self.pattern, matrix=self.matrix[:, support]
         )
 
 
@@ -223,14 +220,14 @@ def build_vertex_model(shift, pattern, q_order):
     of the K selected columns only: ``S^q[:, X]`` is the N x K block that
     :meth:`ShiftOperator.powers` yields for the pattern's vertices.
     """
-    n = shift.n
+    n, q_order = shift.n, _count(q_order, "the order Q")
     if not (1 <= q_order <= n):
         raise InvariantViolation(f"need 1 <= Q <= {n}, got {q_order}")
     idx = list(pattern.selected)
     cols = np.empty((pattern.k**2, q_order))
     for q, power in enumerate(shift.powers(idx, q_order)):
         cols[:, q] = power[idx].reshape(-1, order="F")
-    return CovarianceModelMatrix(VERTEX, pattern=pattern, matrix=cols, order=q_order)
+    return CovarianceModelMatrix(VERTEX, pattern=pattern, matrix=cols)
 
 
 def _equilibrated_r(model, cov):
@@ -540,7 +537,7 @@ def estimate_spectrum_vertex(cov_sub, model, basis):
     if basis.n != n:
         raise InvariantViolation(f"basis has {basis.n} eigenvalues, pattern expects {n}")
     est = _estimate(cov_sub, model, VERTEX)
-    p_hat = vandermonde(basis.eigenvalues, model.order) @ est.p_hat
+    p_hat = vandermonde(basis.eigenvalues, model.n_unknowns) @ est.p_hat
     return replace(est, p_hat=p_hat, alpha_hat=est.p_hat)
 
 

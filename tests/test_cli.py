@@ -58,6 +58,14 @@ class TestRun:
         assert run_cli("design", *huge, "--out", str(tmp_path / "design")) == 0
         assert (tmp_path / "design" / "trace.json").exists()
 
+    def test_check_between_stages_recorded_as_checks(self, tmp_path):
+        """The noise-memory check runs after the filter stage has ended, so
+        ``failure.json`` names the checks, not the filter."""
+        out = tmp_path / "out"
+        assert run_cli("run", "--n", "50", "--k", "10", "--snapshots", "100000000000",
+                       "--out", str(out)) == 2
+        assert json.loads((out / "failure.json").read_text())["stage"] == "checks"
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -222,6 +230,14 @@ class TestBudgetAgainstGraphFile:
             out = tmp_path / verb
             assert run_cli(verb, "--config", small_graph_cfg, "--k", "12", "--out", str(out)) == 2
 
+    def test_k_above_graph_size_recorded_as_checks(self, tmp_path, small_graph_cfg, capsys):
+        """The budget is checked against the graph after the graph stage has
+        ended, so ``failure.json`` names the checks, not the graph."""
+        out = tmp_path / "run"
+        assert run_cli("run", "--config", small_graph_cfg, "--k", "20", "--out", str(out)) == 2
+        assert "exceeds the graph's 10 vertices" in capsys.readouterr().err
+        assert json.loads((out / "failure.json").read_text())["stage"] == "checks"
+
     def test_q_above_graph_size_exits_2(self, tmp_path, small_graph_cfg):
         design_dir = tmp_path / "design"
         assert run_cli("design", "--config", small_graph_cfg, "--k", "4", "--out", str(design_dir)) == 0
@@ -256,6 +272,10 @@ class TestSweep:
 
     def test_bad_k_list_exits_2(self, tmp_path):
         assert run_cli("sweep", "--k-list", "a,b", "--out", str(tmp_path)) == 2
+
+    def test_empty_k_list_exits_2(self, tmp_path, capsys):
+        assert run_cli("sweep", "--n", "30", "--k-list", ",", "--out", str(tmp_path)) == 2
+        assert "no budgets given" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -19,6 +19,7 @@ from graphpsd import (
     brute_force_design,
     build_laplacian,
     build_shift_operator,
+    build_vertex_model,
     check_submodularity,
     cholesky_rank1_update,
     eigendecompose,
@@ -459,12 +460,18 @@ class TestGreedyDesign:
         lambda: greedy_design(spectral_objective(5, seed=23), 3.0),
         lambda: random_design(10, 3.0),
         lambda: white_noise(3, 2.5),
+        lambda: brute_force_design(spectral_objective(5, seed=23), 2.0),
+        lambda: DesignObjective.vertex(build_laplacian(random_weighted_graph(6, 0.4, 23)), 3.0),
+        lambda: build_vertex_model(
+            build_laplacian(random_weighted_graph(6, 0.4, 23)), SamplingPattern(6, (1, 4)), 3.0
+        ),
     ],
-    ids=["greedy_design", "random_design", "white_noise"],
+    ids=["greedy_design", "random_design", "white_noise", "brute_force_design",
+         "DesignObjective.vertex", "build_vertex_model"],
 )
 def test_non_integer_count_rejected(call):
     """A float count is a typed error, not a bare TypeError from ``range``,
-    ``rng.choice`` or ``standard_normal``."""
+    ``rng.choice``, ``standard_normal`` or ``math.comb``."""
     with pytest.raises(InvariantViolation, match="must be an integer, got"):
         call()
 

@@ -67,6 +67,36 @@ class TestConfig:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExperimentConfig(k=0),
+            lambda: ExperimentConfig(n_snapshots=2.5),
+            lambda: dataclasses.replace(ExperimentConfig(), seed=-1),
+        ],
+        ids=["k=0", "n_snapshots=2.5", "replace-seed=-1"],
+    )
+    def test_invalid_config_cannot_be_built(self, build):
+        """A config is checked when it is built, by any route, so no invalid one exists."""
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_only_post_init_calls_validate(self):
+        """Nothing downstream re-checks a config: in ``src/graphpsd`` only
+        ``ExperimentConfig.__post_init__`` calls ``validate``."""
+        package = pathlib.Path(graphpsd.__file__).resolve().parent
+        callers = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and \
+                            getattr(node.func, "attr", getattr(node.func, "id", None)) == "validate":
+                        callers.add(f"{path.stem}.{func.name}")
+        assert callers == {"experiments.__post_init__"}
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"bogus": 1})
