@@ -36,16 +36,19 @@ round's whitening already holds.  This needs no submodularity (the
 objective is not submodular, so an old gain alone bounds nothing): A only
 grows, so the log-det term of s's old rows can only shrink, and Fischer's
 inequality bounds the log-det of all of s's rows by that term plus the new
-row's.  A round scores the top-bound candidate, then blocks in descending
-bound order, keeping in each the candidates whose bound is within 1e-6 of
-the best gain found (a slack for rounding), and stops at the first block
-that keeps none; a scored candidate's bound becomes its gain.  Every
-candidate that could tie the best is scored, so the choices and gains are
-those of scoring them all, bit for bit.  Vertex-domain gains spread (the
-median candidate's gain is 17-55% of the best on an N=800, Q=13 sensor
-graph), and a round scores about a quarter of its candidates; spectral
-gains are flat (74-97% on the reference run), so about two thirds are
-scored there.
+row's.  A round takes the candidates in descending bound order, in blocks:
+the first holds 8 candidates and each next one twice as many, up to a
+block of about 1 MB, so the best gain of a few top-bound candidates filters
+the rest, as in Minoux's accelerated greedy (1978), with these bounds in
+place of submodularity.  Each block keeps the candidates whose bound is
+within 1e-6 of the best gain found so far (a slack for rounding), and the
+round stops at the first block that keeps none; a scored candidate's bound
+becomes its gain.  Every candidate that could tie the best is scored, so
+the choices and gains are those of scoring them all, bit for bit.
+Vertex-domain gains spread (the median candidate's gain is 17-55% of the
+best on an N=800, Q=13 sensor graph), and a K=20 run scores 18-29% of the
+candidates it considers; spectral gains are flat (74-97% on the reference
+run), and the reference run (N=100, K=50) scores 48% of them, 1802 gains.
 
 No objective on the pipeline path stores the N x N x M tensor of all pair
 rows (N^3 floats in the spectral domain).  Each objective reads its rows
@@ -88,6 +91,13 @@ _BLOCK_BYTES = 1 << 20
 # unscored candidate's gain came no closer to its bound than 5.2e-8 of the best
 # gain on the reference run and 3.0e-9 on 24 N=800 vertex graphs.
 _BOUND_SLACK = 1e-6
+
+# Candidates in a round's first block.  Each later block is twice as large, up
+# to a block of work, so the best gain of a few top-bound candidates filters
+# the rest.  On the reference design (N = M = 100, K = 50; 2-vCPU Xeon VM, 45
+# calls each) a first block of 1, 4, 8, 16 and 32 candidates took a median
+# 87, 81, 80, 77 and 85 ms and scored 1802, 1804, 1802, 1859 and 2113 gains.
+_PROBE_CANDIDATES = 8
 
 # Bytes of the rows one whitening GEMM reads (at least m rows): a block is
 # whitened chunk by chunk in place, so it is never copied whole.
@@ -491,12 +501,16 @@ def _candidate_gains(objective, factor, chosen, candidates, bounds):
     ``chosen``.  ``bounds`` is the length-n array of gain bounds that
     :func:`greedy_design` carries from round to round, updated here in
     place: the last chosen vertex's term is added to each candidate's bound,
-    and a scored candidate's bound becomes its gain.  Then only the
-    candidates whose bound can reach the round's best gain are scored (see
-    the module docstring); NaN and infinite bounds always are, so bounds
-    that are all ``+inf`` score every candidate.  An unscored candidate's
-    entry is its bound, which is below the best gain, so the first maximum
-    of the returned gains is that of the exact ones.
+    and a scored candidate's bound becomes its gain.  Then the candidates
+    are scored in descending bound order, in blocks of
+    ``_PROBE_CANDIDATES``, then twice as many as the block before, up to
+    the candidates whose rows fill ``_BLOCK_BYTES``.  Each block keeps only
+    the candidates whose bound reaches the best gain scored so far, less
+    ``_BOUND_SLACK`` of it, and the first block that keeps none ends the
+    round (see the module docstring).  NaN and infinite bounds are always
+    scored, so bounds that are all ``+inf`` score every candidate.  An
+    unscored candidate's entry is its bound, which is below the best gain,
+    so the first maximum of the returned gains is that of the exact ones.
     """
     whitening = _upper_inverse(factor.T)
     m = objective.n_unknowns
@@ -516,10 +530,10 @@ def _candidate_gains(objective, factor, chosen, candidates, bounds):
     gains = bounds[candidates]
     key = np.where(np.isnan(gains), np.inf, gains)
     order = np.argsort(-key, kind="stable")
-    gains[order[:1]] = best = score(candidates[order[:1]])[0]
-    scored = 1
-    for i in range(1, len(order), block):
-        part = order[i : i + block]
+    best, scored = -np.inf, 0
+    start, size = 0, min(_PROBE_CANDIDATES, block)
+    while start < len(order):
+        part = order[start : start + size]
         floor = best - _BOUND_SLACK * abs(best) if np.isfinite(best) else -np.inf
         part = part[key[part] >= floor]
         if not part.size:
@@ -527,6 +541,7 @@ def _candidate_gains(objective, factor, chosen, candidates, bounds):
         gains[part] = exact = score(candidates[part])
         best = np.maximum(best, exact.max())
         scored += part.size
+        start, size = start + size, min(2 * size, block)
     bounds[candidates] = gains
     return gains, scored
 
@@ -578,10 +593,12 @@ def greedy_design(objective, k, validate_gains=False):
     so ties go to the lowest index and the result is deterministic.  A
     round whitens the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)``
     of candidates by GEMMs against the inverse of the round's Cholesky
-    factor, factors their small systems with one batched Cholesky, in
-    blocks of about 1 MB, and scores only the candidates whose gain bound
-    can reach the round's best gain.  The bound is the candidate's last
-    exact gain plus ``log(1 + v A^-1 v^T)`` for each row
+    factor and factors their small systems with one batched Cholesky.  It
+    scores only the candidates whose gain bound can reach the round's best
+    gain: in descending bound order, first 8 candidates, then blocks twice
+    as large as the one before, up to about 1 MB, each filtered by the best
+    gain found so far, until a block keeps none.  The bound is the
+    candidate's last exact gain plus ``log(1 + v A^-1 v^T)`` for each row
     ``v = sqrt(2) psi_st`` it gained since, A being the regularized Gram
     matrix after t was added; it holds without submodularity because A
     only grows (see the module docstring).  Candidates within 1e-6 of the

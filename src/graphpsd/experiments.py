@@ -152,6 +152,9 @@ class ExperimentConfig:
         Runs when the config is built, so every ``ExperimentConfig`` in
         existence has passed it.
         """
+        for name, value, spec in (("graph", self.graph, GraphSpec), ("filter", self.filter, FilterSpec)):
+            if not isinstance(value, spec):
+                raise ConfigError(f"{name} must be a {spec.__name__}, got {value!r}")
         paths = {"graph.path": self.graph.path, "pattern_path": self.pattern_path,
                  "output_dir": self.output_dir}
         for name, value in paths.items():
@@ -188,7 +191,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown filter profile {self.filter.profile!r}")
             if not _is_real(self.filter.rate):
                 raise ConfigError(f"filter.rate must be a finite number, got {self.filter.rate!r}")
-        elif not (coefficients and all(_is_real(c) for c in coefficients)):
+        elif not (isinstance(coefficients, (tuple, list)) and coefficients
+                  and all(_is_real(c) for c in coefficients)):
             raise ConfigError(
                 f"filter.coefficients must be a non-empty list of finite numbers, got {coefficients!r}"
             )

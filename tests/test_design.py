@@ -1,5 +1,6 @@
 """Greedy sampler design: objective, gains, baselines, and set-function checks."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -32,6 +33,7 @@ from graphpsd import (
 )
 from graphpsd import design as design_mod
 from graphpsd.design import LOGDET_EPS, default_epsilon
+from graphpsd.experiments import ExperimentConfig, prepare
 from graphpsd.graphs import ADJACENCY, LAPLACIAN, ShiftOperator
 from graphpsd.spectral import SpectralBasis
 
@@ -500,19 +502,27 @@ class TestGainBounds:
     def vertex_objective():
         return DesignObjective.vertex(build_laplacian(random_weighted_graph(40, 0.3, seed=31)), 5)
 
+    @staticmethod
+    def reference_objective():
+        return DesignObjective.spectral(prepare(ExperimentConfig(k=50)).basis)
+
     @pytest.mark.parametrize(
-        "make, k",
+        "make, k, most_scored",
         [
-            (lambda: spectral_objective(60, seed=30), 12),
-            (vertex_objective, 10),
-            (weighted_tensor_objective, 8),
+            (lambda: spectral_objective(60, seed=30), 12, None),
+            (vertex_objective, 10, None),
+            (weighted_tensor_objective, 8, None),
+            # scoring the top-bound candidate alone, then the rest filtered by its gain: 2500
+            (reference_objective, 50, 2000),
         ],
-        ids=["spectral-n60", "vertex-q5", "tensor"],
+        ids=["spectral-n60", "vertex-q5", "tensor", "reference"],
     )
-    def test_bounds_hold_and_orders_match_full_scoring(self, monkeypatch, make, k):
+    def test_bounds_hold_and_orders_match_full_scoring(self, monkeypatch, make, k, most_scored):
         """Every round scores all candidates as well: no exact gain exceeds the
         bound carried for it by more than 1e-12 of the round's best gain, and
-        the bounded run's order and gains are those of full scoring, bit for bit."""
+        the bounded run's order and gains are those of full scoring, bit for
+        bit.  The bounded run scores fewer than ``most_scored`` gains, or
+        fewer than the candidates it considers."""
         obj = make()
         original = design_mod._candidate_gains
         excess = []
@@ -532,7 +542,7 @@ class TestGainBounds:
         _, bounded = greedy_design(obj, k)
         assert len(excess) == k
         assert max(excess) <= 1e-12
-        assert sum(bounded.scored) < k * obj.n_vertices - k * (k - 1) // 2
+        assert sum(bounded.scored) < (most_scored or k * obj.n_vertices - k * (k - 1) // 2)
 
         def scoring_all(objective, factor, chosen, candidates, bounds=None):
             everything = np.full(len(bounds), np.inf)
@@ -569,6 +579,64 @@ class TestGainBounds:
         updated = greedy_by_gain_oracle(obj, k)
         assert sum(updated.scored) == considered
         assert validated.chosen == updated.chosen == trace.chosen
+
+    @pytest.mark.parametrize(
+        "make, k, block_bytes",
+        [
+            (lambda: spectral_objective(60, seed=30), 12, 8 * 60 * 150),
+            (vertex_objective, 10, 8 * 5 * 40),
+        ],
+        ids=["spectral-n60", "vertex-q5"],
+    )
+    def test_blocks_grow_from_a_probe(self, monkeypatch, make, k, block_bytes):
+        """A round scores its first ``_PROBE_CANDIDATES`` top-bound candidates,
+        then blocks twice as large as the one before, up to the candidates of
+        ``_BLOCK_BYTES``; only a round's last block may be smaller, as it
+        keeps the candidates whose bound reaches the best gain."""
+        obj = make()
+        monkeypatch.setattr(design_mod, "_BLOCK_BYTES", block_bytes)
+        probe = design_mod._PROBE_CANDIDATES
+        rounds = [[] for _ in range(k)]
+        original = design_mod._gain_by_block
+
+        def recording(whitening, rows):
+            rounds[rows.shape[1] - 1].append(rows.shape[0])  # a round-r candidate has r+1 rows
+            return original(whitening, rows)
+
+        monkeypatch.setattr(design_mod, "_gain_by_block", recording)
+        _, trace = greedy_design(obj, k)
+        assert [sum(sizes) for sizes in rounds] == list(trace.scored)
+        capped = 0
+        for r, sizes in enumerate(rounds):
+            cap = max(1, block_bytes // (8 * (r + 1) * obj.n_unknowns))
+            planned = [min(probe << j, cap) for j in range(len(sizes))]
+            assert sizes[:-1] == planned[:-1]
+            assert 1 <= sizes[-1] <= planned[-1]
+            capped += any(size == cap < probe << j for j, size in enumerate(sizes[:-1]))
+        assert capped  # in some round the cap stops a block from doubling
+        assert max(len(sizes) for sizes in rounds[1:]) >= 3
+
+
+class TestOneGainPath:
+    def test_only_the_greedy_scores_gains(self):
+        """The greedy keeps one gain path: in ``src/graphpsd`` only
+        ``_candidate_gains`` names ``_gain_by_block``, and only
+        ``greedy_design`` names ``_candidate_gains``."""
+        allowed = {"_gain_by_block": "_candidate_gains", "_candidate_gains": "greedy_design"}
+        package = Path(design_mod.__file__).resolve().parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}
+            for top in tree.body:
+                owner.update({id(node): getattr(top, "name", "<module>") for node in ast.walk(top)})
+            for node in ast.walk(tree):
+                named = (node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else node.name if isinstance(node, ast.alias) else None)
+                if named in allowed and owner[id(node)] != allowed[named]:
+                    offenders.append(f"{path.name}:{node.lineno} {owner[id(node)]} names {named}")
+        assert not offenders, offenders
 
 
 class TestGeneratedRows:

@@ -73,8 +73,11 @@ class TestConfig:
             lambda: ExperimentConfig(k=0),
             lambda: ExperimentConfig(n_snapshots=2.5),
             lambda: dataclasses.replace(ExperimentConfig(), seed=-1),
+            lambda: ExperimentConfig(graph=5),
+            lambda: ExperimentConfig(filter="x"),
+            lambda: ExperimentConfig(filter=FilterSpec(coefficients=5)),
         ],
-        ids=["k=0", "n_snapshots=2.5", "replace-seed=-1"],
+        ids=["k=0", "n_snapshots=2.5", "replace-seed=-1", "graph=5", "filter=x", "coefficients=5"],
     )
     def test_invalid_config_cannot_be_built(self, build):
         """A config is checked when it is built, by any route, so no invalid one exists."""
