@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonFinite
 from .sampling import SamplingPattern, _upper_inverse
-from .spectral import _count, eigendecompose
+from .spectral import _count, _seed, eigendecompose
 
 LOGDET_EPS = "logdet_eps"
 
@@ -112,8 +112,12 @@ class _RowSource:
     ``i`` in ``rows`` and ``j`` in ``cols`` as a (len(rows), len(cols), m)
     array; ``default_epsilon()`` 1e-8 times the mean squared row norm, as
     :func:`default_epsilon` of the whole tensor.  ``n`` and ``m`` are the
-    vertex and unknown counts.
+    vertex and unknown counts.  ``reserve(count)`` makes room for the rows
+    of ``count`` vertices where a source keeps rows per vertex.
     """
+
+    def reserve(self, count):
+        pass
 
 
 class _TensorRows(_RowSource):
@@ -181,9 +185,12 @@ class _VertexRows(_RowSource):
     regularizer's ``sum_q |S^q|_F^2`` is ``sum_q sum_n lam_n^(2q)``, from the
     eigenvalues of S (given, or computed once when epsilon is asked for).
     The columns ``S^q e_j`` are computed, by the same routine, for the ``j``
-    a block asks for only, and kept in one growing (n, cap, Q) array in the
-    order they were first asked for: greedy asks for those of its chosen
-    vertices, in turn, so its blocks are one slice of that array.
+    a block asks for only, and kept in one (n, cap, Q) array in the order
+    they were first asked for: greedy asks for those of its chosen vertices,
+    in turn, so its blocks are one slice of that array.  Greedy reserves
+    room for its K vertices first, so the array never grows during a
+    design; otherwise it doubles when full.  The Q powers of new vertices
+    are computed into one contiguous block, checked, and stored at once.
     """
 
     def __init__(self, shift, q_order, eigenvalues=None):
@@ -213,20 +220,26 @@ class _VertexRows(_RowSource):
     def diagonal(self, cands):
         return self.diag[cands]
 
+    def reserve(self, count):
+        if count > self._columns.shape[1]:
+            used = len(self._slots)
+            grown = np.empty((self.n, count, self.m))
+            grown[:, :used] = self._columns[:, :used]
+            self._columns = grown
+
     def _slots_of(self, cols):
         """Slots of the columns ``cols`` in the column array, computing the new ones."""
         new = [j for j in dict.fromkeys(int(j) for j in cols) if j not in self._slots]
         if new:
             used = len(self._slots)
             if used + len(new) > self._columns.shape[1]:
-                grown = np.empty((self.n, max(used + len(new), 2 * used), self.m))
-                grown[:, :used] = self._columns[:, :used]
-                self._columns = grown
-            added = self._columns[:, used : used + len(new)]
+                self.reserve(max(used + len(new), 2 * used))
+            powers = np.empty((self.m, self.n, len(new)))
             for q, power in enumerate(self.shift.powers(new, self.m)):
-                added[:, :, q] = power
-            if not np.all(np.isfinite(added)):
+                powers[q] = power
+            if not np.all(np.isfinite(powers)):
                 raise InvariantViolation("pair_rows must be finite")
+            self._columns[:, used : used + len(new)] = powers.transpose(1, 2, 0)
             self._slots.update((j, used + t) for t, j in enumerate(new))
         return [self._slots[int(j)] for j in cols]
 
@@ -486,7 +499,7 @@ def _gain_by_block(whitening, new_rows):
         else:
             small = new_rows.transpose(0, 2, 1) @ new_rows
     size = min(r, m)
-    small[:, np.arange(size), np.arange(size)] += 1.0
+    small.reshape(b, -1)[:, :: size + 1] += 1.0  # the diagonals, as a strided view
     try:
         small_factor = np.linalg.cholesky(small)
     except np.linalg.LinAlgError as exc:
@@ -640,6 +653,7 @@ def greedy_design(objective, k, validate_gains=False):
     value = 0.0
     max_check_error = 0.0
     bounds = np.full(n, np.inf)
+    objective._rows.reserve(k)
     for _ in range(k):
         if validate_gains:
             bounds = np.full(n, np.inf)  # every candidate is checked, so score them all
@@ -706,12 +720,13 @@ def brute_force_design(objective, k):
 def random_design(n, k, seed=0):
     """Uniform k-subset without replacement; the baseline sampler.
 
-    ``n`` and ``k`` must be integers (numpy integers too).
+    ``n`` and ``k`` must be integers (numpy integers too), and the seed a
+    nonnegative one.
     """
     n, k = _count(n, "the vertex count n"), _count(k, "the budget k")
     if not (1 <= k <= n):
         raise InvariantViolation(f"need 1 <= k <= {n}, got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     selected = rng.choice(n, size=k, replace=False)
     return SamplingPattern(n_vertices=n, selected=tuple(int(i) for i in selected))
 
@@ -726,9 +741,10 @@ def check_submodularity(objective, trials=200, seed=0, slack=1e-9):
 
     This is a measurement, not an assertion: the report carries the counts
     and worst violation and the caller decides what to do with them.
+    ``trials`` must be an integer and the seed a nonnegative one.
     """
-    n = objective.n_vertices
-    rng = np.random.default_rng(seed)
+    n, trials = objective.n_vertices, _count(trials, "trials")
+    rng = np.random.default_rng(_seed(seed))
     normalization_ok = objective_value(objective, ()) == 0.0
     dr_violations = 0
     max_violation = 0.0

@@ -92,6 +92,16 @@ def _count(value, name):
         raise InvariantViolation(f"{name} must be an integer, got {value!r}") from exc
 
 
+def _seed(value):
+    """``value`` as a nonnegative int, the seed of a random draw; anything
+    else, a negative or a float seed among them, is an
+    :class:`InvariantViolation`."""
+    seed = _count(value, "the seed")
+    if seed < 0:
+        raise InvariantViolation(f"the seed must be nonnegative, got {seed}")
+    return seed
+
+
 def is_symmetric(m):
     """Whether the square array ``m`` is symmetric to 1e-12 of its largest entry.
 
@@ -256,12 +266,13 @@ def true_covariance(filt, basis):
 def white_noise(n, n_snapshots, seed=0):
     """``n x n_snapshots`` i.i.d. standard normal draw, deterministic in ``seed``.
 
-    Both counts must be integers (numpy integers too).
+    Both counts must be integers (numpy integers too), and the seed a
+    nonnegative one.
     """
     n, n_snapshots = _count(n, "the vertex count n"), _count(n_snapshots, "n_snapshots")
     if n_snapshots < 1:
         raise InvariantViolation("need n_snapshots >= 1")
-    return np.random.default_rng(seed).standard_normal((n, n_snapshots))
+    return np.random.default_rng(_seed(seed)).standard_normal((n, n_snapshots))
 
 
 def synthesize(filt, basis, n_snapshots, seed=0, vertices=None):

@@ -758,6 +758,78 @@ class TestGeneratedRows:
         assert greedy_design(generated, k)[1].chosen == greedy_design(explicit, k)[1].chosen
 
 
+class TestVertexColumns:
+    """The vertex objective's column array serves every caller, not only
+    greedy: every block it gives equals a fresh ``shift.powers`` of its
+    columns, bit for bit."""
+
+    @staticmethod
+    def checked_objective(monkeypatch, n=60, q=5):
+        shift = build_laplacian(random_sensor_graph(n, 6, seed=7))
+        objective = DesignObjective.vertex(shift, q)
+        blocks = []
+        block = design_mod._VertexRows.block
+
+        def checking(self, rows, cols):
+            got = block(self, rows, cols)
+            fresh = np.stack(list(shift.powers(list(cols), q)), axis=-1)[list(rows)]
+            assert got.shape == fresh.shape
+            assert got.tobytes() == fresh.tobytes()
+            blocks.append(len(cols))
+            return got
+
+        monkeypatch.setattr(design_mod._VertexRows, "block", checking)
+        return objective, blocks
+
+    @staticmethod
+    def capacity(objective):
+        return objective._rows._columns.shape[1]
+
+    def test_sorted_sets(self, monkeypatch):
+        objective, blocks = self.checked_objective(monkeypatch)
+        rng = np.random.default_rng(0)
+        for size in (1, 5, 12, 5):
+            value = objective_value(objective, rng.choice(60, size, replace=False))
+            assert np.isfinite(value)
+        assert blocks == [1, 5, 12, 5]
+
+    def test_arbitrary_sets_of_check_submodularity(self, monkeypatch):
+        objective, blocks = self.checked_objective(monkeypatch)
+        report = check_submodularity(objective, trials=5, seed=1)
+        assert report.normalization_ok
+        assert len(blocks) > 10
+
+    def test_repeated_vertices(self, monkeypatch):
+        objective, blocks = self.checked_objective(monkeypatch)
+        rows = objective._rows
+        rows.block([3, 3, 5], [5, 3, 5, 3])
+        rows.block([9, 0], [7, 5, 7])
+        assert rows._slots == {5: 0, 3: 1, 7: 2}
+        objective.candidate_rows([5, 3], [3, 9, 9])
+        assert blocks == [4, 3, 2]
+
+    def test_greedy_reserves_its_budget(self, monkeypatch):
+        """A K=40 design fills the room it reserved and never grows it."""
+        objective, _ = self.checked_objective(monkeypatch)
+        _, trace = greedy_design(objective, 40)
+        assert self.capacity(objective) == 40
+        assert objective._rows._slots == {v: t for t, v in enumerate(trace.chosen)}
+
+    def test_growth_past_the_capacity(self, monkeypatch):
+        """After a K=8 design, the vertices 0-39 grow the array to fit them,
+        past 32 slots, and all 60 double it; the blocks stay exact across
+        the copies."""
+        objective, _ = self.checked_objective(monkeypatch)
+        greedy_design(objective, 8)
+        assert self.capacity(objective) == 8
+        assert np.isfinite(objective_value(objective, range(40)))
+        fitted = len(objective._rows._slots)
+        assert self.capacity(objective) == fitted > 32
+        assert np.isfinite(objective_value(objective, range(60)))
+        assert self.capacity(objective) == 2 * fitted
+        assert len(objective._rows._slots) == 60
+
+
 class TestBenchmarkOrders:
     """The greedy orders the benchmark checks every call against."""
 
@@ -821,8 +893,24 @@ class TestRandomDesign:
         with pytest.raises(InvariantViolation):
             random_design(5, 0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "the seed must be nonnegative"), (2.5, "the seed must be an integer")],
+        ids=["negative", "float"],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        """Not numpy's ValueError or TypeError."""
+        with pytest.raises(InvariantViolation, match=message):
+            random_design(10, 3, seed=seed)
+
 
 class TestCheckSubmodularity:
+    def test_trials_must_be_an_integer(self):
+        """Not a bare TypeError from ``range``."""
+        obj = spectral_objective(5, seed=40)
+        with pytest.raises(InvariantViolation, match="trials must be an integer"):
+            check_submodularity(obj, trials=2.5)
+
     def test_normalization_and_monotonicity_hold(self):
         obj = spectral_objective(7, seed=40)
         report = check_submodularity(obj, trials=200, seed=0)

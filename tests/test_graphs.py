@@ -1,6 +1,8 @@
 """Graph construction, shift operators, sensor-graph generation, file format."""
 
 import ast
+import json
+import math
 import pathlib
 import re
 import tracemalloc
@@ -24,9 +26,75 @@ from graphpsd import (
     random_sensor_graph,
     save_graph,
 )
+from graphpsd import graphs
 from graphpsd.graphs import ADJACENCY, LAPLACIAN
 
 from conftest import random_weighted_graph
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def chunked_knn(coords, k, chunk_bytes=1 << 20):
+    """The k-nearest-neighbor search of the package's first version, the oracle
+    of the cell-grid search: every distance of a chunk of rows, about 1 MB of
+    them at a time, then the k smallest of each row by (distance, index).
+
+    Returns the (n, k) neighbors and distances, the kernel width and the
+    (E, 3) edge table of the sensor graph on ``coords``.
+    """
+    n = len(coords)
+    x, y = coords[:, 0], coords[:, 1]
+    order = np.empty((n, k), dtype=np.int64)
+    knn_dist = np.empty((n, k))
+    chunk = max(1, chunk_bytes // (8 * n))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        dist = np.subtract.outer(x[start:stop], x)
+        dist *= dist
+        dy = np.subtract.outer(y[start:stop], y)
+        dy *= dy
+        dist += dy
+        np.sqrt(dist, out=dist)
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # the candidates at or below each row's k-th distance, by (distance, index)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.divmod(np.flatnonzero(dist <= kth[:, None]), n)
+        ranked = np.lexsort((cols, dist[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(stop - start))
+        order[start:stop] = cols[ranked[starts[:, None] + np.arange(k)]]
+        knn_dist[start:stop] = np.take_along_axis(dist, order[start:stop], axis=1)
+    sigma = float(knn_dist.mean())
+    a = np.repeat(np.arange(n), k)
+    b = order.ravel()
+    keys, first = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)
+    rows, cols = np.divmod(keys, n)
+    squares = np.array([math.pow(d, 2.0) for d in knn_dist.ravel()[first].tolist()])
+    weights = np.exp(-squares / (2.0 * sigma**2))
+    return order, knn_dist, sigma, np.column_stack((rows, cols, weights))
+
+
+class FixedRng:
+    """Stands in for a generator whose ``random((n, 2))`` gives these points."""
+
+    def __init__(self, points):
+        self.points = points
+
+    def random(self, shape):
+        assert shape == self.points.shape
+        return self.points.copy()
+
+
+def assert_matches_chunked_search(coords, k):
+    """The grid search's neighbors, distances, kernel width, coordinates and
+    edge table equal the chunked search's, bit for bit."""
+    want_order, want_dist, want_sigma, want_edges = chunked_knn(coords, k)
+    order, knn_dist = graphs._nearest(coords[:, 0], coords[:, 1], k)
+    assert order.tobytes() == want_order.tobytes()
+    assert knn_dist.tobytes() == want_dist.tobytes()
+    assert float(knn_dist.mean()).hex() == want_sigma.hex()
+    got_coords, edges = graphs._knn_graph(len(coords), k, FixedRng(coords))
+    assert got_coords.tobytes() == coords.tobytes()
+    assert edges.tobytes() == want_edges.tobytes()
 
 
 class TestGraphInvariants:
@@ -208,8 +276,6 @@ class TestAdjacencyAndLaplacian:
         that.  A row sum is pairwise over the whole dense row, so the hub's
         298 random weights would round otherwise if summed alone; with a
         7-row budget the degrees come in ragged chunks."""
-        from graphpsd import graphs
-
         n = 300
         if name == "sensor":
             graph = random_sensor_graph(n, 6, seed=3)
@@ -298,10 +364,8 @@ class TestRandomSensorGraph:
     def test_neighbors_match_full_stable_sort_under_ties(self, monkeypatch, k, chunk_rows):
         """Lattice coordinates (exact binary fractions) tie many distances in
         every row; the neighbors and weights equal those of a stable sort of
-        each whole row, which keeps the lowest index first.  With a row budget
-        of 7 rows the 36 rows come in ragged chunks (5 of 7, one of 1)."""
-        from graphpsd import graphs
-
+        each whole row, which keeps the lowest index first.  With a budget of
+        7 rows of 36 distances the 36 points are searched in ragged blocks."""
         side = 6
         lattice = np.array([(x, y) for y in range(side) for x in range(side)], float) / 8.0
         lattice = lattice[np.random.default_rng(0).permutation(side * side)]
@@ -309,12 +373,7 @@ class TestRandomSensorGraph:
         if chunk_rows is not None:
             monkeypatch.setattr(graphs, "_KNN_BYTES", chunk_rows * 8 * n)
 
-        class LatticeRng:
-            def random(self, shape):
-                assert shape == (n, 2)
-                return lattice.copy()
-
-        coords, edges = graphs._knn_graph(n, k, LatticeRng())
+        coords, edges = graphs._knn_graph(n, k, FixedRng(lattice))
         diff = lattice[:, None, :] - lattice[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=-1))
         np.fill_diagonal(dist, np.inf)
@@ -350,6 +409,28 @@ class TestRandomSensorGraph:
             random_sensor_graph(5, 5, seed=0)
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10.0, 3), "the vertex count n must be an integer"),
+            ((10, 3.0), "k_neighbors must be an integer"),
+            ((10, 3, -1), "the seed must be nonnegative"),
+            ((10, 3, 2.5), "the seed must be an integer"),
+        ],
+        ids=["float_n", "float_k", "negative_seed", "float_seed"],
+    )
+    def test_counts_and_seed_must_be_nonnegative_integers(self, args, message):
+        """A float count or a negative or float seed is an
+        InvariantViolation, not numpy's TypeError or ValueError."""
+        with pytest.raises(InvariantViolation, match=message):
+            random_sensor_graph(*args)
+
+    def test_numpy_integer_arguments_build_the_same_graph(self):
+        want = random_sensor_graph(30, 4, seed=5)
+        got = random_sensor_graph(np.int64(30), np.int32(4), seed=np.uint8(5))
+        assert got.edges == want.edges
+        assert got.coordinates.tobytes() == want.coordinates.tobytes()
+
+    @pytest.mark.parametrize(
         "n, edges, connected",
         [
             (1, (), True),
@@ -360,17 +441,90 @@ class TestRandomSensorGraph:
         ],
     )
     def test_is_connected(self, n, edges, connected):
-        from graphpsd import graphs
-
         assert graphs._is_connected(n, edges) is connected
 
     def test_exhausted_attempts_raise(self, monkeypatch):
         """If every draw comes out disconnected the generator gives up."""
-        from graphpsd import FailedToConnect, graphs
+        from graphpsd import FailedToConnect
 
         monkeypatch.setattr(graphs, "_is_connected", lambda n, edges: False)
         with pytest.raises(FailedToConnect, match="100 attempts"):
             random_sensor_graph(10, 2, seed=0)
+
+
+class TestGridSearch:
+    """The cell-grid k-nearest-neighbor search against the chunked search of
+    every distance, its oracle, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in (2, 3, 10, 100, 600, 800, 3200) for k in (1, 6) if k < n]
+        + [(n, n - 1) for n in (3, 10, 100)],
+    )
+    def test_matches_chunked_search(self, n, k):
+        for seed in (0, 1):
+            assert_matches_chunked_search(np.random.default_rng(seed).random((n, 2)), k)
+
+    @pytest.mark.parametrize("workload, n", [("vertex_large", 800), ("estimate_large", 600)])
+    def test_benchmark_pool_graphs_match_chunked_search(self, workload, n):
+        pool = json.loads(GOLDEN.read_text())[workload]["pool"]
+        for seed in (pool[0], pool[len(pool) // 2], pool[-1]):
+            coords = np.random.default_rng(seed).random((n, 2))
+            assert_matches_chunked_search(coords, 6)
+            assert random_sensor_graph(n, 6, seed=seed).coordinates.tobytes() == coords.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 8, 20, 63])
+    @pytest.mark.parametrize("budget_rows", [None, 3])
+    def test_ties_on_cell_edges(self, monkeypatch, k, budget_rows):
+        """An 8 x 8 lattice at multiples of 1/8 puts points on the edges of
+        the 4 x 4 grid's cells, and ties distances in every row; a second
+        copy of four of the points ties them at distance 0."""
+        side = 8
+        lattice = np.array([(x, y) for y in range(side) for x in range(side)], float) / side
+        lattice[[5, 17, 40, 63]] = lattice[[6, 16, 41, 62]]
+        lattice = lattice[np.random.default_rng(3).permutation(side * side)]
+        if budget_rows is not None:
+            monkeypatch.setattr(graphs, "_KNN_BYTES", budget_rows * 8 * len(lattice))
+        assert_matches_chunked_search(lattice, k)
+
+    def test_computes_few_distances(self, monkeypatch):
+        """At N=3200 the search computes fewer than 200 distances per point
+        (about 30), where the chunked search computes N**2."""
+        n, counted = 3200, []
+        distances = graphs._distances
+
+        def counting(x, y, i, j):
+            counted.append(len(i))
+            return distances(x, y, i, j)
+
+        monkeypatch.setattr(graphs, "_distances", counting)
+        graphs._knn_graph(n, 6, np.random.default_rng(0))
+        assert 6 * n < sum(counted) < 200 * n
+
+
+class TestOneDistanceExpression:
+    def test_only_one_helper_computes_distances(self):
+        """The weights are pinned to the bits of one distance expression, so
+        ``_distances`` is the only function of graphs.py that calls ``sqrt``
+        or ``subtract.outer``: no second expression can drift from it."""
+        tree = ast.parse(pathlib.Path(graphs.__file__).read_text(encoding="utf-8"))
+        computing = set()
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                outer = (
+                    name == "outer"
+                    and isinstance(callee.value, ast.Attribute)
+                    and callee.value.attr == "subtract"
+                )
+                if name == "sqrt" or outer:
+                    computing.add(function.name)
+        assert computing == {"_distances"}
 
 
 class TestEdgeListFile:

@@ -32,6 +32,7 @@ from graphpsd import (
     true_covariance,
     true_power_spectrum,
     vandermonde,
+    white_noise,
 )
 
 
@@ -299,6 +300,17 @@ class TestSynthesize:
     def test_snapshot_count_validated(self, path3_basis):
         with pytest.raises(InvariantViolation):
             synthesize(GraphFilter([1.0]), path3_basis, 0)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "the seed must be nonnegative"), (2.5, "the seed must be an integer")],
+        ids=["negative", "float"],
+    )
+    def test_noise_seed_must_be_a_nonnegative_integer(self, seed, message):
+        """Not numpy's ValueError or TypeError."""
+        with pytest.raises(InvariantViolation, match=message):
+            white_noise(4, 5, seed=seed)
+        assert white_noise(4, 5, seed=np.int64(7)).tobytes() == white_noise(4, 5, seed=7).tobytes()
 
     def test_observed_rows_match_the_full_draw(self, sensor100_basis, sensor100_filter):
         """Rows X of a synthesis at X equal rows X of the all-vertex draw to
