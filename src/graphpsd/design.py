@@ -110,8 +110,10 @@ class _RowSource:
     ``diagonal(cands)`` gives the rows ``(s, s)`` of the candidates as a
     (len(cands), m) array; ``block(rows, cols)`` the rows ``(i, j)`` for
     ``i`` in ``rows`` and ``j`` in ``cols`` as a (len(rows), len(cols), m)
-    array; ``default_epsilon()`` 1e-8 times the mean squared row norm, as
-    :func:`default_epsilon` of the whole tensor.  ``n`` and ``m`` are the
+    array; ``default_epsilon()`` 1e-8 times the mean squared row norm, which
+    is :func:`default_epsilon` of the whole tensor up to rounding: the
+    spectral and vertex sources read it from identities, and never form the
+    tensor's N^2 row norms.  ``n`` and ``m`` are the
     vertex and unknown counts.  ``reserve(count)`` makes room for the rows
     of ``count`` vertices where a source keeps rows per vertex.
     """
@@ -144,7 +146,12 @@ class _TensorRows(_RowSource):
 
 
 class _SpectralRows(_RowSource):
-    """Row ``(i, j)`` is ``u_i * u_j`` for the rows ``u_i`` of the Fourier basis."""
+    """Row ``(i, j)`` is ``u_i * u_j`` for the rows ``u_i`` of the Fourier basis.
+
+    The mean squared row norm is ``sum_p c_p^2 / N^2`` with the column sums
+    ``c_p = sum_i u_ip^2``, exact for any rows, so the default epsilon
+    takes O(N^2) work where the N^2 row norms take O(N^3).
+    """
 
     def __init__(self, eigenvectors):
         # |u_ik u_jk| <= max(u_ik^2, u_jk^2): finite squares make every row finite
@@ -163,16 +170,9 @@ class _SpectralRows(_RowSource):
         return self.u[rows][:, None, :] * self.u[cols][None, :, :]
 
     def default_epsilon(self):
-        # default_epsilon's per-pair reduction, a chunk of i at a time
-        n = self.n
-        everything = np.arange(n)
-        chunk = max(1, _BLOCK_BYTES // (8 * n * n))
-        squared_norms = np.empty((n, n))
-        for i in range(0, n, chunk):
-            rows = self.block(everything[i : i + chunk], everything)
-            rows *= rows
-            np.sum(rows, axis=-1, out=squared_norms[i : i + chunk])
-        return 1e-8 * float(np.mean(squared_norms))
+        # sum_ij |u_i * u_j|^2 = sum_p c_p^2 with the column sums c_p = sum_i u_ip^2
+        c = np.sum(self.u * self.u, axis=0)
+        return 1e-8 * float(c @ c) / self.n**2
 
 
 class _VertexRows(_RowSource):

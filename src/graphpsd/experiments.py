@@ -610,7 +610,7 @@ def _greedy_prefix_models(cfg, k_values):
         raise ConfigError(f"budgets must be integers, got {k_values!r}")
     k_values = list(dict.fromkeys(k_values))
     if min(k_values) < 1:
-        raise ConfigError("budget outside [1, n]")
+        raise ConfigError(f"budget must be at least 1, got {min(k_values)}")
     setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
 
     def models():

@@ -23,8 +23,8 @@ at a time.  The kernel width and the edge weights come from the (N, k)
 neighbor distances.  A weight squares its distance by libm ``pow`` (``math.pow(d, 2.0)``, which an
 ``np.float64``'s ``** 2`` also calls), so it is bit for bit the scalar
 ``np.exp(-d ** 2 / (2.0 * sigma**2))`` of its np.float64 distance.  The
-Laplacian's degrees are summed over dense adjacency rows in chunks of the
-same size.
+Laplacian's degrees are summed over each vertex's edges alone, with no
+dense row.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ _CELL_POINTS = 3
 # distance must lie to stand; it covers the rounding of cells and distances,
 # which is below 1e-15 on the unit square.
 _GAP_MARGIN = 1e-12
-
-# Bytes of the dense adjacency rows a chunk of the degree sums holds at a time.
-_DEGREE_BYTES = 1 << 20
 
 # Draws random_sensor_graph tries, at seeds seed, seed + 1, ..., for a connected graph.
 _CONNECT_ATTEMPTS = 100
@@ -258,36 +255,17 @@ def _adjacency_entries(graph):
     return rows[order], cols[order], np.concatenate([w, w])[order]
 
 
-def _row_sums(n, rows, cols, values):
-    """Sums of the rows of the N x N matrix with these nonzeros (``rows`` ascending).
-
-    Each is numpy's sum of the dense row, zeros included, as ``m.sum(axis=1)``
-    gives it: its pairwise summation groups the entries by their columns, so
-    a sum of the nonzeros alone could round otherwise.  The dense rows are
-    built a chunk of about 1 MB at a time.
-    """
-    chunk = min(n, max(1, _DEGREE_BYTES // (8 * n)))
-    block = np.zeros((chunk, n))
-    sums = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        lo, hi = np.searchsorted(rows, (start, stop))
-        at = rows[lo:hi] - start, cols[lo:hi]
-        block[at] = values[lo:hi]
-        np.sum(block[: stop - start], axis=1, out=sums[start:stop])
-        block[at] = 0.0
-    return sums
-
-
 def build_laplacian(graph):
     """Combinatorial Laplacian ``L = D - A`` as a shift operator.
 
     ``D`` is the diagonal matrix of weighted degrees, so every row of the
-    result sums to zero.  Built as nonzeros, from the edges.
+    result sums to zero, to rounding.  Built as nonzeros, from the edges:
+    a degree is the sum of its row's weights in ascending column order, in
+    O(E) work, and a vertex without edges has no diagonal entry.
     """
     n = graph.n_vertices
     rows, cols, weights = _adjacency_entries(graph)
-    degrees = _row_sums(n, rows, cols, weights)
+    degrees = np.bincount(rows, weights=weights, minlength=n)
     diagonal = np.flatnonzero(degrees)
     rows = np.concatenate([rows, diagonal])
     cols = np.concatenate([cols, diagonal])

@@ -307,6 +307,8 @@ def _upper_inverse(upper, out=None):
 
     Every block is written into one m x m output (``out`` of the
     recursion), so besides it only the m/2 x m/2 product ``B C^-1`` is held.
+    ``out`` may be ``upper`` itself: each block is read before it is
+    overwritten.
     """
     m = upper.shape[0]
     if out is None:
@@ -333,9 +335,10 @@ def _gram_factor(model):
     the model, a sum of squares with no cancellation, so the negligible-
     column rule of :func:`_equilibrated_r` reads them as it reads the norms
     of ``R``.  The equilibrated ``G = L L^T`` is factored by
-    ``np.linalg.cholesky`` and ``L^-T`` formed by :func:`_upper_inverse`.
-    Each N x N array is dropped once the next one exists, so at most two
-    are held at a time (with the half-size block of the inversion).
+    ``np.linalg.cholesky`` and ``L^-T`` formed by :func:`_upper_inverse`
+    over ``L^T`` in place.  The Gram matrix is dropped once ``L`` exists,
+    so two N x N arrays are held during the Cholesky and one, with the
+    half-size block of the inversion, after it.
 
     The normal equations square the condition number, so the certificate
     asks for more than the rank tolerance.  With ``n = max(K, cols)`` and u
@@ -390,8 +393,7 @@ def _gram_factor(model):
     except np.linalg.LinAlgError:
         return None
     del gram
-    inverse = _upper_inverse(lower.T)
-    del lower
+    inverse = _upper_inverse(lower.T, out=lower.T)
     margin = 2.0 * max(k, cols) * np.sqrt(np.finfo(float).eps / 2.0)
     if not 1.0 / np.linalg.norm(inverse) > max(cols * tol, margin):
         return None
@@ -403,9 +405,7 @@ def _gram_solve(model, cov, inverse, scale):
 
     The right-hand side of the normal equations is
     ``A^T vec(C) = diag(U_X^T C U_X)``, read from the K x K covariance
-    ``cov`` in column-major layout (``np.asfortranarray``): the products
-    with ``U_X`` round by layout, and this one keeps the recorded reference
-    outputs byte for byte.  The first solve, ``(L L^T)^-1`` applied as
+    ``cov`` as it is laid out.  The first solve, ``(L L^T)^-1`` applied as
     ``L^-T (L^-1 v)``, loses accuracy with the squared condition number;
     one correction step (Bjorck 1987, "Stability analysis of the method of
     seminormal equations for linear least squares problems") solves again
@@ -415,7 +415,6 @@ def _gram_solve(model, cov, inverse, scale):
     solution, which is ``||A x - vec(C)||`` over all K^2 rows.
     """
     u_x = model.basis_rows
-    cov = np.asfortranarray(cov)
     if not np.all(np.isfinite(cov)):
         raise NonFinite("covariance is not finite")
 

@@ -85,8 +85,10 @@ class GraphFilter:
 
 def _count(value, name):
     """``value`` as an int, by ``operator.index`` (numpy integers pass);
-    anything else, a float among them, is an :class:`InvariantViolation`."""
+    anything else, a float or a bool among them, is an :class:`InvariantViolation`."""
     try:
+        if isinstance(value, bool):  # operator.index reads True as 1
+            raise TypeError("a bool is not a count")
         return operator.index(value)
     except TypeError as exc:
         raise InvariantViolation(f"{name} must be an integer, got {value!r}") from exc

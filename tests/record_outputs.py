@@ -165,8 +165,8 @@ def compare(recorded, fresh, rtol=None):
     it differs unless its text without numbers matches and every number
     lies within ``rtol`` times the file's largest recorded magnitude of its
     recorded value.  A run differs whole when its arguments, config, exit
-    code or set of files do.  Each line names a file and its largest
-    relative move (see :func:`moves`).
+    code or set of files do.  Each line names a file and how far its
+    numbers moved (see :func:`moves`).
     """
     lines, differ = [], []
     for run in sorted(set(recorded["runs"]) | set(fresh["runs"])):
@@ -184,7 +184,8 @@ def compare(recorded, fresh, rtol=None):
                 ok = before["sha256"] == after["sha256"]
             else:
                 ok = scaled <= rtol
-            lines.append(f"{run}/{file}: {'ok' if ok else 'DIFFERS'}, largest relative move {relative:.3g}")
+            lines.append(f"{run}/{file}: {'ok' if ok else 'DIFFERS'}, largest relative move "
+                         f"{relative:.3g}, {scaled:.3g} of the file's largest number")
             if not ok:
                 differ.append(f"{run}/{file}")
     return lines, differ

@@ -138,8 +138,10 @@ class TestObjectiveValue:
             objective_value(obj, (0, 1))
 
     def test_default_epsilon_scales_with_rows(self):
+        """The spectral objective reads epsilon from its column sums, which
+        equals the tensor's mean squared row norm up to rounding."""
         obj = spectral_objective(5, seed=8)
-        assert obj.epsilon == default_epsilon(obj.pair_rows)
+        np.testing.assert_allclose(obj.epsilon, default_epsilon(obj.pair_rows), rtol=1e-12)
         scaled = DesignObjective(kind=LOGDET_EPS, pair_rows=obj.pair_rows * 10.0)
         np.testing.assert_allclose(scaled.epsilon, obj.epsilon * 100.0, rtol=1e-12)
 
@@ -422,12 +424,18 @@ class TestGreedyDesign:
 
     @pytest.mark.parametrize("m", [1, 32, 33, 100, 257])
     def test_upper_inverse_matches_dense_inverse(self, m):
+        """Into a new array, and in place over ``L^T`` as the estimator's
+        Gram path inverts it."""
         rng = np.random.default_rng(m)
         a = rng.standard_normal((m, m))
-        upper = np.linalg.cholesky(a @ a.T + m * np.eye(m)).T
-        inverse = design_mod._upper_inverse(upper)
-        assert np.array_equal(np.tril(inverse, -1), np.zeros((m, m)))
-        np.testing.assert_allclose(inverse @ upper, np.eye(m), atol=1e-12)
+        lower = np.linalg.cholesky(a @ a.T + m * np.eye(m))
+        upper = lower.T.copy()
+        inverses = [design_mod._upper_inverse(lower.T)]
+        inverses.append(design_mod._upper_inverse(lower.T, out=lower.T))
+        assert np.shares_memory(inverses[1], lower)
+        for inverse in inverses:
+            assert np.array_equal(np.tril(inverse, -1), np.zeros((m, m)))
+            np.testing.assert_allclose(inverse @ upper, np.eye(m), atol=1e-12)
 
     def test_budget_validation(self):
         obj = spectral_objective(5, seed=23)
@@ -460,7 +468,9 @@ class TestGreedyDesign:
     "call",
     [
         lambda: greedy_design(spectral_objective(5, seed=23), 3.0),
+        lambda: greedy_design(spectral_objective(5, seed=23), True),
         lambda: random_design(10, 3.0),
+        lambda: random_design(10, True),
         lambda: white_noise(3, 2.5),
         lambda: brute_force_design(spectral_objective(5, seed=23), 2.0),
         lambda: DesignObjective.vertex(build_laplacian(random_weighted_graph(6, 0.4, 23)), 3.0),
@@ -468,12 +478,14 @@ class TestGreedyDesign:
             build_laplacian(random_weighted_graph(6, 0.4, 23)), SamplingPattern(6, (1, 4)), 3.0
         ),
     ],
-    ids=["greedy_design", "random_design", "white_noise", "brute_force_design",
+    ids=["greedy_design", "greedy_design_bool", "random_design", "random_design_bool",
+         "white_noise", "brute_force_design",
          "DesignObjective.vertex", "build_vertex_model"],
 )
 def test_non_integer_count_rejected(call):
     """A float count is a typed error, not a bare TypeError from ``range``,
-    ``rng.choice``, ``standard_normal`` or ``math.comb``."""
+    ``rng.choice``, ``standard_normal`` or ``math.comb``; a bool, which
+    ``operator.index`` reads as 0 or 1, is one too."""
     with pytest.raises(InvariantViolation, match="must be an integer, got"):
         call()
 
@@ -684,10 +696,12 @@ class TestGeneratedRows:
         rows[0, 0] = 5.0  # the caller's array stays theirs to edit
 
     def test_spectral_rows_match_tensor_bit_for_bit(self):
+        """Every row accessor bit for bit; epsilon, an identity on the column
+        sums against the tensor's reduction, to rounding."""
         generated, explicit = self.spectral_pair()
         for (name, got), (_, want) in zip(self.row_methods(generated), self.row_methods(explicit)):
             assert np.array_equal(got, want), name
-        assert generated.epsilon == explicit.epsilon
+        np.testing.assert_allclose(generated.epsilon, explicit.epsilon, rtol=1e-12)
         assert np.array_equal(generated.pair_rows, explicit.pair_rows)
 
     def test_vertex_rows_match_tensor(self):

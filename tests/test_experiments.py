@@ -833,6 +833,17 @@ def test_budget_of_another_type_rejected(scan, budgets):
         scan(small_cfg(), budgets)
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [rank_threshold_scan, lambda cfg, budgets: compression_sweep(cfg, budgets, 1)],
+    ids=["rank_threshold_scan", "compression_sweep"],
+)
+def test_budget_below_one_rejected(scan):
+    """A budget below 1 is reported as ``validate`` reports a count, by its value."""
+    with pytest.raises(ConfigError, match=r"^budget must be at least 1, got -2$"):
+        scan(small_cfg(), [5, -2, 0])
+
+
 class TestRandomSamplerStudy:
     def test_rank_fraction_at_threshold_budget_reported(self, sensor100_basis):
         """At the smallest budget any pattern can achieve full rank (K=14 for

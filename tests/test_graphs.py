@@ -264,18 +264,17 @@ class TestAdjacencyAndLaplacian:
         assert kept < 300 * 300 * 8 / 10
 
     @pytest.mark.parametrize("name", ["sensor", "dense_random", "hub_and_isolated"])
-    @pytest.mark.parametrize(
-        "kind, chunk_rows",
-        [(LAPLACIAN, None), (LAPLACIAN, 7), (ADJACENCY, None)],
-        ids=["laplacian", "laplacian-rows7", "adjacency"],
-    )
-    def test_shift_equals_the_dense_build(self, monkeypatch, kind, chunk_rows, name):
-        """The operator built from the edges equals, bit for bit and dtypes
-        included, the one built from ``build_adjacency``: ``0 - A`` with the
-        numpy row sums of A on its diagonal, and the CSR arrays scipy makes of
-        that.  A row sum is pairwise over the whole dense row, so the hub's
-        298 random weights would round otherwise if summed alone; with a
-        7-row budget the degrees come in ragged chunks."""
+    @pytest.mark.parametrize("kind", [LAPLACIAN, ADJACENCY])
+    def test_shift_equals_the_dense_build(self, kind, name):
+        """The operator built from the edges equals the one built from
+        ``build_adjacency``: ``0 - A`` with the numpy row sums of A on its
+        diagonal, and the CSR arrays scipy makes of that.  The off-diagonal
+        entries and the CSR indices, pointers and dtypes agree bit for bit.
+        A degree sums its row's d weights alone, and numpy sums the whole
+        dense row pairwise, so the two round differently (the hub has 298
+        random weights).  Each sum lies within ``(d - 1) u sum|w|`` of the
+        exact one, u the unit roundoff, so they differ by at most
+        ``(d - 1) eps sum|w|``."""
         n = 300
         if name == "sensor":
             graph = random_sensor_graph(n, 6, seed=3)
@@ -284,20 +283,26 @@ class TestAdjacencyAndLaplacian:
         else:  # vertex n-1 has no edge, so no diagonal entry either
             weights = np.random.default_rng(1).uniform(0.1, 3.0, n - 2)
             graph = Graph(n, tuple((0, i, float(w)) for i, w in enumerate(weights, start=1)))
-        if chunk_rows is not None:
-            monkeypatch.setattr(graphs, "_DEGREE_BYTES", chunk_rows * 8 * n)
-        dense = build_adjacency(graph)
+        adjacency = build_adjacency(graph)
+        dense = adjacency.copy()
         if kind == LAPLACIAN:
-            degrees = dense.sum(axis=1)
             dense = 0.0 - dense
-            np.fill_diagonal(dense, degrees)
+            np.fill_diagonal(dense, adjacency.sum(axis=1))
         shift = build_shift_operator(graph, kind)
-        assert shift.matrix.tobytes() == dense.tobytes()
+        got = shift.matrix
+        off = ~np.eye(n, dtype=bool)
+        assert got[off].tobytes() == dense[off].tobytes()
+        d = np.count_nonzero(adjacency, axis=1)
+        bound = np.maximum(d - 1, 0) * np.finfo(float).eps * adjacency.sum(axis=1)
+        assert np.all(np.abs(np.diagonal(got) - np.diagonal(dense)) <= bound)
         expected = scipy.sparse.csr_array(dense)
         for part in ("data", "indices", "indptr"):
-            got, want = getattr(shift.sparse, part), getattr(expected, part)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+            assert getattr(shift.sparse, part).dtype == getattr(expected, part).dtype
+        for part in ("indices", "indptr"):
+            assert getattr(shift.sparse, part).tobytes() == getattr(expected, part).tobytes()
+        rows = np.repeat(np.arange(n), np.diff(expected.indptr))
+        beside = rows != expected.indices
+        assert shift.sparse.data[beside].tobytes() == expected.data[beside].tobytes()
 
 
 class TestOneShiftOwner:
@@ -415,12 +420,15 @@ class TestRandomSensorGraph:
             ((10, 3.0), "k_neighbors must be an integer"),
             ((10, 3, -1), "the seed must be nonnegative"),
             ((10, 3, 2.5), "the seed must be an integer"),
+            ((10, True), "k_neighbors must be an integer"),
+            ((10, 3, True), "the seed must be an integer"),
         ],
-        ids=["float_n", "float_k", "negative_seed", "float_seed"],
+        ids=["float_n", "float_k", "negative_seed", "float_seed", "bool_k", "bool_seed"],
     )
     def test_counts_and_seed_must_be_nonnegative_integers(self, args, message):
-        """A float count or a negative or float seed is an
-        InvariantViolation, not numpy's TypeError or ValueError."""
+        """A float or bool count or a negative, float or bool seed is an
+        InvariantViolation, not numpy's TypeError or ValueError, nor a
+        graph built for 1."""
         with pytest.raises(InvariantViolation, match=message):
             random_sensor_graph(*args)
 

@@ -858,10 +858,10 @@ class TestGramPath:
         assert peak < 0.5 * 100 * 100 * 600 * 8
 
     def test_estimate_peak_below_three_n_by_n_arrays(self):
-        """The same system: the Gram path holds the N x N Gram matrix, its
-        Cholesky factor and ``L^-T``, but drops each once the next exists,
-        and ``L^-T`` is inverted into one output, so the estimate's peak stays
-        below three N x N arrays (about 2.25 measured; 4.00 with all kept)."""
+        """The same system: the Gram path holds the N x N Gram matrix and its
+        Cholesky factor, drops the first once the second exists and inverts
+        the factor in place, so the estimate's peak stays below three N x N
+        arrays (about 2.00 measured; 4.00 with all kept)."""
         setting, pattern, cov_sub = self.first_estimate_large_system()
         model = setting.model(pattern)
         tracemalloc.start()
@@ -873,6 +873,22 @@ class TestGramPath:
             tracemalloc.stop()
         assert est.rank_ok
         assert peak < 3 * 600 * 600 * 8
+
+    def test_gram_factor_inverts_in_place(self):
+        """The same system: ``L^-T`` overwrites ``L^T``, so the factor's peak
+        is the Gram matrix and ``L`` during the Cholesky, two N x N arrays
+        (2.25 while ``L^-T`` had an array of its own)."""
+        setting, pattern, _ = self.first_estimate_large_system()
+        model = setting.model(pattern)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inverse, _, _ = model.gram_factor
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert inverse.shape == (600, 600)
+        assert peak < 2.1 * 600 * 600 * 8
 
 
 class TestNegligibleColumns:
