@@ -28,6 +28,8 @@ import tempfile
 
 import numpy as np
 
+from graphpsd import cli
+
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "outputs_manifest.json")
 
 # the vertex_large benchmark's call on its first pool graph, golden.json["vertex_large"]["pool"][0]
@@ -51,32 +53,22 @@ CASES = {
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bNaN\b|-?\bInfinity\b|\bnan\b|-?\binf\b")
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS, loaded by ctypes, or None (another BLAS)."""
+def environment():
+    """What output bytes depend on besides the code: numpy and its BLAS at run time.
+
+    The BLAS entries come from the OpenBLAS a numpy wheel bundles in
+    ``numpy.libs``; they are None for any other BLAS.
+    """
+    config = threads = None
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     paths = sorted(glob.glob(os.path.join(libs, "*openblas*")))
-    return ctypes.CDLL(paths[0]) if paths else None
-
-
-def _call(lib, names, restype):
-    for name in names:
-        function = getattr(lib, name, None)
-        if function is not None:
-            function.restype = restype
-            return function()
-    return None
-
-
-def environment():
-    """What output bytes depend on besides the code: numpy and its BLAS at run time."""
-    lib = _openblas()
-    config = threads = None
-    if lib is not None:
-        config = _call(lib, ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                             "openblas_get_config64_", "openblas_get_config"), ctypes.c_char_p)
-        config = config.decode() if config is not None else None
-        threads = _call(lib, ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                              "openblas_get_num_threads64_", "openblas_get_num_threads"), ctypes.c_int)
+    if paths:
+        lib = ctypes.CDLL(paths[0])
+        get_config = getattr(lib, "scipy_openblas_get_config64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if get_config is not None and get_threads is not None:
+            get_config.restype = ctypes.c_char_p
+            config, threads = get_config().decode(), get_threads()
     return {"numpy": np.__version__, "openblas": config, "blas_threads": threads}
 
 
@@ -94,8 +86,6 @@ def run_case(name, root):
 
     Returns ``(exit code, {file name: text})`` of every file the run wrote.
     """
-    from graphpsd import cli
-
     argv, config = CASES[name]
     out = os.path.join(root, name)
     argv = [*argv, "--out", out]
