@@ -2,7 +2,7 @@
 
 ``outputs_manifest.json`` holds, for every file that the CLI runs of
 :data:`CASES` write, its sha256, the sha256 of its text with every number
-taken out, and its numbers.  It also holds the environment the bytes came
+taken out, and its numbers, by CSV column or JSON key.  It also holds the environment the bytes came
 from: the numpy version, numpy's OpenBLAS configuration string (the kernel
 it chose at run time included) and its thread count.
 ``test_recorded_outputs.py`` runs the same cases and compares.  A change
@@ -38,12 +38,18 @@ VERTEX_LARGE = {
     "domain": "vertex", "k": 20, "q": 13, "n_snapshots": 1000, "seed": 1000,
 }
 POPULATION_VERTEX = {"domain": "vertex", "k": 10, "use_population_covariance": True}
+# the estimate_large benchmark's call on its first pool graph, golden.json["estimate_large"]["pool"][0]
+ESTIMATE_LARGE = {
+    "graph": {"n": 600, "k_neighbors": 6, "seed": 2000},
+    "domain": "spectral", "k": 100, "sampler": "random", "n_snapshots": 1000, "seed": 2000,
+}
 
 # name -> (CLI arguments, config written to a file and passed by --config, or None);
 # each run writes into its own directory, given by --out
 CASES = {
     "reference": (["run"], None),
     "vertex_large": (["run"], VERTEX_LARGE),
+    "estimate_large": (["run"], ESTIMATE_LARGE),
     "population_vertex": (["run"], POPULATION_VERTEX),
     "check": (["check", "--seed", "0"], None),
     "sweep": (["sweep", "--n", "100", "--k-list", "14,20", "--seeds", "3"], None),
@@ -72,12 +78,51 @@ def environment():
     return {"numpy": np.__version__, "openblas": config, "blas_threads": threads}
 
 
-def describe(text):
-    """A file's sha256, the sha256 of its text without its numbers, and its numbers."""
+def columns(name, text):
+    """The numbers of file ``name``, as ``{column: [numbers]}`` in the order of the text.
+
+    A JSON file's column is the key path of the number (``a.b`` for key
+    ``b`` of object ``a``; list positions are left out).  A CSV or ``.dat``
+    file's column is the field's name in the header, or the field's
+    position when the file has no header.
+    """
+    found = {}
+
+    def add(key, tokens):
+        if tokens:
+            found.setdefault(key, []).extend(map(float, tokens))
+
+    if name.endswith(".json"):
+        def walk(value, key):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, f"{key}.{k}" if key else k)
+            elif isinstance(value, list):
+                for v in value:
+                    walk(v, key)
+            elif isinstance(value, str):
+                add(key, NUMBER.findall(value))
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                add(key, [value])
+
+        walk(json.loads(text), "")
+        return found
+    split = (lambda line: line.split(",")) if name.endswith(".csv") else str.split
+    lines = text.splitlines()
+    header = split(lines[0]) if lines and not NUMBER.search(lines[0]) else None
+    for line in lines[1:] if header else lines:
+        for i, field in enumerate(split(line)):
+            add(header[i] if header else str(i), NUMBER.findall(field))
+    return found
+
+
+def describe(name, text):
+    """File ``name``'s sha256, the sha256 of its text without its numbers,
+    and its numbers by column (see :func:`columns`)."""
     return {
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "text_sha256": hashlib.sha256(NUMBER.sub("#", text).encode()).hexdigest(),
-        "numbers": [float(token) for token in NUMBER.findall(text)],
+        "numbers": columns(name, text),
     }
 
 
@@ -108,7 +153,7 @@ def record(root):
     runs = {}
     for name, (argv, config) in CASES.items():
         code, texts = run_case(name, root)
-        files = {file: describe(text) for file, text in texts.items()}
+        files = {file: describe(file, text) for file, text in texts.items()}
         runs[name] = {"argv": argv, "config": config, "exit_code": code, "files": files}
     return {"environment": environment(), "runs": runs}
 
@@ -124,39 +169,46 @@ def load():
         return json.load(fh)
 
 
-def moves(recorded, fresh):
-    """How far a file's numbers moved: ``(largest relative move, largest move over scale)``.
+def moves(recorded, fresh, atol=0.0):
+    """How far a file's numbers moved: ``(largest relative move, largest scaled move)``.
 
-    A number's relative move is ``|a - b| / max(|a|, |b|)``; the second
-    figure divides the largest ``|a - b|`` by the file's largest recorded
-    magnitude instead.  Both are inf when the files differ in anything but
-    the values of their numbers.
+    A number's relative move is ``|a - b| / max(|a|, |b|)``; its scaled
+    move divides the part of ``|a - b|`` beyond ``atol`` by the largest
+    recorded magnitude of its column instead.  Both are inf when the files
+    differ in anything but the values of their numbers.
     """
-    a, b = np.array(recorded["numbers"]), np.array(fresh["numbers"])
-    if recorded["text_sha256"] != fresh["text_sha256"] or a.shape != b.shape:
+    old, new = recorded["numbers"], fresh["numbers"]
+    if recorded["text_sha256"] != fresh["text_sha256"] or set(old) != set(new) \
+            or any(len(old[c]) != len(new[c]) for c in old):
         return math.inf, math.inf
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
-    with np.errstate(invalid="ignore"):
-        diff = np.where(same, 0.0, np.abs(a - b))
-    diff[np.isnan(diff)] = math.inf
-    moved = diff > 0.0
-    if not moved.any():
-        return 0.0, 0.0
-    with np.errstate(invalid="ignore"):
-        relative = diff[moved] / np.maximum(np.abs(a[moved]), np.abs(b[moved]))
-    scale = np.abs(a[np.isfinite(a)]).max(initial=0.0)
-    return float(np.nan_to_num(relative, nan=math.inf).max()), float(diff.max() / scale) if scale else math.inf
+    relative = scaled = 0.0
+    for column in old:
+        a, b = np.array(old[column], dtype=float), np.array(new[column], dtype=float)
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        with np.errstate(invalid="ignore"):
+            diff = np.where(same, 0.0, np.abs(a - b))
+        diff[np.isnan(diff)] = math.inf
+        moved = diff > 0.0
+        if not moved.any():
+            continue
+        with np.errstate(invalid="ignore"):
+            rel = diff[moved] / np.maximum(np.abs(a[moved]), np.abs(b[moved]))
+        beyond = max(float(diff.max()) - atol, 0.0)
+        scale = np.abs(a[np.isfinite(a)]).max(initial=0.0)
+        relative = max(relative, float(np.nan_to_num(rel, nan=math.inf).max()))
+        scaled = max(scaled, beyond / scale if scale else math.inf if beyond else 0.0)
+    return relative, scaled
 
 
-def compare(recorded, fresh, rtol=None):
+def compare(recorded, fresh, rtol=None, atol=0.0):
     """Compare the runs of two manifests: ``(report lines, names of the files that differ)``.
 
     With ``rtol`` None a file differs unless its sha256 matches.  Otherwise
     it differs unless its text without numbers matches and every number
-    lies within ``rtol`` times the file's largest recorded magnitude of its
-    recorded value.  A run differs whole when its arguments, config, exit
-    code or set of files do.  Each line names a file and how far its
-    numbers moved (see :func:`moves`).
+    lies within ``atol`` plus ``rtol`` times its column's largest recorded
+    magnitude of its recorded value.  A run differs whole when its
+    arguments, config, exit code or set of files do.  Each line names a
+    file and how far its numbers moved (see :func:`moves`).
     """
     lines, differ = [], []
     for run in sorted(set(recorded["runs"]) | set(fresh["runs"])):
@@ -169,13 +221,15 @@ def compare(recorded, fresh, rtol=None):
             continue
         for file in sorted(old["files"]):
             before, after = old["files"][file], new["files"][file]
-            relative, scaled = moves(before, after)
             if rtol is None:
+                relative, scaled = moves(before, after)
                 ok = before["sha256"] == after["sha256"]
             else:
+                relative, scaled = moves(before, after, atol)
                 ok = scaled <= rtol
+            beyond = f" beyond {atol:g}" if rtol is not None and atol else ""
             lines.append(f"{run}/{file}: {'ok' if ok else 'DIFFERS'}, largest relative move "
-                         f"{relative:.3g}, {scaled:.3g} of the file's largest number")
+                         f"{relative:.3g}, {scaled:.3g} of its column's largest number{beyond}")
             if not ok:
                 differ.append(f"{run}/{file}")
     return lines, differ
