@@ -95,6 +95,7 @@ from .spectral import (
     true_power_spectrum,
     vandermonde,
     white_noise,
+    wishart_covariance,
 )
 
 __version__ = "0.1.0"

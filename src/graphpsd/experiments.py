@@ -124,8 +124,8 @@ class FilterSpec:
 class ExperimentConfig:
     """Everything needed to run one deterministic end-to-end experiment.
 
-    ``seed`` drives snapshot synthesis and the random sampler; the graph
-    generator has its own seed inside ``graph``.
+    ``seed`` drives the sample covariance's draw and the random sampler;
+    the graph generator has its own seed inside ``graph``.
     """
 
     graph: GraphSpec = field(default_factory=GraphSpec)
@@ -367,22 +367,6 @@ class Setting:
             return design_mod.random_design(self.graph.n_vertices, cfg.k, seed=cfg.seed), None
         return load_pattern(cfg.pattern_path), None
 
-    def check_noise_fits(self):
-        """Raise ConfigError when a sampled covariance's N x n_snapshots
-        float64 noise draw would exceed the machine's physical memory.
-
-        The pipelines that draw noise call this before their design, so such
-        a run fails in milliseconds instead of in the allocation.
-        """
-        cfg, n = self.config, self.graph.n_vertices
-        need = 8 * n * cfg.n_snapshots
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if not cfg.use_population_covariance and need > have:
-            raise ConfigError(
-                f"the {n} x {cfg.n_snapshots} noise draw needs {need / 2**30:.3g} GiB, "
-                f"more than the machine's {have / 2**30:.3g} GiB of memory"
-            )
-
     def _check_pattern(self, pattern):
         n = self.graph.n_vertices
         if pattern.n_vertices != n:
@@ -393,26 +377,29 @@ class Setting:
     def covariances(self, seed, patterns):
         """K x K covariance at each pattern's vertices, in order.
 
-        Each comes from the filter's K rows ``H_X`` at its pattern's
-        vertices: :func:`spectral.basis_filter_rows` in the spectral domain,
-        :func:`spectral.filter_rows` (sparse products with the shift) in the
-        vertex domain.  A population run takes ``H_X H_X^T``, a sampled run
-        the sample covariance of ``H_X n`` for one noise draw ``n`` seeded
-        with ``seed``, so neither the N x N filter nor an N x N covariance
-        is built.  A pattern of another vertex count is a ConfigError.
+        Each comes from a K x N factor F of the covariance ``C_X = F F^T``
+        at its pattern's vertices X: ``U_X diag(V h)`` in the spectral
+        domain, the filter's rows ``H_X`` (:func:`spectral.filter_rows`,
+        sparse products with the shift) in the vertex domain.  A population
+        run takes ``F F^T``; a sampled run draws the sample covariance of
+        ``n_snapshots`` snapshots from its Wishart law
+        (:func:`spectral.wishart_covariance`), each pattern with ``seed``,
+        so no snapshot, no N x N filter and no N x N covariance is built.
+        A pattern of another vertex count is a ConfigError.
         """
         for pattern in patterns:
             self._check_pattern(pattern)
-        # one K x N block of rows alive at a time
-        rows = (self._filter_rows(pattern.selected) for pattern in patterns)
+        # one K x N factor alive at a time
+        factors = (self._factor(pattern.selected) for pattern in patterns)
         if self.config.use_population_covariance:
-            return [spectral_mod.population_covariance(r) for r in rows]
-        noise = spectral_mod.white_noise(self.graph.n_vertices, self.config.n_snapshots, seed=seed)
-        return [spectral_mod.sample_covariance(r @ noise) for r in rows]
+            return [spectral_mod.population_covariance(f) for f in factors]
+        n_snapshots = self.config.n_snapshots
+        return [spectral_mod.wishart_covariance(f, n_snapshots, seed=seed) for f in factors]
 
-    def _filter_rows(self, vertices):
+    def _factor(self, vertices):
         if self.spectral:
-            return spectral_mod.basis_filter_rows(self.filter, self.basis, vertices)
+            response = spectral_mod.frequency_response(self.filter, self.basis)
+            return self.basis.eigenvectors[np.asarray(vertices, dtype=int)] * response
         return spectral_mod.filter_rows(self.filter, self.shift, vertices)
 
     def model(self, pattern):
@@ -467,9 +454,10 @@ def run_experiment(cfg):
     run in the order graph, basis, filter, design, model, covariance and
     estimate: the design picks the K observed vertices, the model checks
     the pattern against the graph, and the covariance is formed only at
-    those vertices, so no N x N covariance or N x N_s snapshot array is
-    built; a noise draw too large for memory is a ConfigError before the
-    design.  When ``cfg.output_dir`` is set, writes ``spectrum.csv``,
+    those vertices, a sampled one drawn from its Wishart law
+    (:meth:`Setting.covariances`), so no N x N covariance and no snapshot
+    is built, and the draw's cost depends on neither N nor ``n_snapshots``.
+    When ``cfg.output_dir`` is set, writes ``spectrum.csv``,
     ``pattern.json``, ``metrics.json``, ``trace.json`` (greedy only), and
     gnuplot ``.dat`` files there; on error a ``failure.json`` naming the
     failed stage, or ``checks`` for a check between stages, is left behind
@@ -482,7 +470,6 @@ def run_experiment(cfg):
         os.makedirs(out, exist_ok=True)
     try:
         setting = prepare(cfg, timer)
-        setting.check_noise_fits()
         with timer.stage("design"):
             pattern, trace = setting.design()
         with timer.stage("model"):
@@ -638,11 +625,11 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
 
     For every K in ``k_list`` runs ``n_seeds`` seeded pipelines per sampler
     and aggregates mean NMSE and the fraction of runs whose model had full
-    column rank.  Each seed draws its snapshot noise once, and every
-    pattern's covariance is synthesized from that draw at its own vertices,
-    exactly as :func:`run_experiment` does; a repeated budget is estimated
-    once and its rows repeated.  Each greedy prefix's model is built once
-    and shared by every seed, so its Gram factor is formed once.
+    column rank.  Every pattern's sample covariance is drawn with its
+    seed, exactly as :func:`run_experiment` draws it for that seed and
+    pattern; a repeated budget is estimated once and its rows repeated.
+    Each greedy prefix's model is built once and shared by every seed, so
+    its Gram factor is formed once.
     Returns the rows and optionally writes ``sweep.csv``.
     """
     k_values = list(k_list)
@@ -650,7 +637,6 @@ def compression_sweep(cfg, k_list, n_seeds, out_dir=None):
         raise ConfigError(f"need a positive integer number of seeds, got {n_seeds!r}")
     # a budget listed twice is estimated once and reported twice
     setting, prefixes = _greedy_prefix_models(cfg, k_values)
-    setting.check_noise_fits()
     greedy = dict(prefixes)
     n = setting.graph.n_vertices
     # runs[k][sampler] collects (rank_ok, nmse) of budget k, one entry per seed

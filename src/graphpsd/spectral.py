@@ -14,6 +14,10 @@ polynomial ``sum_l h_l S^l`` it is: Horner's rule steps ``shift @ block``,
 the operator's own product, from the unit columns its power routine
 ``ShiftOperator.powers`` starts at.  The spectral domain's rows come from
 the Fourier basis (:func:`basis_filter_rows`).
+
+A sample covariance need not come from snapshots: from any factor of the
+population covariance, :func:`wishart_covariance` draws it from its
+Wishart law at a cost that depends on neither N nor the snapshot count.
 """
 
 from __future__ import annotations
@@ -254,7 +258,8 @@ def population_covariance(rows):
     """Population covariance ``R R^T`` of the process ``R n``, ``n`` white noise.
 
     ``rows`` are filter rows: all of ``H`` gives the N x N covariance, the
-    rows at a vertex set X its K x K principal submatrix.
+    rows at a vertex set X its K x K principal submatrix.  Any other factor
+    of that covariance, such as ``U_X diag(V h)``, gives it to rounding.
     """
     r = rows @ rows.T
     return CovarianceEstimate(matrix=(r + r.T) / 2.0, n_snapshots=0)
@@ -305,6 +310,46 @@ def sample_covariance(snapshots, subtract_mean=False):
         x = x - x.mean(axis=1, keepdims=True)
     r = (x @ x.T) / n_snapshots
     return CovarianceEstimate(matrix=(r + r.T) / 2.0, n_snapshots=n_snapshots)
+
+
+def wishart_covariance(factor, n_snapshots, seed=0):
+    """Sample covariance of ``n_snapshots`` Gaussian snapshots of covariance
+    ``C = F F^T``, drawn from its Wishart law without drawing a snapshot.
+
+    ``factor`` is any K x N array F with ``F F^T = C``.  For zero-mean
+    Gaussian snapshots ``T C_hat ~ Wishart(C, T)``, and the Bartlett
+    decomposition (Bartlett 1933; Odell & Feiveson 1966) draws it as
+    ``C_hat = L A A^T L^T / T``, where ``C = L L^T`` and A is a lower
+    triangular K x min(K, T) array: from ``default_rng(seed)`` first its
+    strictly-lower N(0, 1) entries in row-major order, then its diagonal
+    ``sqrt(chisquare(T - i))``.  For T < K this is the singular Bartlett
+    form, and C_hat has rank T.  L is the Cholesky factor of C, or, when C
+    is singular, ``R^T`` of the QR decomposition of F^T.  The cost depends
+    on neither N (beyond the Gram ``F F^T``) nor T.
+
+    A non-finite factor is an :class:`InvariantViolation`, as are a count
+    or seed that ``white_noise`` would refuse.
+    """
+    f = np.asarray(factor, dtype=float)
+    t = _count(n_snapshots, "n_snapshots")
+    if t < 1:
+        raise InvariantViolation("need n_snapshots >= 1")
+    if f.ndim != 2 or not np.all(np.isfinite(f)):
+        raise InvariantViolation("the factor must be a finite 2-d array")
+    rng = np.random.default_rng(_seed(seed))
+    gram = f @ f.T
+    try:
+        lower = np.linalg.cholesky((gram + gram.T) / 2.0)
+    except np.linalg.LinAlgError:  # a singular C: any L with L L^T = C will do
+        lower = np.linalg.qr(f.T, mode="r").T
+    k, m = lower.shape[1], min(lower.shape[1], t)
+    a = np.zeros((k, m))
+    below = np.tril_indices(k, -1, m)
+    a[below] = rng.standard_normal(below[0].size)
+    a[np.diag_indices(m)] = np.sqrt(rng.chisquare(t - np.arange(m)))
+    la = lower @ a
+    r = (la @ la.T) / t
+    return CovarianceEstimate(matrix=(r + r.T) / 2.0, n_snapshots=t)
 
 
 def is_stationary(cov, basis, tol=1e-8):

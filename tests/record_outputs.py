@@ -2,9 +2,10 @@
 
 ``outputs_manifest.json`` holds, for every file that the CLI runs of
 :data:`CASES` write, its sha256, the sha256 of its text with every number
-taken out, and its numbers, by CSV column or JSON key.  It also holds the environment the bytes came
-from: the numpy version, numpy's OpenBLAS configuration string (the kernel
-it chose at run time included) and its thread count.
+taken out, and its numbers, by CSV column or JSON key.  It also holds the
+environment the bytes came from: the numpy version, numpy's OpenBLAS
+configuration string (the kernel it chose at run time included) and its
+thread count.
 ``test_recorded_outputs.py`` runs the same cases and compares.  A change
 that moves output bytes on purpose rewrites the manifest in the same commit,
 and says which files moved and by how much::
@@ -221,13 +222,10 @@ def compare(recorded, fresh, rtol=None, atol=0.0):
             continue
         for file in sorted(old["files"]):
             before, after = old["files"][file], new["files"][file]
-            if rtol is None:
-                relative, scaled = moves(before, after)
-                ok = before["sha256"] == after["sha256"]
-            else:
-                relative, scaled = moves(before, after, atol)
-                ok = scaled <= rtol
-            beyond = f" beyond {atol:g}" if rtol is not None and atol else ""
+            exact = rtol is None
+            relative, scaled = moves(before, after, 0.0 if exact else atol)
+            ok = before["sha256"] == after["sha256"] if exact else scaled <= rtol
+            beyond = "" if exact or not atol else f" beyond {atol:g}"
             lines.append(f"{run}/{file}: {'ok' if ok else 'DIFFERS'}, largest relative move "
                          f"{relative:.3g}, {scaled:.3g} of its column's largest number{beyond}")
             if not ok:

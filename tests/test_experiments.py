@@ -30,7 +30,6 @@ from graphpsd import (
     run_property_suites,
     save_pattern,
 )
-from graphpsd import design as design_mod
 from graphpsd import sampling as sampling_mod
 from graphpsd import spectral as spectral_mod
 from graphpsd import experiments as experiments_mod
@@ -337,33 +336,22 @@ class TestRunExperiment:
         assert "error" in failure
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
-    def test_noise_draw_beyond_memory_fails_before_design(self, monkeypatch, tmp_path, sweep):
-        """A 50 x 1e11 float64 draw (36 TiB) is a ConfigError raised before
-        the design or the draw."""
+    def test_snapshot_count_beyond_memory_runs(self, monkeypatch, sweep):
+        """1e11 snapshots of 50 vertices would be a 36 TiB noise draw; the
+        sample covariance is drawn from its Wishart law instead, so the run
+        draws no noise and gives a finite NMSE."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("reached past the memory check")
+            raise AssertionError("the pipeline drew noise")
 
-        for module, name in ((design_mod, "greedy_design"), (spectral_mod, "white_noise")):
-            monkeypatch.setattr(module, name, refuse)
-        cfg = ExperimentConfig(graph=GraphSpec(n=50, k_neighbors=5), k=10,
-                               n_snapshots=10**11, output_dir=str(tmp_path / "out"))
-        with pytest.raises(ConfigError, match=r"50 x 100000000000 noise draw needs 3.73e\+04 GiB"):
-            compression_sweep(cfg, [10], 1) if sweep else run_experiment(cfg)
-
-    def test_noise_draw_checked_against_physical_memory(self, monkeypatch):
-        """The bound is the machine's physical memory: a draw of exactly its
-        size passes the check and one more snapshot does not.  A population
-        run draws no noise and is not checked."""
-        n, n_snapshots = 30, 400
-        pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": n * n_snapshots}
-        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        prepare(small_cfg(n_snapshots=n_snapshots)).check_noise_fits()
-        with pytest.raises(ConfigError, match="noise draw"):
-            prepare(small_cfg(n_snapshots=n_snapshots + 1)).check_noise_fits()
-        population = small_cfg(n_snapshots=10**11, use_population_covariance=True)
-        prepare(population).check_noise_fits()
-        assert run_experiment(population).estimate.rank_ok
+        for name in ("white_noise", "synthesize", "sample_covariance"):
+            monkeypatch.setattr(spectral_mod, name, refuse)
+        cfg = ExperimentConfig(graph=GraphSpec(n=50, k_neighbors=5), k=10, n_snapshots=10**11)
+        if sweep:
+            nmse = [row["mean_nmse"] for row in compression_sweep(cfg, [10], 1)]
+        else:
+            nmse = [run_experiment(cfg).nmse]
+        assert np.all(np.isfinite(nmse))
 
     def test_runtimes_present_but_not_written(self, tmp_path):
         cfg = small_cfg(output_dir=str(tmp_path / "out"))
@@ -634,16 +622,24 @@ class TestDesignMemory:
 class TestObservedCovariance:
     @pytest.mark.parametrize("domain", ["spectral", "vertex"])
     def test_sample_covariance_gets_only_the_observed_rows(self, monkeypatch, domain):
+        """The draw gets a K x N factor of the observed covariance; no noise
+        is drawn and no snapshot is synthesized."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline drew noise")
+
+        for name in ("white_noise", "synthesize"):
+            monkeypatch.setattr(spectral_mod, name, refuse)
         shapes = []
-        original = spectral_mod.sample_covariance
+        original = spectral_mod.wishart_covariance
 
-        def recording(snapshots, *args, **kwargs):
-            shapes.append(np.shape(snapshots))
-            return original(snapshots, *args, **kwargs)
+        def recording(factor, *args, **kwargs):
+            shapes.append(np.shape(factor))
+            return original(factor, *args, **kwargs)
 
-        monkeypatch.setattr(spectral_mod, "sample_covariance", recording)
+        monkeypatch.setattr(spectral_mod, "wishart_covariance", recording)
         result = run_experiment(small_cfg(domain=domain, k=12))
-        assert shapes == [(12, 400)]
+        assert shapes == [(12, 30)]
         assert np.isfinite(result.nmse)
 
     def test_pattern_of_another_vertex_count_rejected(self):
@@ -653,12 +649,10 @@ class TestObservedCovariance:
 
     @pytest.mark.parametrize("population", [False, True], ids=["sampled", "population"])
     def test_covariance_stage_builds_nothing_beyond_the_noise(self, population):
-        """N=600, K=100, 1000 snapshots: a sampled run holds the 4.8 MB
-        noise draw, and its K x N and K x 1000 products; a population run
-        holds only the K x N rows and their K x K product.  The peak stays
-        below the noise (if any) plus one N x N array, so neither the N x N
-        filter matrix nor N x 1000 snapshots nor an N x N covariance is
-        built."""
+        """N=600, K=100, 1000 snapshots: both runs hold the K x N factor and
+        K x K products only.  The peak stays below one N x N array, so no
+        N x 1000 noise draw, no N x N filter matrix and no N x N covariance
+        is built."""
         n, k, n_snapshots = 600, 100, 1000
         setting = prepare(
             ExperimentConfig(
@@ -676,7 +670,7 @@ class TestObservedCovariance:
             tracemalloc.stop()
         assert cov.matrix.shape == (k, k)
         assert cov.n_snapshots == (0 if population else n_snapshots)
-        assert peak < 8 * ((0 if population else n * n_snapshots) + n * n)
+        assert peak < 8 * n * n
 
 
 class TestVertexDomainWithoutEigenvectors:
@@ -717,16 +711,15 @@ class TestVertexDomainWithoutEigenvectors:
         assert np.abs(cov.matrix - sub).max() <= 1e-12 * np.abs(sub).max()
 
     def test_sampled_covariance_filters_the_same_draw(self):
-        """The vertex domain's snapshots are the spectral synthesis of the
-        same seeded noise, to rounding."""
-        setting = prepare(small_cfg(domain="vertex"))
+        """For one seed and pattern, the vertex domain's sampled covariance
+        (a draw from the filter's rows) is the spectral domain's (a draw from
+        ``U_X diag(V h)``), to rounding."""
         pattern = SamplingPattern(30, (0, 7, 8, 20, 21))
-        cov = setting.covariances(11, [pattern])[0].matrix
-        basis = spectral_mod.eigendecompose(setting.shift)
-        reference = spectral_mod.sample_covariance(
-            spectral_mod.synthesize(setting.filter, basis, 400, seed=11, vertices=pattern.selected)
-        ).matrix
-        assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()
+        vertex, spectral = (
+            prepare(small_cfg(domain=domain)).covariances(11, [pattern])[0].matrix
+            for domain in ("vertex", "spectral")
+        )
+        assert np.abs(vertex - spectral).max() <= 1e-12 * np.abs(spectral).max()
 
     def test_benchmark_true_spectrum_matches_an_eigh_basis(self):
         """The benchmark checks each vertex_large call's true spectrum against
@@ -784,9 +777,10 @@ class TestCompressionSweep:
         assert 0.0 <= frac <= 1.0
 
     def test_one_sampled_covariance_per_seed(self, monkeypatch):
-        calls = count_calls(monkeypatch, spectral_mod, "white_noise")
+        """Each seed draws one covariance per cell (3 budgets x 2 samplers)."""
+        calls = count_calls(monkeypatch, spectral_mod, "wishart_covariance")
         compression_sweep(small_cfg(seed=4), [12, 20, 30], 2)
-        assert [kwargs["seed"] for kwargs in calls] == [4, 5]
+        assert [kwargs["seed"] for kwargs in calls] == [4] * 6 + [5] * 6
 
     def test_no_covariance_of_all_vertices(self, monkeypatch):
         """A population sweep forms each covariance from its pattern's filter

@@ -5,9 +5,9 @@ numpy's OpenBLAS configuration string and its thread count), every file
 must match its recorded sha256.  On any other environment the kernels
 round otherwise, so every number must lie within ``ATOL`` plus ``RTOL``
 times the largest recorded magnitude of its CSV column or JSON key of its
-recorded value, and the text without its numbers must match.  Either way the test prints which
-comparison ran and each file's largest relative move (run pytest with ``-s``
-to see them).
+recorded value, and the text without its numbers must match.  Either way
+the test prints which comparison ran and each file's largest relative move
+(run pytest with ``-s`` to see them).
 ``record_outputs.py`` rewrites the manifest.
 """
 
@@ -92,9 +92,9 @@ def test_one_ulp_fails_the_exact_comparison_and_names_the_file(fresh):
 
 def test_gain_moved_by_1e_5_fails_the_relative_comparison(fresh):
     """The largest gain of the reference run, moved by 1e-5 of itself, is
-    held to ``RTOL`` of the largest gain.  Held to 1e-6 of its file's largest
-    number (``final_value``, about 11 times the largest gain), as before
-    each column had its own scale, the move went through."""
+    held to ``RTOL`` of the largest gain.  A bound of 1e-6 of the file's
+    largest number (``final_value``, about 11 times the largest gain) would
+    let the move through."""
     root, current = fresh
 
     def move_largest_gain(text):

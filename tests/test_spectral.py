@@ -33,6 +33,7 @@ from graphpsd import (
     true_power_spectrum,
     vandermonde,
     white_noise,
+    wishart_covariance,
 )
 
 
@@ -390,6 +391,100 @@ class TestSampleCovariance:
         raw = sample_covariance(x).matrix
         assert np.abs(np.diag(raw)).min() > 50.0
         assert np.abs(np.diag(centered)).max() < 5.0
+
+
+class TestWishartCovariance:
+    """``wishart_covariance`` draws ``T C_hat ~ Wishart(F F^T, T)``."""
+
+    VERTICES = (71, 3, 40, 99, 0, 56)
+    SEEDS = range(400)
+
+    @pytest.fixture(scope="class")
+    def factor(self, sensor100, sensor100_filter):
+        return filter_rows(sensor100_filter, build_laplacian(sensor100), self.VERTICES)
+
+    def draws(self, factor, n_snapshots):
+        return np.stack([wishart_covariance(factor, n_snapshots, seed=seed).matrix
+                         for seed in self.SEEDS])
+
+    @staticmethod
+    def entry_variance(c, n_snapshots):
+        """Variance of each entry of a sample covariance: ``(C_ii C_jj + C_ij^2) / T``."""
+        d = np.diag(c)
+        return (np.outer(d, d) + c * c) / n_snapshots
+
+    def assert_mean(self, draws, c, n_snapshots):
+        """The mean of the draws lies within 5 standard errors of ``c``."""
+        error = np.sqrt(self.entry_variance(c, n_snapshots) / len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - c) <= 5 * error)
+
+    def test_mean_and_entry_variances(self, factor):
+        """K=6, T=50, 400 seeds: the mean is C and each entry's variance is
+        ``(C_ii C_jj + C_ij^2) / T``, each within 5 standard errors (that of
+        a sample variance from its fourth central moment)."""
+        n_snapshots = 50
+        c = factor @ factor.T
+        draws = self.draws(factor, n_snapshots)
+        self.assert_mean(draws, c, n_snapshots)
+        centered = draws - draws.mean(axis=0)
+        variance = np.mean(centered**2, axis=0)
+        error = np.sqrt((np.mean(centered**4, axis=0) - variance**2) / len(draws))
+        assert np.all(np.abs(variance - self.entry_variance(c, n_snapshots)) <= 5 * error)
+
+    @pytest.mark.parametrize("n_snapshots", [1, 3])
+    def test_fewer_snapshots_than_vertices_give_rank_t(self, factor, n_snapshots):
+        c = factor @ factor.T
+        draws = self.draws(factor, n_snapshots)
+        assert [np.linalg.matrix_rank(d) for d in draws[:20]] == [n_snapshots] * 20
+        self.assert_mean(draws, c, n_snapshots)
+
+    def test_snapshot_count_beyond_memory(self, factor):
+        """T = 1e11 needs no snapshot array; each draw lies within 5 standard
+        errors of C."""
+        n_snapshots = 10**11
+        c = factor @ factor.T
+        error = np.sqrt(self.entry_variance(c, n_snapshots))
+        for seed in range(5):
+            draw = wishart_covariance(factor, n_snapshots, seed=seed)
+            assert draw.n_snapshots == n_snapshots
+            assert np.all(np.abs(draw.matrix - c) <= 5 * error)
+
+    def test_singular_covariance_takes_the_qr_factor(self, monkeypatch):
+        """On the complete graph of 4 vertices ``L = 4I - J``, so the filter
+        ``-4 + S`` is ``-J``: its response is 0 at the three frequencies 4,
+        and the covariance at 3 vertices has rank 1.  Its Cholesky factor
+        does not exist, so the draw factors by QR, and the mean stays C."""
+        complete = Graph(n_vertices=4, edges=tuple((i, j, 1.0) for i in range(4) for j in range(i)))
+        factor = filter_rows(GraphFilter([-4.0, 1.0]), build_laplacian(complete), (0, 1, 2))
+        c = factor @ factor.T
+        np.testing.assert_array_equal(c, np.full((3, 3), 4.0))
+        original, calls = np.linalg.qr, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        draws = self.draws(factor, 20)
+        assert len(calls) == len(self.SEEDS)
+        assert all(np.linalg.matrix_rank(d) == 1 for d in draws[:20])
+        self.assert_mean(draws, c, 20)
+
+    def test_same_seed_same_bytes(self, factor):
+        a, b, other = (wishart_covariance(factor, 50, seed=seed).matrix for seed in (7, 7, 8))
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != other.tobytes()
+        assert wishart_covariance(factor, np.int64(50), seed=np.int64(7)).matrix.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize(
+        "factor, n_snapshots, seed",
+        [([[1.0, np.nan]], 5, 0), ([[np.inf, 0.0]], 5, 0), ([1.0, 2.0], 5, 0),
+         ([[1.0, 2.0]], 0, 0), ([[1.0, 2.0]], 2.5, 0), ([[1.0, 2.0]], 5, -1)],
+        ids=["nan", "inf", "one-dimensional", "no-snapshots", "float-count", "negative-seed"],
+    )
+    def test_bad_input_is_an_invariant_violation(self, factor, n_snapshots, seed):
+        with pytest.raises(InvariantViolation):
+            wishart_covariance(factor, n_snapshots, seed=seed)
 
 
 class TestStationarity:
