@@ -4,8 +4,14 @@ Selecting vertex set X keeps the model-matrix rows indexed by all ordered
 pairs in X x X, so each new vertex contributes 2|X|+1 rank-one terms to the
 Gram matrix.  The covariance is symmetric, so rows ``(s, j)`` and ``(j, s)``
 are the same row and their two terms equal one term of ``sqrt(2)`` times the
-row: greedy gains are scored with the |X|+1 rows ``(s, s)`` and
-``sqrt(2) (s, j)``, which carry the same Gram matrix.  The objective
+row: greedy works with the |X|+1 rows ``(s, s)`` and ``sqrt(2) (s, j)``
+of :meth:`DesignObjective.candidate_rows`, which carry the same Gram
+matrix, to score a candidate, to commit the chosen vertex and in its
+oracles.  Symmetry is checked once, where a tensor enters: an explicit
+``pair_rows`` tensor is checked when the objective is built; spectral rows
+``u_i * u_j`` are symmetric bit for bit, and vertex rows ``(S^q)_ij`` are
+as symmetric as the shift, which :class:`graphs.ShiftOperator` checks.
+The objective
 
     f(X) = logdet( sum_{(i,j) in XxX} psi_ij psi_ij^T + eps I ) - M log(eps)
 
@@ -22,10 +28,11 @@ determinant, with one batched Cholesky, in blocks of about 1 MB.  GEMM, not
 a triangular solve, whitens the rows because a threaded triangular solve
 costs several milliseconds per call at these shapes and a GEMM does not; the
 inverse is computed with numpy, as every other BLAS call of a round is.  The
-rank-one algebra stays as the oracle: :func:`greedy_gain` applies a
-candidate's 2|X|+1 ordered rows as successive rank-one factor updates
+rank-one algebra stays as the oracle: :func:`greedy_gain` applies the same
+|X|+1 rows of a candidate as successive rank-one factor updates
 (:func:`cholesky_rank1_update`), and ``validate_gains=True`` checks every
-gain of a greedy run against it and against from-scratch recomputation.
+gain of a greedy run against it and against from-scratch recomputation,
+which sums all ordered rows.
 
 Greedy scores only the candidates whose gain can still win a round.  It
 carries an upper bound on every candidate's gain from round to round:
@@ -123,14 +130,28 @@ class _RowSource:
 
 
 class _TensorRows(_RowSource):
-    """Rows indexed from an explicit (n, n, m) tensor."""
+    """Rows indexed from a read-only copy of an explicit (n, n, m) tensor.
+
+    The tensor is the one row source given from outside the package, so its
+    symmetry is checked here, once: rows ``(i, j)`` and ``(j, i)`` that
+    differ by more than 1e-10 of the largest entry of some unknown are an
+    :class:`InvariantViolation` naming the first such pair.
+    """
 
     def __init__(self, pair_rows):
-        rows = np.asarray(pair_rows, dtype=float).view()
+        rows = np.array(pair_rows, dtype=float)
         if rows.ndim != 3 or rows.shape[0] != rows.shape[1]:
             raise InvariantViolation("pair_rows must have shape (n, n, m)")
         if not np.all(np.isfinite(rows)):
             raise InvariantViolation("pair_rows must be finite")
+        scale = np.abs(rows).max(axis=(0, 1), initial=0.0)
+        asymmetric = np.abs(rows - rows.transpose(1, 0, 2)) > 1e-10 * scale
+        if np.any(asymmetric):
+            i, j = np.argwhere(asymmetric.any(axis=2))[0]
+            raise InvariantViolation(
+                f"pair rows ({i}, {j}) and ({j}, {i}) differ; "
+                "the design objective needs symmetric pair rows"
+            )
         rows.flags.writeable = False
         self.tensor = rows
         self.n, _, self.m = rows.shape
@@ -267,12 +288,14 @@ class DesignObjective:
     Row ``(i, j)`` is the model-matrix row for vertex pair ``(i, j)``; the
     Gram matrix of a subset X sums the outer products of all rows with both
     endpoints in X.  Rows ``(i, j)`` and ``(j, i)`` must be the same row (the
-    model of a symmetric covariance): the greedy gains score one
-    ``sqrt(2)``-weighted row per unordered pair, and :func:`greedy_design`
-    checks the pairs that enter its design.
+    model of a symmetric covariance): greedy design uses one
+    ``sqrt(2)``-weighted row per unordered pair.
 
-    ``pair_rows`` is an explicit (n, n, m) tensor, read by indexing (the
-    objective keeps a read-only view of it).  :meth:`spectral` and
+    ``pair_rows`` is an explicit (n, n, m) tensor, read by indexing.  The
+    objective keeps a read-only copy of it, so later edits to the caller's
+    array do not reach it, and rejects a tensor whose rows ``(i, j)`` and
+    ``(j, i)`` differ by more than 1e-10 of the largest entry of an unknown
+    with an :class:`InvariantViolation` naming the pair.  :meth:`spectral` and
     :meth:`vertex` instead generate the rows they are asked for, from the
     Fourier basis or from powers of the shift, and never hold the
     tensor; their :attr:`pair_rows` builds it on demand.  ``kind`` must be
@@ -339,7 +362,9 @@ class DesignObjective:
     def rows_for_candidate(self, selected, candidate):
         """The 2|X|+1 new ordered pair rows contributed by adding ``candidate``.
 
-        Ordered ``(s, s)``, then ``(s, j)`` and ``(j, s)`` for ``j`` in ``selected``.
+        Ordered ``(s, s)``, then ``(s, j)`` and ``(j, s)`` for ``j`` in
+        ``selected``.  Greedy design does not read these rows: it uses the
+        |X|+1 rows of :meth:`candidate_rows`, which carry the same Gram matrix.
         """
         idx = list(selected)
         rows = self._rows
@@ -353,7 +378,8 @@ class DesignObjective:
 
         Each candidate's rows are ``(s, s)``, then ``sqrt(2) (s, j)`` for ``j``
         in ``selected``: by the symmetry of the pair rows their Gram matrix is
-        that of the 2|X|+1 rows of :meth:`rows_for_candidate`.
+        that of the 2|X|+1 rows of :meth:`rows_for_candidate`.  These are the
+        rows greedy design scores, commits and checks.
         """
         idx = list(selected)
         cands = np.asarray(candidates, dtype=int)
@@ -378,8 +404,9 @@ class GreedyTrace:
     is the number of exact gains computed in each round (greedy skips
     candidates whose gain bound cannot win the round).
     ``max_gain_check_error`` is set by ``validate_gains=True``: the worst
-    relative deviation of a gain, or of its rank-one-update oracle
-    :func:`greedy_gain`, from its from-scratch recomputation.  At
+    relative deviation of a gain, or of its rank-one-update oracle (the
+    candidate's |X|+1 rows applied one at a time, as :func:`greedy_gain`
+    does), from its from-scratch recomputation.  At
     the default epsilon that reference is a difference of two
     log-determinants of about 1e3, so it is itself off by up to about 1e-8
     relative (measured 4.1e-9 spectral, N=60, K=12; 1.0e-8 vertex, N=40,
@@ -559,44 +586,19 @@ def _candidate_gains(objective, factor, chosen, candidates, bounds):
     return gains, scored
 
 
-# Largest difference between rows (s, j) and (j, s) of a chosen pair, relative
-# to the largest entry of that unknown among the compared rows.  Dense powers
-# of a symmetric shift stay within about 1e-15.
-_SYMMETRY_RTOL = 1e-10
-
-
-def _check_symmetric_pairs(rows, vertex, selected):
-    """Raise unless the ``(s, X)`` and ``(X, s)`` halves of ordered rows agree.
-
-    ``rows`` are the ordered rows of :meth:`DesignObjective.rows_for_candidate`
-    for ``vertex`` against ``selected``.
-    """
-    k = len(selected)
-    if k == 0:
-        return
-    out_rows, in_rows = rows[1 : k + 1], rows[k + 1 :]
-    scale = np.maximum(np.abs(out_rows).max(axis=0), np.abs(in_rows).max(axis=0))
-    asymmetric = np.abs(out_rows - in_rows) > _SYMMETRY_RTOL * scale
-    if np.any(asymmetric):
-        j = selected[int(np.flatnonzero(asymmetric.any(axis=1))[0])]
-        raise InvariantViolation(
-            f"pair rows ({vertex}, {j}) and ({j}, {vertex}) differ; "
-            "the design objective needs symmetric pair rows"
-        )
-
-
 def greedy_gain(objective, selected, candidate):
     """Marginal gain of adding one vertex to the current selection.
 
-    The gain is computed by 2|X|+1 Cholesky rank-one updates on the factor
-    of the regularized Gram matrix, built from scratch.
+    The gain is computed by |X|+1 Cholesky rank-one updates, with the rows
+    of :meth:`DesignObjective.candidate_rows`, on the factor of the
+    regularized Gram matrix, built from scratch.
     """
     idx = _selection_indices(selected)
     if candidate in idx:
         raise InvariantViolation(f"candidate {candidate} already selected")
     m = objective.n_unknowns
     factor = np.linalg.cholesky(objective.gram(idx) + objective.epsilon * np.eye(m))
-    return _gain_by_updates(factor, objective.rows_for_candidate(idx, candidate))
+    return _gain_by_updates(factor, objective.candidate_rows(idx, [candidate])[0])
 
 
 def greedy_design(objective, k, validate_gains=False):
@@ -617,17 +619,17 @@ def greedy_design(objective, k, validate_gains=False):
     only grows (see the module docstring).  Candidates within 1e-6 of the
     best gain are scored, so rounding in a bound cannot skip a winner, and
     NaN or infinite bounds always are.  The running Gram matrix adds the
-    chosen vertex's ordered rows, and those rows must be symmetric: an
-    ``(s, j)`` row that differs from its ``(j, s)`` row by more than 1e-10
-    of the largest entry of its unknown raises :class:`InvariantViolation`.
-    A gain that is not finite raises :class:`NonFinite` in the round where
-    it appears.  ``trace.scored`` counts the exact gains of each round.
+    chosen vertex's |X|+1 rows, the rows that round scored; no round checks
+    the symmetry of the pair rows, which the objective's row source
+    guarantees (see :class:`DesignObjective`).  A gain that is not finite
+    raises :class:`NonFinite` in the round where it appears.
+    ``trace.scored`` counts the exact gains of each round.
 
     With ``validate_gains=True`` every candidate is scored and its gain
     recomputed from scratch, and the worst relative deviation from that
     reference of both the selecting gain and the rank-one-update gain (the
-    oracle of :func:`greedy_gain`, which applies the 2|X|+1 ordered rows
-    one at a time) is recorded on the trace (slow; meant for small
+    oracle of :func:`greedy_gain`, which applies the same |X|+1 rows one at
+    a time) is recorded on the trace (slow; meant for small
     instances).  At the default epsilon the from-scratch reference is a
     difference of two log-determinants of about 1e3, so it carries an
     error of its own near 1e-8 relative (measured 4.1e-9 on a spectral
@@ -665,15 +667,14 @@ def greedy_design(objective, k, validate_gains=False):
         if validate_gains:
             for s, gain in zip(remaining, round_gains):
                 reference = objective_value(objective, chosen + [s]) - value
-                oracle = _gain_by_updates(factor, objective.rows_for_candidate(chosen, s))
+                oracle = _gain_by_updates(factor, objective.candidate_rows(chosen, [s])[0])
                 for g in (gain, oracle):
                     scale = max(abs(reference), abs(g), 1e-300)
                     max_check_error = max(max_check_error, abs(g - reference) / scale)
         best = int(np.argmax(round_gains))
         best_vertex = int(remaining[best])
         best_gain = round_gains[best]
-        best_rows = objective.rows_for_candidate(chosen, best_vertex)
-        _check_symmetric_pairs(best_rows, best_vertex, chosen)
+        best_rows = objective.candidate_rows(chosen, [best_vertex])[0]
         gram = gram + best_rows.T @ best_rows
         factor = np.linalg.cholesky(gram)
         chosen.append(best_vertex)

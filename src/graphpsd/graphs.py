@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FailedToConnect, InvariantViolation, ParseError
-from .spectral import _count, _seed, is_symmetric
+from .spectral import _count, _seed, _vertices, is_symmetric
 
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
@@ -116,10 +116,11 @@ class Graph:
     _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n_vertices
+        n = _count(self.n_vertices, "the vertex count")
         if n < 1:
             raise InvariantViolation("graph needs at least one vertex")
         columns = _canonical_edges(n, self.edges)
+        object.__setattr__(self, "n_vertices", n)
         for column in columns:
             column.flags.writeable = False
         object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in columns))))
@@ -225,10 +226,11 @@ class ShiftOperator:
     def powers(self, columns, count):
         """Yield the (n, len(columns)) blocks ``S^q E`` for q < ``count``.
 
-        ``E`` holds the unit columns ``e_j`` for ``j`` in ``columns``; each
-        block is the shift times the one before it, and none is computed
-        beyond the last one asked for.
+        ``E`` holds the unit columns ``e_j`` for ``j`` in ``columns``, which
+        must be integers in ``[0, n)``; each block is the shift times the one
+        before it, and none is computed beyond the last one asked for.
         """
+        columns = _vertices(columns, self.n)
         power = np.zeros((self.n, len(columns)))
         power[columns, np.arange(len(columns))] = 1.0
         for q in range(count):

@@ -29,13 +29,12 @@ model's ``matrix`` is the vertex pair (i, j).
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidSupport, InvariantViolation, NonFinite
-from .spectral import CovarianceEstimate, _count, vandermonde
+from .spectral import CovarianceEstimate, _count, _index, vandermonde
 
 SPECTRAL = "spectral"
 VERTEX = "vertex"
@@ -46,7 +45,7 @@ class SamplingPattern:
     """Subset of vertices to observe, kept as sorted distinct indices.
 
     ``n_vertices`` and every entry must be integers (numpy integers too);
-    a float is an error, not truncated.
+    a float is an error, not truncated, and a bool is not vertex 0 or 1.
     """
 
     n_vertices: int
@@ -54,8 +53,8 @@ class SamplingPattern:
 
     def __post_init__(self):
         try:
-            n = operator.index(self.n_vertices)
-            idx = tuple(map(operator.index, self.selected))
+            n = _index(self.n_vertices)
+            idx = tuple(map(_index, self.selected))
         except TypeError as exc:
             raise InvariantViolation(
                 f"a pattern's vertex count and vertices must be integers: {exc}"
@@ -509,7 +508,7 @@ def estimate_spectrum_spectral_reduced(cov_sub, model, support):
     entries must be integers.
     """
     try:
-        support = sorted({operator.index(b) for b in support})
+        support = sorted({_index(b) for b in support})
     except TypeError as exc:
         raise InvalidSupport(f"spectral support entries must be integers: {exc}") from exc
     n = model.n_unknowns

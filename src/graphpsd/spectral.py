@@ -87,15 +87,28 @@ class GraphFilter:
         return self.coefficients.shape[0]
 
 
-def _count(value, name):
+def _index(value):
     """``value`` as an int, by ``operator.index`` (numpy integers pass);
-    anything else, a float or a bool among them, is an :class:`InvariantViolation`."""
+    anything else, a float or a bool among them, is a ``TypeError``."""
+    if isinstance(value, bool):  # operator.index reads True as 1
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    return operator.index(value)
+
+
+def _count(value, name):
+    """``value`` as an int by :func:`_index`; anything else is an :class:`InvariantViolation`."""
     try:
-        if isinstance(value, bool):  # operator.index reads True as 1
-            raise TypeError("a bool is not a count")
-        return operator.index(value)
+        return _index(value)
     except TypeError as exc:
         raise InvariantViolation(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _vertices(vertices, n):
+    """``vertices`` as an int array, each entry by :func:`_count` and in ``[0, n)``."""
+    idx = np.array([_count(v, "a vertex") for v in vertices], dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvariantViolation(f"vertices must lie in [0, {n})")
+    return idx
 
 
 def _seed(value):
@@ -216,12 +229,7 @@ def basis_filter_rows(filt, basis, vertices=None):
     formed; with no ``vertices`` they are all N, the filter matrix.
     """
     u = basis.eigenvectors
-    rows = u
-    if vertices is not None:
-        idx = np.asarray(vertices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= basis.n):
-            raise InvariantViolation(f"vertices must lie in [0, {basis.n})")
-        rows = u[idx]
+    rows = u if vertices is None else u[_vertices(vertices, basis.n)]
     return (rows * frequency_response(filt, basis)) @ u.T
 
 
@@ -241,12 +249,8 @@ def filter_rows(filt, shift, vertices):
     block.  No eigenvector and no N x N matrix is used.  Returns a K x N
     array whose rows follow the order of ``vertices``.
     """
-    idx = np.asarray(vertices, dtype=int)
-    n = shift.n
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InvariantViolation(f"vertices must lie in [0, {n})")
     h = filt.coefficients
-    (unit,) = shift.powers(idx, 1)  # E_X, the zeroth power
+    (unit,) = shift.powers(vertices, 1)  # E_X, the zeroth power
     block = h[-1] * unit
     for coefficient in h[-2::-1]:
         block = shift @ block

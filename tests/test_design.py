@@ -317,15 +317,58 @@ class TestGreedyDesign:
             )
 
     def test_asymmetric_pair_rows_rejected(self):
-        """Halved gains rely on rows (i, j) and (j, i) being equal; greedy
-        checks every pair it selects."""
+        """Halved gains rely on rows (i, j) and (j, i) being equal; an explicit
+        tensor is checked once, when the objective is built, to 1e-10 of the
+        largest entry of each unknown."""
         rows = np.array(spectral_objective(6, seed=29).pair_rows)
-        rows[1, 4] += 1e-3 * np.abs(rows[1, 4]).max()
-        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows.copy())
-        with pytest.raises(InvariantViolation, match=r"\(1, 4\) and \(4, 1\) differ"):
-            greedy_design(obj, 6)
-        rows[1, 4] = rows[4, 1]
+        scale = np.abs(rows).max(axis=(0, 1))
+        for size in (1e-3, 1e-9):
+            rows[1, 4] = rows[4, 1] + size * scale
+            with pytest.raises(InvariantViolation, match=r"\(1, 4\) and \(4, 1\) differ"):
+                DesignObjective(kind=LOGDET_EPS, pair_rows=rows)
+        rows[1, 4] = rows[4, 1] + 1e-11 * scale
         greedy_design(DesignObjective(kind=LOGDET_EPS, pair_rows=rows), 6)
+
+    def test_caller_edits_do_not_reach_the_objective(self):
+        """The objective copies an explicit tensor: editing the caller's array
+        afterwards changes neither ``pair_rows`` nor a greedy run."""
+        rows = np.array(spectral_objective(8, seed=34).pair_rows)
+        obj = DesignObjective(kind=LOGDET_EPS, pair_rows=rows)
+        kept = obj.pair_rows.copy()
+        _, before = greedy_design(obj, 5)
+        rows[:] = 0.0
+        rows[3, 3] = 1e3
+        np.testing.assert_array_equal(obj.pair_rows, kept)
+        assert not obj.pair_rows.flags.writeable
+        assert greedy_design(obj, 5)[1] == before
+
+    def test_vertex_rows_of_a_nearly_symmetric_shift(self):
+        """A dense shift asymmetric by 1e-13, which the shift's own 1e-12
+        check accepts, designs and passes the gain check: no round checks
+        the symmetry of the vertex rows."""
+        lap = np.array(build_laplacian(random_weighted_graph(20, 0.4, seed=35)).matrix)
+        lap[2, 7] += 1e-13 * np.abs(lap).max()
+        shift = ShiftOperator(LAPLACIAN, lap)
+        obj = DesignObjective.vertex(shift, 4, epsilon=1e2)
+        _, trace = greedy_design(obj, 8)
+        _, checked = greedy_design(obj, 8, validate_gains=True)
+        assert checked.chosen == trace.chosen
+        assert checked.max_gain_check_error <= 1e-9
+
+    def test_greedy_reads_no_ordered_rows(self, monkeypatch):
+        """Greedy scores, commits and checks each candidate through
+        ``candidate_rows`` only, with and without the gain check."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rows_for_candidate called by greedy design")
+
+        monkeypatch.setattr(DesignObjective, "rows_for_candidate", forbidden)
+        for obj in (spectral_objective(8, seed=36),
+                    DesignObjective.vertex(build_laplacian(random_weighted_graph(10, 0.4, 36)), 3),
+                    weighted_tensor_objective(n=9)):
+            for validate in (False, True):
+                greedy_design(obj, 5, validate_gains=validate)
+            greedy_gain(obj, [0, 2], 4)
 
     def test_interchangeable_vertices_lowest_index_first(self):
         rows = np.zeros((7, 7, 2))
@@ -389,13 +432,13 @@ class TestGreedyDesign:
         assert len(block_rows) >= 2 * k
         assert max(block_rows) > 2 * m
         assert any(rows % m for rows in block_rows)
-        # oracle gains by round (a candidate of round r has 2r+1 ordered rows), in candidate order
+        # oracle gains by round (a candidate of round r has r+1 rows), in candidate order
         oracle = [[] for _ in range(k)]
         original_updates = design_mod._gain_by_updates
 
         def recording_updates(factor, new_rows):
             gain = original_updates(factor, new_rows)
-            oracle[len(new_rows) // 2].append(gain)
+            oracle[len(new_rows) - 1].append(gain)
             return gain
 
         monkeypatch.setattr(design_mod, "_gain_by_updates", recording_updates)

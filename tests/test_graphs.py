@@ -119,6 +119,17 @@ class TestGraphInvariants:
         with pytest.raises(InvariantViolation, match="out of range"):
             Graph(n_vertices=2, edges=((0, 2, 1.0),))
 
+    @pytest.mark.parametrize("n", [True, 3.0, 2.5, "3"], ids=["bool", "float", "fraction", "str"])
+    def test_vertex_count_must_be_an_integer(self, n):
+        """A bool is not a one-vertex graph and 3.0 is not three vertices: each
+        is an InvariantViolation here, not a count kept until a later TypeError."""
+        with pytest.raises(InvariantViolation, match="the vertex count must be an integer, got"):
+            Graph(n_vertices=n, edges=())
+
+    def test_numpy_integer_vertex_count_accepted(self):
+        g = Graph(n_vertices=np.int64(3), edges=((0, 1, 1.0),))
+        assert type(g.n_vertices) is int and g == Graph(n_vertices=3, edges=((0, 1, 1.0),))
+
     def test_edges_canonicalized(self):
         """Edges are stored as (min, max, weight), sorted."""
         g = Graph(n_vertices=3, edges=((2, 1, 0.5), (1, 0, 0.25)))
@@ -303,6 +314,28 @@ class TestAdjacencyAndLaplacian:
         rows = np.repeat(np.arange(n), np.diff(expected.indptr))
         beside = rows != expected.indices
         assert shift.sparse.data[beside].tobytes() == expected.data[beside].tobytes()
+
+
+class TestShiftPowers:
+    @pytest.mark.parametrize("columns", [[True], [0, False], [1.0], [0, 2.5]],
+                             ids=["bool", "int-and-bool", "float", "fraction"])
+    def test_columns_must_be_integers(self, path3, columns):
+        """A bool is not vertex 0 or 1 (numpy read ``[True]`` as a mask)."""
+        with pytest.raises(InvariantViolation, match="a vertex must be an integer, got"):
+            list(build_laplacian(path3).powers(columns, 2))
+
+    @pytest.mark.parametrize("columns", [[3], [-1]], ids=["past-end", "negative"])
+    def test_columns_must_be_vertices(self, path3, columns):
+        with pytest.raises(InvariantViolation, match=r"vertices must lie in \[0, 3\)"):
+            list(build_laplacian(path3).powers(columns, 2))
+
+    def test_numpy_integer_columns_accepted(self, path3):
+        shift = build_laplacian(path3)
+        want = [p.copy() for p in shift.powers([2, 0], 3)]
+        for columns in (np.array([2, 0]), (np.int64(2), np.int32(0))):
+            for got, power in zip(shift.powers(columns, 3), want):
+                np.testing.assert_array_equal(got, power)
+        np.testing.assert_array_equal(want[1], shift.matrix[:, [2, 0]])
 
 
 class TestOneShiftOwner:

@@ -25,7 +25,16 @@ import record_outputs
 # except the second gain of vertex_large's trace (up to 5.1e-6 of the largest
 # gain) and numbers that hold rounding error only: the check's error
 # statistics, and a population run's NMSE and residual, all below 3e-12 and
-# moved by up to 3.4 times their size.
+# moved by up to 3.4 times their size.  That second gain is ill-conditioned,
+# not badly computed: its round's regularized Gram matrix is eps I (eps =
+# 4.9e9) plus one row of squared norm 1.4e23, condition 3.0e13.  Moving each
+# entry of that matrix by one ulp moves the gain, recomputed to 60 digits, by
+# up to 7.6e-6 relative and the greedy gain by up to 1.5e-5, and moving the
+# vertex diagonal rows by one ulp moves the greedy gain by up to 8.1e-6 (20
+# draws each; the other 19 gains by at most 1.9e-7, and no order changed).  On
+# the same inputs the block path's gain lies within 6.9e-6 of the 60-digit
+# gain (2.3e-6 unmoved), inside that band: the objective's conditioning at the
+# default epsilon sets these digits, not cancellation in the block gain path.
 RTOL = 8e-6
 ATOL = 1e-11
 

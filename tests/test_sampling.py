@@ -132,6 +132,16 @@ class TestSamplingPattern:
         assert p == SamplingPattern(5, (1, 3))
         assert type(p.n_vertices) is int and all(type(i) is int for i in p.selected)
 
+    @pytest.mark.parametrize(
+        "n, selected",
+        [(True, (0,)), (5, (True, 3)), (5, (np.True_, 3)), (np.int64(5), (0, False))],
+        ids=["bool-count", "bool-vertex", "numpy-bool-vertex", "int-and-bool"],
+    )
+    def test_bools_are_not_counts_or_vertices(self, n, selected):
+        """``True`` is not a one-vertex graph or vertex 1."""
+        with pytest.raises(InvariantViolation, match="must be integers"):
+            SamplingPattern(n, selected)
+
     def test_mask_round_trip(self):
         p = SamplingPattern(6, (1, 4))
         np.testing.assert_array_equal(p.mask, [0, 1, 0, 0, 1, 0])

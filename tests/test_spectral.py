@@ -16,6 +16,7 @@ from graphpsd import (
     DesignObjective,
     SamplingPattern,
     ShiftOperator,
+    basis_filter_rows,
     build_laplacian,
     build_spectral_model,
     eigendecompose,
@@ -368,6 +369,28 @@ class TestFilterRows:
             filter_rows(GraphFilter([1.0]), shift, (0, 3))
         with pytest.raises(InvariantViolation):
             filter_rows(GraphFilter([1.0]), shift, (-1,))
+
+    @pytest.mark.parametrize("vertices", [[True], [0, False], [1.0], [0, 2.5]],
+                             ids=["bool", "int-and-bool", "float", "fraction"])
+    def test_filter_rows_vertices_must_be_integers(self, path3, vertices):
+        """A bool is not vertex 0 or 1 and 1.0 is not vertex 1."""
+        with pytest.raises(InvariantViolation, match="a vertex must be an integer, got"):
+            filter_rows(GraphFilter([1.0, 0.5]), build_laplacian(path3), vertices)
+
+    @pytest.mark.parametrize("vertices", [[True], [0, False], [1.0], [0, 2.5]],
+                             ids=["bool", "int-and-bool", "float", "fraction"])
+    def test_basis_filter_rows_vertices_must_be_integers(self, path3_basis, vertices):
+        with pytest.raises(InvariantViolation, match="a vertex must be an integer, got"):
+            basis_filter_rows(GraphFilter([1.0, 0.5]), path3_basis, vertices)
+
+    def test_numpy_integer_vertices_accepted(self, path3, path3_basis):
+        filt = GraphFilter([1.0, 0.5])
+        shift = build_laplacian(path3)
+        for vertices in (np.array([2, 0]), (np.int64(2), np.int32(0))):
+            np.testing.assert_array_equal(filter_rows(filt, shift, vertices),
+                                          filter_rows(filt, shift, [2, 0]))
+            np.testing.assert_array_equal(basis_filter_rows(filt, path3_basis, vertices),
+                                          basis_filter_rows(filt, path3_basis, [2, 0]))
 
 
 class TestSampleCovariance:
