@@ -43,7 +43,7 @@ print(f"  worst ratio {min(ratios):.4f} (guarantee would be 1-1/e = {1-1/math.e:
 print("\ngreedy vs random across budgets (N=100, population covariance):")
 cfg = ExperimentConfig(
     graph=GraphSpec(n=100, k_neighbors=6, seed=1),
-    use_population_covariance=True,
+    n_snapshots=0,  # the population covariance
 )
 rows = compression_sweep(cfg, [14, 20, 35, 50], n_seeds=5)
 print("    K  sampler  mean nmse    rank-ok fraction")

@@ -105,9 +105,9 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Filter coefficients, either explicit or a named lowpass profile."""
+    """The filter: its ``coefficients`` when given, else the lowpass fit of
+    ``exp(-rate lam / lam_max)`` with ``length`` taps."""
 
-    profile: str | None = "lowpass_exp"
     rate: float = 3.0
     length: int = 7
     coefficients: tuple | None = None
@@ -115,9 +115,7 @@ class FilterSpec:
     def build(self, basis):
         if self.coefficients is not None:
             return spectral_mod.GraphFilter(coefficients=np.asarray(self.coefficients))
-        if self.profile == "lowpass_exp":
-            return spectral_mod.fit_lowpass_filter(basis, length=self.length, rate=self.rate)
-        raise ConfigError(f"unknown filter profile {self.profile!r}")
+        return spectral_mod.fit_lowpass_filter(basis, length=self.length, rate=self.rate)
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,9 @@ class ExperimentConfig:
     """Everything needed to run one deterministic end-to-end experiment.
 
     ``seed`` drives the sample covariance's draw and the random sampler;
-    the graph generator has its own seed inside ``graph``.
+    the graph generator has its own seed inside ``graph``.  ``n_snapshots``
+    is the snapshot count of the sample covariance; 0 takes the population
+    covariance, its limit.
     """
 
     graph: GraphSpec = field(default_factory=GraphSpec)
@@ -139,7 +139,6 @@ class ExperimentConfig:
     pattern_path: str | None = None
     objective_kind: str = design_mod.LOGDET_EPS
     epsilon: float | None = None
-    use_population_covariance: bool = False
     seed: int = 0
     output_dir: str | None = None
 
@@ -161,7 +160,7 @@ class ExperimentConfig:
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
         # each count field and its least value
-        counts = {"k": (self.k, 1), "n_snapshots": (self.n_snapshots, 1)}
+        counts = {"k": (self.k, 1), "n_snapshots": (self.n_snapshots, 0)}
         if self.q is not None:
             counts["q"] = (self.q, 1)
         if self.graph.path is None:
@@ -182,13 +181,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.epsilon is not None and not (_is_real(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be a positive number, got {self.epsilon!r}")
-        population = self.use_population_covariance
-        if not isinstance(population, bool):
-            raise ConfigError(f"use_population_covariance must be true or false, got {population!r}")
         coefficients = self.filter.coefficients
         if coefficients is None:
-            if self.filter.profile != "lowpass_exp":
-                raise ConfigError(f"unknown filter profile {self.filter.profile!r}")
             if not _is_real(self.filter.rate):
                 raise ConfigError(f"filter.rate must be a finite number, got {self.filter.rate!r}")
         elif not (isinstance(coefficients, (tuple, list)) and coefficients
@@ -230,9 +224,8 @@ class ExperimentConfig:
                 if not isinstance(value, dict):
                     raise ConfigError(f"{name} must be an object, got {value!r}")
             graph = GraphSpec(**graph)
-            profile = None if "coefficients" in filt else "lowpass_exp"
             # an unknown filter key is a TypeError, as an unknown graph key is
-            filt = FilterSpec(**{"profile": profile, **filt})
+            filt = FilterSpec(**filt)
             if filt.coefficients is not None:
                 filt = dataclasses.replace(filt, coefficients=tuple(filt.coefficients))
             names = {f.name for f in dataclasses.fields(cls)}
@@ -380,20 +373,21 @@ class Setting:
         Each comes from a K x N factor F of the covariance ``C_X = F F^T``
         at its pattern's vertices X: ``U_X diag(V h)`` in the spectral
         domain, the filter's rows ``H_X`` (:func:`spectral.filter_rows`,
-        sparse products with the shift) in the vertex domain.  A population
-        run takes ``F F^T``; a sampled run draws the sample covariance of
-        ``n_snapshots`` snapshots from its Wishart law
-        (:func:`spectral.wishart_covariance`), each pattern with ``seed``,
-        so no snapshot, no N x N filter and no N x N covariance is built.
-        A pattern of another vertex count is a ConfigError.
+        sparse products with the shift) in the vertex domain.  With
+        ``n_snapshots`` 0 it is the population covariance ``F F^T``;
+        otherwise the sample covariance of ``n_snapshots`` snapshots, drawn
+        from its Wishart law (:func:`spectral.wishart_covariance`), each
+        pattern with ``seed``, so no snapshot, no N x N filter and no N x N
+        covariance is built.  A pattern of another vertex count is a
+        ConfigError.
         """
         for pattern in patterns:
             self._check_pattern(pattern)
         # one K x N factor alive at a time
         factors = (self._factor(pattern.selected) for pattern in patterns)
-        if self.config.use_population_covariance:
-            return [spectral_mod.population_covariance(f) for f in factors]
         n_snapshots = self.config.n_snapshots
+        if n_snapshots == 0:
+            return [spectral_mod.population_covariance(f) for f in factors]
         return [spectral_mod.wishart_covariance(f, n_snapshots, seed=seed) for f in factors]
 
     def _factor(self, vertices):
@@ -424,8 +418,10 @@ def prepare(cfg, timer=None):
 
     Checks ``k`` (unless the pattern comes from a file) and ``q`` against
     the built graph, so a graph file that is too small is a
-    :class:`ConfigError`, as a generated one is.  ``timer`` records the
-    ``graph``, ``basis`` and ``filter`` stages.
+    :class:`ConfigError`, as a generated one is.  So is a filter whose
+    response vanishes at every graph frequency: its true spectrum is zero,
+    and no NMSE is defined against it.  ``timer`` records the ``graph``,
+    ``basis`` and ``filter`` stages.
     """
     timer = timer or _StageTimer()
     with timer.stage("graph"):
@@ -444,6 +440,9 @@ def prepare(cfg, timer=None):
     with timer.stage("filter"):
         filt = cfg.filter.build(basis)
         p_true = spectral_mod.true_power_spectrum(filt, basis)
+    # the NMSE divides by the true spectrum's energy
+    if not np.any(p_true**2):
+        raise ConfigError("the filter's response vanishes at every graph frequency")
     return Setting(cfg, graph, shift, basis, filt, p_true)
 
 
@@ -538,8 +537,8 @@ def _write_result(result, out_dir):
             "sampler": cfg.sampler,
             "k": result.pattern.k,
             "q": est.alpha_hat.shape[0] if est.alpha_hat is not None else None,
-            "n_snapshots": 0 if cfg.use_population_covariance else cfg.n_snapshots,
-            "use_population_covariance": cfg.use_population_covariance,
+            "n_snapshots": cfg.n_snapshots,
+            "use_population_covariance": cfg.n_snapshots == 0,
             "seed": cfg.seed,
             "objective_kind": cfg.objective_kind,
             "epsilon": None if result.trace is None else result.trace.epsilon,

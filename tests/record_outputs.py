@@ -38,7 +38,7 @@ VERTEX_LARGE = {
     "graph": {"n": 800, "k_neighbors": 6, "seed": 1000},
     "domain": "vertex", "k": 20, "q": 13, "n_snapshots": 1000, "seed": 1000,
 }
-POPULATION_VERTEX = {"domain": "vertex", "k": 10, "use_population_covariance": True}
+POPULATION_VERTEX = {"domain": "vertex", "k": 10, "n_snapshots": 0}
 # the estimate_large benchmark's call on its first pool graph, golden.json["estimate_large"]["pool"][0]
 ESTIMATE_LARGE = {
     "graph": {"n": 600, "k_neighbors": 6, "seed": 2000},

@@ -57,6 +57,38 @@ class TestRun:
         assert np.isfinite(metrics["nmse"])
         assert not (out / "failure.json").exists()
 
+    def test_zero_snapshots_runs_the_population_covariance(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--n", "30", "--k", "12", "--snapshots", "0", "--out", str(out)) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (metrics["n_snapshots"], metrics["use_population_covariance"]) == (0, True)
+        assert metrics["rank_ok"] is True
+        assert metrics["nmse"] <= 1e-12
+        assert "rank_ok=True" in capsys.readouterr().out
+
+    def test_negative_snapshots_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--n", "30", "--k", "12", "--snapshots", "-1", "--out", str(out)) == 2
+        assert "n_snapshots must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_filter_that_vanishes_everywhere_exits_2(self, tmp_path, capsys, verb):
+        """A zero filter's true spectrum is zero, and its NMSE would be NaN:
+        the run exits 2 at the check after the filter stage and writes no
+        metrics."""
+        cfg_path = tmp_path / "zf.json"
+        cfg_path.write_text(json.dumps(
+            {"filter": {"coefficients": [0.0, 0.0]}, "k": 20, "n_snapshots": 100}
+        ))
+        out = tmp_path / "out"
+        extra = ["--k-list", "14,20", "--seeds", "2"] if verb == "sweep" else []
+        assert run_cli(verb, "--config", str(cfg_path), *extra, "--out", str(out)) == 2
+        assert "vanishes at every graph frequency" in capsys.readouterr().err
+        if verb == "run":
+            failure = json.loads((out / "failure.json").read_text())
+            assert failure["stage"] == "checks"
+            assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -115,7 +147,7 @@ class TestRun:
             {"filter": {"rate": "x"}},
             {"filter": {"coefficients": [1, "a"]}},
             {"filter": {"coefficients": []}},
-            {"use_population_covariance": "no"},
+            {"n_snapshots": -1},
             {"filter": "x"},
             {"filter": {"rte": 5}},
             {"graph": {"path": 0}},
@@ -123,6 +155,8 @@ class TestRun:
             {"objective_kind": "frame_potential"},
             {"objective_kind": "mse"},
             {"objective_kind": 3},
+            {"use_population_covariance": True},
+            {"filter": {"profile": "lowpass_exp"}},
         ],
     )
     def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):

@@ -71,12 +71,14 @@ class TestConfig:
         [
             lambda: ExperimentConfig(k=0),
             lambda: ExperimentConfig(n_snapshots=2.5),
+            lambda: ExperimentConfig(n_snapshots=-1),
             lambda: dataclasses.replace(ExperimentConfig(), seed=-1),
             lambda: ExperimentConfig(graph=5),
             lambda: ExperimentConfig(filter="x"),
             lambda: ExperimentConfig(filter=FilterSpec(coefficients=5)),
         ],
-        ids=["k=0", "n_snapshots=2.5", "replace-seed=-1", "graph=5", "filter=x", "coefficients=5"],
+        ids=["k=0", "n_snapshots=2.5", "n_snapshots=-1", "replace-seed=-1", "graph=5", "filter=x",
+             "coefficients=5"],
     )
     def test_invalid_config_cannot_be_built(self, build):
         """A config is checked when it is built, by any route, so no invalid one exists."""
@@ -139,11 +141,11 @@ class TestConfig:
             ({"filter": {"rate": "x"}}, "filter.rate must be a finite number"),
             ({"filter": {"coefficients": [1, "a"]}}, "filter.coefficients must be a non-empty"),
             ({"filter": {"coefficients": []}}, "filter.coefficients must be a non-empty"),
-            ({"use_population_covariance": "no"}, "use_population_covariance must be true or false"),
+            ({"use_population_covariance": "no"}, "use_population_covariance"),
             ({"filter": "x"}, "filter must be an object"),
             ({"filter": {"rte": 5}}, "unexpected keyword argument 'rte'"),
-            ({"filter": {"profile": "highpass"}}, "unknown filter profile 'highpass'"),
-            ({"filter": {"profile": None}}, "unknown filter profile None"),
+            ({"filter": {"profile": "highpass"}}, "unexpected keyword argument 'profile'"),
+            ({"filter": {"profile": "lowpass_exp"}}, "unexpected keyword argument 'profile'"),
             ({"graph": {"path": 0}}, "graph.path must be a string, got 0"),
             ({"pattern_path": 5}, "pattern_path must be a string, got 5"),
             ({"sampler": "file", "pattern_path": 0}, "pattern_path must be a string"),
@@ -153,10 +155,26 @@ class TestConfig:
             ({"objective_kind": 3}, "unknown objective kind 3"),
             ({"graph": 5}, "graph must be an object, got 5"),
             ({"graph": [1]}, r"graph must be an object, got \[1\]"),
+            ({"n_snapshots": -1}, "n_snapshots must be at least 0, got -1"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
         with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"use_population_covariance": True}, "use_population_covariance"),
+            ({"use_population_covariance": False, "n_snapshots": 0}, "use_population_covariance"),
+            ({"filter": {"profile": "lowpass_exp"}}, "profile"),
+            ({"filter": {"profile": None, "coefficients": [1.0]}}, "profile"),
+        ],
+    )
+    def test_removed_fields_are_config_errors(self, data, key):
+        """The population covariance is ``n_snapshots: 0`` and a filter is its
+        coefficients or the lowpass fit, so neither old key is read."""
+        with pytest.raises(ConfigError, match=f"'{key}'"):
             ExperimentConfig.from_dict(data)
 
     def test_generator_fields_unchecked_for_graph_files(self, tmp_path):
@@ -192,14 +210,33 @@ class TestConfig:
 class TestRunExperiment:
     def test_population_covariance_recovers_exactly(self):
         """Machine-precision recovery whenever the model has full rank."""
-        cfg = small_cfg(use_population_covariance=True)
+        cfg = small_cfg(n_snapshots=0)
         result = run_experiment(cfg)
         assert result.estimate.rank_ok
         assert result.nmse <= 1e-12
 
+    def test_zero_snapshots_is_the_population_covariance(self, monkeypatch, tmp_path):
+        """``n_snapshots`` 0 forms ``F F^T`` and draws nothing; the metrics
+        write it as they did, with ``use_population_covariance`` true."""
+        calls = count_calls(monkeypatch, spectral_mod, "wishart_covariance")
+        setting = prepare(small_cfg(n_snapshots=0))
+        pattern = SamplingPattern(30, (1, 4, 9, 16, 25, 29))
+        (cov,) = setting.covariances(0, [pattern])
+        full = spectral_mod.true_covariance(setting.filter, setting.basis)
+        sub = sampling_mod.subsampled_covariance(full, pattern).matrix
+        assert cov.n_snapshots == 0
+        assert np.abs(cov.matrix - sub).max() <= 1e-12 * np.abs(sub).max()
+        for n_snapshots in (0, 400):
+            out = tmp_path / str(n_snapshots)
+            run_experiment(small_cfg(n_snapshots=n_snapshots, output_dir=str(out)))
+            metrics = json.loads((out / "metrics.json").read_text())
+            assert metrics["n_snapshots"] == n_snapshots
+            assert metrics["use_population_covariance"] is (n_snapshots == 0)
+        assert len(calls) == 1
+
     def test_vertex_domain_run(self):
         """Q matching the filter's polynomial degree recovers exactly."""
-        cfg = small_cfg(domain="vertex", q=13, k=6, use_population_covariance=True)
+        cfg = small_cfg(domain="vertex", q=13, k=6, n_snapshots=0)
         result = run_experiment(cfg)
         assert result.estimate.rank_ok
         assert result.estimate.alpha_hat.shape == (13,)
@@ -207,14 +244,14 @@ class TestRunExperiment:
 
     def test_vertex_domain_default_q(self):
         """With q unset the pipeline uses min(2L-1, N) from the filter length."""
-        cfg = small_cfg(domain="vertex", k=6, use_population_covariance=True)
+        cfg = small_cfg(domain="vertex", k=6, n_snapshots=0)
         result = run_experiment(cfg)
         assert result.estimate.alpha_hat.shape == (13,)
 
     def test_vertex_domain_undersized_q_leaves_model_bias(self):
         """A too-small polynomial order cannot represent the covariance exactly,
         so population-data recovery is no longer machine precision."""
-        cfg = small_cfg(domain="vertex", q=9, k=6, use_population_covariance=True)
+        cfg = small_cfg(domain="vertex", q=9, k=6, n_snapshots=0)
         result = run_experiment(cfg)
         assert result.estimate.rank_ok
         assert result.nmse > 1e-12
@@ -241,7 +278,7 @@ class TestRunExperiment:
         assert 0.0 < result.nmse < 1.0
 
     def test_random_sampler(self):
-        cfg = small_cfg(sampler="random", k=20, use_population_covariance=True)
+        cfg = small_cfg(sampler="random", k=20, n_snapshots=0)
         result = run_experiment(cfg)
         assert result.trace is None
         assert result.pattern.k == 20
@@ -334,6 +371,18 @@ class TestRunExperiment:
         failure = json.loads((tmp_path / "out" / "failure.json").read_text())
         assert failure["stage"] == "model"
         assert "error" in failure
+
+    @pytest.mark.parametrize("domain", ["spectral", "vertex"])
+    def test_filter_that_vanishes_everywhere_rejected(self, tmp_path, domain):
+        """A zero filter has a zero true spectrum, against which the NMSE is
+        0/0: the run stops at the check after the filter stage."""
+        out = tmp_path / "out"
+        cfg = small_cfg(domain=domain, filter=FilterSpec(coefficients=(0.0, 0.0)), output_dir=str(out))
+        with pytest.raises(ConfigError, match="vanishes at every graph frequency"):
+            run_experiment(cfg)
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["stage"] == "checks"
+        assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
     def test_snapshot_count_beyond_memory_runs(self, monkeypatch, sweep):
@@ -656,8 +705,8 @@ class TestObservedCovariance:
         n, k, n_snapshots = 600, 100, 1000
         setting = prepare(
             ExperimentConfig(
-                graph=GraphSpec(n=n), k=k, sampler="random", n_snapshots=n_snapshots,
-                use_population_covariance=population,
+                graph=GraphSpec(n=n), k=k, sampler="random",
+                n_snapshots=0 if population else n_snapshots,
             )
         )
         pattern, _ = setting.design()
@@ -682,7 +731,7 @@ class TestVertexDomainWithoutEigenvectors:
             raise AssertionError("eigh was called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        cfg = small_cfg(domain="vertex", k=6, use_population_covariance=population)
+        cfg = small_cfg(domain="vertex", k=6, n_snapshots=0 if population else 400)
         result = run_experiment(cfg)
         assert result.estimate.rank_ok
         assert result.nmse < max_nmse
@@ -701,7 +750,7 @@ class TestVertexDomainWithoutEigenvectors:
         assert len(calls) == 1
 
     def test_population_covariance_is_the_principal_submatrix(self):
-        setting = prepare(small_cfg(domain="vertex", use_population_covariance=True))
+        setting = prepare(small_cfg(domain="vertex", n_snapshots=0))
         pattern = SamplingPattern(30, (1, 4, 9, 16, 25, 29))
         cov = setting.covariances(0, [pattern])[0]
         basis = spectral_mod.eigendecompose(setting.shift)
@@ -747,14 +796,19 @@ class TestCompressionSweep:
         with pytest.raises(ConfigError):
             compression_sweep(small_cfg(), k_list, n_seeds)
 
+    def test_filter_that_vanishes_everywhere_rejected(self):
+        cfg = small_cfg(filter=FilterSpec(coefficients=(0.0, 0.0)))
+        with pytest.raises(ConfigError, match="vanishes at every graph frequency"):
+            compression_sweep(cfg, [12, 30], 2)
+
     def test_numpy_integers_accepted(self):
-        cfg = small_cfg(use_population_covariance=True)
+        cfg = small_cfg(n_snapshots=0)
         rows = compression_sweep(cfg, [np.int64(12), np.int32(30)], np.int64(2))
         assert rows == compression_sweep(cfg, [12, 30], 2)
 
     def test_full_budget_matches_between_samplers(self):
         """At K = N both samplers observe everything and agree exactly."""
-        rows = compression_sweep(small_cfg(use_population_covariance=True), [30], 2)
+        rows = compression_sweep(small_cfg(n_snapshots=0), [30], 2)
         by_sampler = {r["sampler"]: r for r in rows}
         assert by_sampler["greedy"]["mean_nmse"] == by_sampler["random"]["mean_nmse"]
         assert by_sampler["greedy"]["rank_ok_fraction"] == 1.0
@@ -770,7 +824,7 @@ class TestCompressionSweep:
         """Random sampling at the threshold budget may or may not reach full
         rank; the fraction is reported, not asserted."""
         rows = compression_sweep(
-            small_cfg(use_population_covariance=True), [7], 20
+            small_cfg(n_snapshots=0), [7], 20
         )
         by_sampler = {r["sampler"]: r for r in rows}
         frac = by_sampler["random"]["rank_ok_fraction"]
@@ -787,7 +841,7 @@ class TestCompressionSweep:
         rows, never from the N x N covariance or filter matrix."""
         calls = count_calls(monkeypatch, spectral_mod, "true_covariance")
         calls += count_calls(monkeypatch, spectral_mod, "filter_matrix")
-        compression_sweep(small_cfg(use_population_covariance=True), [12, 30], 3)
+        compression_sweep(small_cfg(n_snapshots=0), [12, 30], 3)
         assert calls == []
 
     def test_repeated_budget_estimated_once(self, monkeypatch, tmp_path):

@@ -1030,7 +1030,7 @@ class TestBenchmarkPoolRecovery:
                     "domain": "vertex",
                     "k": 20,
                     "q": 13,
-                    "use_population_covariance": True,
+                    "n_snapshots": 0,
                     "seed": seed,
                 }
             )
