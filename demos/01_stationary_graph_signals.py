@@ -10,9 +10,9 @@ spectrum -- is the squared frequency response of the filter.
 import numpy as np
 
 from graphpsd import (
+    basis_filter_rows,
     build_laplacian,
     eigendecompose,
-    filter_matrix,
     fit_lowpass_filter,
     is_stationary,
     random_sensor_graph,
@@ -34,7 +34,7 @@ print(f"lowpass filter coefficients: {np.array2string(filt.coefficients, precisi
 
 # the spectrum is the squared response; compare with the rotated covariance
 p = true_power_spectrum(filt, basis)
-h = filter_matrix(filt, basis)
+h = basis_filter_rows(filt, basis)  # all N rows: the filter matrix H
 rotated = np.diag(basis.eigenvectors.T @ (h @ h.T) @ basis.eigenvectors)
 print(f"spectrum range: [{p.min():.4f}, {p.max():.4f}]")
 print(f"|diag(U^T H H^T U) - p|_max = {np.abs(rotated - p).max():.2e}")

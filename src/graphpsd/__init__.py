@@ -37,7 +37,6 @@ from .experiments import (
     GraphSpec,
     Setting,
     compression_sweep,
-    emit_plot_data,
     load_config,
     load_pattern,
     prepare,
@@ -51,7 +50,6 @@ from .graphs import (
     LAPLACIAN,
     Graph,
     ShiftOperator,
-    build_adjacency,
     build_laplacian,
     build_shift_operator,
     load_graph,
@@ -81,7 +79,6 @@ from .spectral import (
     SpectralBasis,
     basis_filter_rows,
     eigendecompose,
-    filter_matrix,
     filter_rows,
     fit_lowpass_filter,
     frequency_response,

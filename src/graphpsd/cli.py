@@ -1,8 +1,9 @@
 """Command-line interface for the experiment pipeline.
 
-Verbs: ``gen-graph``, ``design``, ``estimate``, ``run``, ``sweep``,
-``check``.  Exit codes: 0 on success, 2 for configuration problems, 3 for
-numerical failures (including property-suite failures from ``check``).
+Verbs: ``gen-graph``, ``design``, ``run``, ``sweep``, ``check``;
+``run --pattern`` estimates from a pattern file that ``design`` wrote.
+Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
+failures (including property-suite failures from ``check``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _config_from_args(args, **fixed):
     updates = {name: getattr(args, name) for name in _OVERRIDDEN if getattr(args, name) is not None}
     if args.n is not None:
         updates["graph"] = dataclasses.replace(cfg.graph, n=args.n, path=None)
-    if getattr(args, "pattern", None):
+    if getattr(args, "pattern", None) is not None:
         updates["pattern_path"] = args.pattern
         updates["sampler"] = "file"
     return dataclasses.replace(cfg, **{**updates, **fixed})
@@ -89,20 +90,6 @@ def _cmd_design(args):
     return 0
 
 
-def _cmd_estimate(args):
-    cfg = _config_from_args(args)
-    if cfg.sampler != "file":
-        raise ConfigError("estimate needs a pattern file (--pattern)")
-    if cfg.output_dir is None:
-        raise ConfigError("estimate needs an output directory (--out or output_dir)")
-    result = exp.run_experiment(cfg)
-    print(
-        f"estimated spectrum from {result.pattern.k} vertices: "
-        f"rank_ok={result.estimate.rank_ok} nmse={result.nmse:.6g}"
-    )
-    return 0
-
-
 def _cmd_sweep(args):
     try:
         k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
@@ -111,7 +98,7 @@ def _cmd_sweep(args):
     if not k_list:
         raise ConfigError("no budgets given")
     # the sweep designs greedily at its largest budget, whatever --k and --sampler say
-    cfg = _config_from_args(args, k=max(k_list), sampler="greedy")
+    cfg = _config_from_args(args, k=max(k_list), sampler="greedy", pattern_path=None)
     out_dir = cfg.output_dir
     if out_dir is None:
         raise ConfigError("sweep needs an output directory (--out or output_dir)")
@@ -158,13 +145,9 @@ def build_parser():
     _add_override_flags(p)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("estimate", help="estimate using a pattern from a file")
-    _add_override_flags(p)
-    p.add_argument("--pattern", required=True, help="pattern.json to load")
-    p.set_defaults(func=_cmd_estimate)
-
     p = sub.add_parser("run", help="run the full pipeline")
     _add_override_flags(p)
+    p.add_argument("--pattern", help="pattern.json to estimate from, in place of a design")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="compare samplers across sample budgets")

@@ -196,6 +196,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.sampler == "file" and not self.pattern_path:
             raise ConfigError("sampler 'file' needs pattern_path")
+        if self.sampler != "file" and self.pattern_path is not None:
+            raise ConfigError(
+                f"pattern_path is read by sampler 'file' only, and sampler is {self.sampler!r}"
+            )
         if self.shift_kind not in (graphs_mod.LAPLACIAN, graphs_mod.ADJACENCY):
             raise ConfigError(f"unknown shift kind {self.shift_kind!r}")
         if self.graph.path is None:
@@ -223,16 +227,16 @@ class ExperimentConfig:
             for name, value in (("graph", graph), ("filter", filt)):
                 if not isinstance(value, dict):
                     raise ConfigError(f"{name} must be an object, got {value!r}")
+            for name, value, spec in (("config", data, cls), ("graph", graph, GraphSpec),
+                                      ("filter", filt, FilterSpec)):
+                unknown = set(value) - {f.name for f in dataclasses.fields(spec)}
+                if unknown:
+                    raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
             graph = GraphSpec(**graph)
-            # an unknown filter key is a TypeError, as an unknown graph key is
             filt = FilterSpec(**filt)
             if filt.coefficients is not None:
                 filt = dataclasses.replace(filt, coefficients=tuple(filt.coefficients))
-            names = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(data) - names
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            known = {k: data[k] for k in names - {"graph", "filter"} if k in data}
+            known = {k: v for k, v in data.items() if k not in ("graph", "filter")}
             return cls(graph=graph, filter=filt, **known)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -552,18 +556,14 @@ def _write_result(result, out_dir):
     _write_plot_data(result, out_dir, p_true, p_hat)
 
 
-def emit_plot_data(result, out_dir):
+def _write_plot_data(result, out_dir, p_true, p_hat):
     """Write gnuplot-ready two-column spectrum files and a node-selection file.
 
     ``spectrum_true.dat`` and ``spectrum_estimate.dat`` hold
-    ``eigenvalue-index  value`` rows; ``nodes.dat`` holds
-    ``x  y  selected`` rows when the graph carries coordinates.
+    ``eigenvalue-index  value`` rows of the formatted spectra ``p_true``
+    and ``p_hat``; ``nodes.dat`` holds ``x  y  selected`` rows when the
+    graph carries coordinates.
     """
-    _write_plot_data(result, out_dir, _fmt_all(result.p_true), _fmt_all(result.p_hat))
-
-
-def _write_plot_data(result, out_dir, p_true, p_hat):
-    """:func:`emit_plot_data` with the spectra already formatted."""
     _write_text(f"{out_dir}/spectrum_true.dat", "".join(f"{i} {p}\n" for i, p in enumerate(p_true)))
     _write_text(
         f"{out_dir}/spectrum_estimate.dat", "".join(f"{i} {p}\n" for i, p in enumerate(p_hat))
@@ -597,7 +597,9 @@ def _greedy_prefix_models(cfg, k_values):
     k_values = list(dict.fromkeys(k_values))
     if min(k_values) < 1:
         raise ConfigError(f"budget must be at least 1, got {min(k_values)}")
-    setting = prepare(dataclasses.replace(cfg, k=max(k_values), sampler="greedy"))
+    setting = prepare(
+        dataclasses.replace(cfg, k=max(k_values), sampler="greedy", pattern_path=None)
+    )
 
     def models():
         _, trace = setting.greedy(max(k_values))
@@ -774,7 +776,7 @@ def run_property_suites(seed=0, trials=200):
         _, basis = _sensor_laplacian(n, 4, 400 + i)
         length = int(rng.integers(1, 6))
         filt = spectral_mod.GraphFilter(coefficients=rng.standard_normal(length))
-        h = spectral_mod.filter_matrix(filt, basis)
+        h = spectral_mod.basis_filter_rows(filt, basis)
         u = basis.eigenvectors
         rotated = np.diag(u.T @ (h @ h.T) @ u)
         p = spectral_mod.true_power_spectrum(filt, basis)

@@ -239,15 +239,6 @@ class ShiftOperator:
                 power = self @ power
 
 
-def build_adjacency(graph):
-    """Dense symmetric adjacency matrix of a graph."""
-    a = np.zeros((graph.n_vertices, graph.n_vertices))
-    i, j, w = graph._columns
-    a[i, j] = w
-    a[j, i] = w
-    return a
-
-
 def _adjacency_entries(graph):
     """Rows, columns and weights of the adjacency's nonzeros, in row-major order."""
     i, j, w = graph._columns

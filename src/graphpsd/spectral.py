@@ -213,14 +213,6 @@ def frequency_response(filt, basis):
     return v @ filt.coefficients
 
 
-def filter_matrix(filt, basis):
-    """Dense filter matrix ``U diag(V_L h) U^T``.
-
-    Equals the matrix polynomial ``sum_l h_l S^l`` evaluated directly.
-    """
-    return basis_filter_rows(filt, basis)
-
-
 def basis_filter_rows(filt, basis, vertices=None):
     """Rows ``H[X, :] = (U_X diag(V_L h)) U^T`` of the filter at the ``vertices`` X.
 
@@ -271,7 +263,7 @@ def population_covariance(rows):
 
 def true_covariance(filt, basis):
     """Population covariance ``H H^T`` of the filtered white-noise process."""
-    return population_covariance(filter_matrix(filt, basis))
+    return population_covariance(basis_filter_rows(filt, basis))
 
 
 def white_noise(n, n_snapshots, seed=0):

@@ -17,6 +17,7 @@ from graphpsd import (
     ExperimentConfig,
     GraphFilter,
     GraphSpec,
+    basis_filter_rows,
     brute_force_design,
     build_laplacian,
     build_spectral_model,
@@ -25,7 +26,6 @@ from graphpsd import (
     eigendecompose,
     estimate_spectrum_spectral,
     estimate_spectrum_vertex,
-    filter_matrix,
     fit_lowpass_filter,
     greedy_design,
     model_rank,
@@ -273,7 +273,7 @@ class TestAcceptance:
             graph = random_sensor_graph(n, min(4, n - 1), seed=80 + i)
             basis = eigendecompose(build_laplacian(graph))
             filt = GraphFilter(rng.standard_normal(int(rng.integers(1, 6))))
-            h = filter_matrix(filt, basis)
+            h = basis_filter_rows(filt, basis)
             u = basis.eigenvectors
             rotated = np.diag(u.T @ (h @ h.T) @ u)
             p = true_power_spectrum(filt, basis)

@@ -131,32 +131,34 @@ class TestRun:
         assert run_cli("run", "--n", "5", "--k", "3", "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
 
+    # explicit ids, so removing a case renames no other; these keep the
+    # ids they had when pytest numbered the cases by position
     @pytest.mark.parametrize(
         "data",
         [
-            {"filter": {"length": 0}},
-            {"shift_kind": "foo"},
-            {"n_snapshots": 2.5},
-            {"seed": 1.5},
-            {"seed": -3},
-            {"graph": {"n": 30, "seed": 1.5}},
-            {"graph": {"n": 30, "seed": -3}},
-            {"epsilon": -1},
-            {"epsilon": 0},
-            {"epsilon": "abc"},
-            {"filter": {"rate": "x"}},
-            {"filter": {"coefficients": [1, "a"]}},
-            {"filter": {"coefficients": []}},
-            {"n_snapshots": -1},
-            {"filter": "x"},
-            {"filter": {"rte": 5}},
-            {"graph": {"path": 0}},
-            {"sampler": "file", "pattern_path": 0},
-            {"objective_kind": "frame_potential"},
-            {"objective_kind": "mse"},
-            {"objective_kind": 3},
-            {"use_population_covariance": True},
-            {"filter": {"profile": "lowpass_exp"}},
+            pytest.param({"filter": {"length": 0}}, id="data0"),
+            pytest.param({"shift_kind": "foo"}, id="data1"),
+            pytest.param({"n_snapshots": 2.5}, id="data2"),
+            pytest.param({"seed": 1.5}, id="data3"),
+            pytest.param({"seed": -3}, id="data4"),
+            pytest.param({"graph": {"n": 30, "seed": 1.5}}, id="data5"),
+            pytest.param({"graph": {"n": 30, "seed": -3}}, id="data6"),
+            pytest.param({"epsilon": -1}, id="data7"),
+            pytest.param({"epsilon": 0}, id="data8"),
+            pytest.param({"epsilon": "abc"}, id="data9"),
+            pytest.param({"filter": {"rate": "x"}}, id="data10"),
+            pytest.param({"filter": {"coefficients": [1, "a"]}}, id="data11"),
+            pytest.param({"filter": {"coefficients": []}}, id="data12"),
+            pytest.param({"n_snapshots": -1}, id="data13"),
+            pytest.param({"filter": "x"}, id="data14"),
+            pytest.param({"filter": {"rte": 5}}, id="data15"),
+            pytest.param({"graph": {"path": 0}}, id="data16"),
+            pytest.param({"sampler": "file", "pattern_path": 0}, id="data17"),
+            pytest.param({"objective_kind": "frame_potential"}, id="data18"),
+            pytest.param({"objective_kind": "mse"}, id="data19"),
+            pytest.param({"objective_kind": 3}, id="data20"),
+            pytest.param({"use_population_covariance": True}, id="data21"),
+            pytest.param({"filter": {"profile": "lowpass_exp"}}, id="data22"),
         ],
     )
     def test_bad_config_fields_exit_2(self, tmp_path, capsys, data):
@@ -164,6 +166,20 @@ class TestRun:
         cfg_path.write_text(json.dumps({"graph": {"n": 30}, "k": 10, **data}))
         assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--sampler", "random"]], ids=["greedy", "random"])
+    def test_pattern_path_without_file_sampler_exits_2(self, tmp_path, capsys, flags):
+        """A pattern file that the sampler would not read is an error, not
+        a run that quietly designs its own pattern."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"graph": {"n": 30}, "k": 8, "pattern_path": "does_not_exist.json"}
+        ))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_path), *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "pattern_path is read by sampler 'file' only" in err and "sampler is" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, data",
@@ -226,17 +242,33 @@ class TestDesignAndEstimate:
 
         est_dir = tmp_path / "estimate"
         code = run_cli(
-            "estimate", "--n", "30", "--snapshots", "300",
+            "run", "--n", "30", "--snapshots", "300",
             "--pattern", str(pattern_file), "--out", str(est_dir),
         )
         assert code == 0
         metrics = json.loads((est_dir / "metrics.json").read_text())
         assert metrics["sampler"] == "file"
         assert metrics["k"] == 12
+        # the designed pattern estimates the spectrum a greedy run of the same flags does
+        run_dir = tmp_path / "run"
+        assert run_cli("run", "--n", "30", "--k", "12", "--snapshots", "300",
+                       "--out", str(run_dir)) == 0
+        assert (est_dir / "spectrum.csv").read_bytes() == (run_dir / "spectrum.csv").read_bytes()
 
-    def test_estimate_requires_pattern_flag(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("estimate", "--n", "30", "--out", str(tmp_path))
+    def test_estimate_requires_pattern_flag(self, tmp_path, capsys):
+        """A file sampler with no pattern file, or an empty one, is an
+        error, not a run that designs its own pattern."""
+        for flags in (["--sampler", "file"], ["--pattern", ""]):
+            assert run_cli("run", "--n", "30", *flags, "--out", str(tmp_path / "out")) == 2
+            assert "sampler 'file' needs pattern_path" in capsys.readouterr().err
+
+    def test_estimate_verb_is_gone(self, tmp_path, capsys):
+        """``run --pattern`` is the one way to estimate from a pattern file."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate", "--n", "30", "--pattern", str(tmp_path / "p.json"),
+                    "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "invalid choice: 'estimate'" in capsys.readouterr().err
 
 
 class TestBudgetAgainstGraphFile:
@@ -268,7 +300,7 @@ class TestBudgetAgainstGraphFile:
         assert run_cli("design", "--config", small_graph_cfg, "--k", "4", "--out", str(design_dir)) == 0
         assert run_cli("run", "--config", small_graph_cfg, "--k", "4", "--domain", "vertex",
                        "--q", "14", "--out", str(tmp_path / "run")) == 2
-        assert run_cli("estimate", "--config", small_graph_cfg, "--domain", "vertex", "--q", "14",
+        assert run_cli("run", "--config", small_graph_cfg, "--domain", "vertex", "--q", "14",
                        "--pattern", str(design_dir / "pattern.json"),
                        "--out", str(tmp_path / "estimate")) == 2
 
@@ -276,7 +308,7 @@ class TestBudgetAgainstGraphFile:
         pattern_path = tmp_path / "pattern.json"
         save_pattern(SamplingPattern(100, (0, 5, 50)), pattern_path)
         out = tmp_path / "estimate"
-        assert run_cli("estimate", "--config", small_graph_cfg, "--pattern", str(pattern_path),
+        assert run_cli("run", "--config", small_graph_cfg, "--pattern", str(pattern_path),
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "for 100 vertices" in err and "graph has 10" in err
@@ -294,6 +326,18 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "k,sampler,mean_nmse,rank_ok_fraction"
         assert len(lines) == 5
+
+    def test_sweep_designs_whatever_the_config_samples(self, tmp_path):
+        """The sweep designs greedily, so a config's file sampler and its
+        pattern file are set aside, not read and not an error."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"graph": {"n": 30}, "sampler": "file", "pattern_path": "does_not_exist.json"}
+        ))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", str(cfg_path), "--k-list", "12", "--seeds", "1",
+                       "--out", str(out)) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_bad_k_list_exits_2(self, tmp_path):
         assert run_cli("sweep", "--k-list", "a,b", "--out", str(tmp_path)) == 2

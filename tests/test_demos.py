@@ -1,9 +1,12 @@
 """Every demo script, and the README's examples, run to completion against
-the package in this checkout, and the README's config is the default one."""
+the package in this checkout, the README's config is the default one, and
+its command lines are the parser's."""
 
+import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from graphpsd import ExperimentConfig
+from graphpsd.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -56,3 +60,22 @@ def test_readme_config_is_the_default_config():
     assert block.keys() == default.keys()
     for name in ("graph", "filter"):
         assert block[name].keys() == default[name].keys()
+
+
+def test_readme_command_lines_parse():
+    """Every ``graphpsd`` line of the README's ``sh`` blocks parses, and
+    together they name each verb of the parser, so a verb that is removed
+    or added cannot linger in, or be missing from, the docs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("graphpsd ")]
+    parser = build_parser()
+    verbs = set()
+    for line in lines:
+        try:
+            verbs.add(parser.parse_args(shlex.split(line)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert verbs == set(subparsers.choices)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -22,7 +23,6 @@ from graphpsd import (
     GraphSpec,
     SamplingPattern,
     compression_sweep,
-    emit_plot_data,
     load_pattern,
     prepare,
     rank_threshold_scan,
@@ -117,45 +117,83 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(sampler="file").validate()
 
+    # explicit ids, so removing a case renames no other; the older cases
+    # keep the ids they had when pytest numbered the cases by position
     @pytest.mark.parametrize(
         "data, match",
         [
-            ({"graph": {"n": 5}, "k": 3}, "k_neighbors"),
-            ({"graph": {"n": 30, "k_neighbors": 0}, "k": 10}, "k_neighbors"),
-            ({"filter": {"length": 0}}, "filter.length"),
-            ({"shift_kind": "foo"}, "shift kind"),
-            ({"n_snapshots": 2.5}, "n_snapshots must be an integer"),
-            ({"k": 10.0}, "k must be an integer"),
-            ({"q": 3.5, "domain": "vertex"}, "q must be an integer"),
-            ({"graph": {"n": 30.0}, "k": 10}, "graph.n must be an integer"),
-            ({"graph": {"k_neighbors": "6"}}, "graph.k_neighbors must be an integer"),
-            ({"filter": {"length": 7.5}}, "filter.length must be an integer"),
-            ({"n_snapshots": True}, "n_snapshots must be an integer"),
-            ({"seed": 1.5}, "seed must be a nonnegative integer"),
-            ({"seed": -3}, "seed must be a nonnegative integer"),
-            ({"graph": {"seed": 1.5}}, "graph.seed must be a nonnegative integer"),
-            ({"graph": {"seed": -3}}, "graph.seed must be a nonnegative integer"),
-            ({"epsilon": -1}, "epsilon must be a positive number"),
-            ({"epsilon": 0}, "epsilon must be a positive number"),
-            ({"epsilon": "abc"}, "epsilon must be a positive number"),
-            ({"filter": {"rate": "x"}}, "filter.rate must be a finite number"),
-            ({"filter": {"coefficients": [1, "a"]}}, "filter.coefficients must be a non-empty"),
-            ({"filter": {"coefficients": []}}, "filter.coefficients must be a non-empty"),
-            ({"use_population_covariance": "no"}, "use_population_covariance"),
-            ({"filter": "x"}, "filter must be an object"),
-            ({"filter": {"rte": 5}}, "unexpected keyword argument 'rte'"),
-            ({"filter": {"profile": "highpass"}}, "unexpected keyword argument 'profile'"),
-            ({"filter": {"profile": "lowpass_exp"}}, "unexpected keyword argument 'profile'"),
-            ({"graph": {"path": 0}}, "graph.path must be a string, got 0"),
-            ({"pattern_path": 5}, "pattern_path must be a string, got 5"),
-            ({"sampler": "file", "pattern_path": 0}, "pattern_path must be a string"),
-            ({"output_dir": 7}, "output_dir must be a string, got 7"),
-            ({"objective_kind": "frame_potential"}, "unknown objective kind 'frame_potential'"),
-            ({"objective_kind": "mse"}, "unknown objective kind 'mse'"),
-            ({"objective_kind": 3}, "unknown objective kind 3"),
-            ({"graph": 5}, "graph must be an object, got 5"),
-            ({"graph": [1]}, r"graph must be an object, got \[1\]"),
-            ({"n_snapshots": -1}, "n_snapshots must be at least 0, got -1"),
+            pytest.param({"graph": {"n": 5}, "k": 3}, "k_neighbors", id="data0-k_neighbors"),
+            pytest.param({"graph": {"n": 30, "k_neighbors": 0}, "k": 10}, "k_neighbors",
+                         id="data1-k_neighbors"),
+            pytest.param({"filter": {"length": 0}}, "filter.length", id="data2-filter.length"),
+            pytest.param({"shift_kind": "foo"}, "shift kind", id="data3-shift kind"),
+            pytest.param({"n_snapshots": 2.5}, "n_snapshots must be an integer",
+                         id="data4-n_snapshots must be an integer"),
+            pytest.param({"k": 10.0}, "k must be an integer", id="data5-k must be an integer"),
+            pytest.param({"q": 3.5, "domain": "vertex"}, "q must be an integer",
+                         id="data6-q must be an integer"),
+            pytest.param({"graph": {"n": 30.0}, "k": 10}, "graph.n must be an integer",
+                         id="data7-graph.n must be an integer"),
+            pytest.param({"graph": {"k_neighbors": "6"}}, "graph.k_neighbors must be an integer",
+                         id="data8-graph.k_neighbors must be an integer"),
+            pytest.param({"filter": {"length": 7.5}}, "filter.length must be an integer",
+                         id="data9-filter.length must be an integer"),
+            pytest.param({"n_snapshots": True}, "n_snapshots must be an integer",
+                         id="data10-n_snapshots must be an integer"),
+            pytest.param({"seed": 1.5}, "seed must be a nonnegative integer",
+                         id="data11-seed must be a nonnegative integer"),
+            pytest.param({"seed": -3}, "seed must be a nonnegative integer",
+                         id="data12-seed must be a nonnegative integer"),
+            pytest.param({"graph": {"seed": 1.5}}, "graph.seed must be a nonnegative integer",
+                         id="data13-graph.seed must be a nonnegative integer"),
+            pytest.param({"graph": {"seed": -3}}, "graph.seed must be a nonnegative integer",
+                         id="data14-graph.seed must be a nonnegative integer"),
+            pytest.param({"epsilon": -1}, "epsilon must be a positive number",
+                         id="data15-epsilon must be a positive number"),
+            pytest.param({"epsilon": 0}, "epsilon must be a positive number",
+                         id="data16-epsilon must be a positive number"),
+            pytest.param({"epsilon": "abc"}, "epsilon must be a positive number",
+                         id="data17-epsilon must be a positive number"),
+            pytest.param({"filter": {"rate": "x"}}, "filter.rate must be a finite number",
+                         id="data18-filter.rate must be a finite number"),
+            pytest.param({"filter": {"coefficients": [1, "a"]}}, "filter.coefficients must be a non-empty",
+                         id="data19-filter.coefficients must be a non-empty"),
+            pytest.param({"filter": {"coefficients": []}}, "filter.coefficients must be a non-empty",
+                         id="data20-filter.coefficients must be a non-empty"),
+            pytest.param({"use_population_covariance": "no"}, "use_population_covariance",
+                         id="data21-use_population_covariance"),
+            pytest.param({"filter": "x"}, "filter must be an object",
+                         id="data22-filter must be an object"),
+            pytest.param({"filter": {"rte": 5}}, r"unknown filter keys: \['rte'\]",
+                         id="unknown-filter-key"),
+            pytest.param({"filter": {"profile": "highpass"}}, r"unknown filter keys: \['profile'\]",
+                         id="filter.profile-highpass"),
+            pytest.param({"filter": {"profile": "lowpass_exp"}}, r"unknown filter keys: \['profile'\]",
+                         id="filter.profile-lowpass_exp"),
+            pytest.param({"graph": {"path": 0}}, "graph.path must be a string, got 0",
+                         id="data26-graph.path must be a string, got 0"),
+            pytest.param({"pattern_path": 5}, "pattern_path must be a string, got 5",
+                         id="data27-pattern_path must be a string, got 5"),
+            pytest.param({"sampler": "file", "pattern_path": 0}, "pattern_path must be a string",
+                         id="data28-pattern_path must be a string"),
+            pytest.param({"output_dir": 7}, "output_dir must be a string, got 7",
+                         id="data29-output_dir must be a string, got 7"),
+            pytest.param({"objective_kind": "frame_potential"}, "unknown objective kind 'frame_potential'",
+                         id="data30-unknown objective kind 'frame_potential'"),
+            pytest.param({"objective_kind": "mse"}, "unknown objective kind 'mse'",
+                         id="data31-unknown objective kind 'mse'"),
+            pytest.param({"objective_kind": 3}, "unknown objective kind 3",
+                         id="data32-unknown objective kind 3"),
+            pytest.param({"graph": 5}, "graph must be an object, got 5",
+                         id="data33-graph must be an object, got 5"),
+            pytest.param({"graph": [1]}, r"graph must be an object, got \[1\]",
+                         id='data34-graph must be an object, got \\[1\\]'),
+            pytest.param({"n_snapshots": -1}, "n_snapshots must be at least 0, got -1",
+                         id="data35-n_snapshots must be at least 0, got -1"),
+            pytest.param({"graph": {"nn": 30}}, r"unknown graph keys: \['nn'\]",
+                         id="unknown-graph-key"),
+            pytest.param({"pattern_path": "p.json"}, "pattern_path is read by sampler 'file' only",
+                         id="pattern_path-without-file-sampler"),
         ],
     )
     def test_bad_fields_are_config_errors(self, data, match):
@@ -173,8 +211,10 @@ class TestConfig:
     )
     def test_removed_fields_are_config_errors(self, data, key):
         """The population covariance is ``n_snapshots: 0`` and a filter is its
-        coefficients or the lowpass fit, so neither old key is read."""
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+        coefficients or the lowpass fit, so neither old key is read.  A key
+        of the config, its ``graph`` or its ``filter`` is reported alike."""
+        section = "filter" if key in data.get("filter", {}) else "config"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {section} keys: ['{key}']")):
             ExperimentConfig.from_dict(data)
 
     def test_generator_fields_unchecked_for_graph_files(self, tmp_path):
@@ -335,15 +375,6 @@ class TestRunExperiment:
         assert len(node_rows) == 30
         marks = sum(int(r.split()[2]) for r in node_rows)
         assert marks == 12
-
-    def test_emit_plot_data_writes_the_run_s_plot_files(self, tmp_path):
-        result = run_experiment(small_cfg(output_dir=str(tmp_path / "run")))
-        os.makedirs(tmp_path / "emitted")
-        emit_plot_data(result, str(tmp_path / "emitted"))
-        for name in ("spectrum_true.dat", "spectrum_estimate.dat", "nodes.dat"):
-            assert (tmp_path / "emitted" / name).read_bytes() == (
-                tmp_path / "run" / name
-            ).read_bytes(), name
 
     def test_deterministic_outputs(self, tmp_path):
         """Identical configs produce byte-identical CSV/JSON/dat outputs."""
@@ -624,7 +655,7 @@ class TestSparseOnDemand:
                 ["gen-graph", "--n", "30", "--out", os.path.join(out, "g.txt")],
                 ["run", *small, "--k", "12", "--out", os.path.join(out, "run")],
                 ["design", *small, "--k", "12", "--out", os.path.join(out, "design")],
-                ["estimate", *small, "--pattern", pattern, "--out", os.path.join(out, "est")],
+                ["run", *small, "--pattern", pattern, "--out", os.path.join(out, "est")],
                 ["sweep", *small, "--k-list", "12", "--seeds", "1",
                  "--out", os.path.join(out, "sweep")],
             ]
@@ -840,9 +871,16 @@ class TestCompressionSweep:
         """A population sweep forms each covariance from its pattern's filter
         rows, never from the N x N covariance or filter matrix."""
         calls = count_calls(monkeypatch, spectral_mod, "true_covariance")
-        calls += count_calls(monkeypatch, spectral_mod, "filter_matrix")
+        calls += count_calls(monkeypatch, spectral_mod, "basis_filter_rows")
         compression_sweep(small_cfg(n_snapshots=0), [12, 30], 3)
         assert calls == []
+
+    def test_file_sampler_config_sweeps_greedily(self):
+        """The sweep designs greedily, so it sets a file sampler's pattern
+        aside, unread, as it sets the sampler aside."""
+        cfg = small_cfg(sampler="file", pattern_path="does_not_exist.json")
+        rows = compression_sweep(cfg, [12], 1)
+        assert rows == compression_sweep(small_cfg(), [12], 1)
 
     def test_repeated_budget_estimated_once(self, monkeypatch, tmp_path):
         calls = count_calls(monkeypatch, sampling_mod, "estimate_spectrum_spectral")

@@ -18,7 +18,6 @@ from graphpsd import (
     InvariantViolation,
     ParseError,
     ShiftOperator,
-    build_adjacency,
     build_laplacian,
     build_shift_operator,
     eigendecompose,
@@ -32,6 +31,14 @@ from graphpsd.graphs import ADJACENCY, LAPLACIAN
 from conftest import random_weighted_graph
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def dense_adjacency(graph):
+    """The dense symmetric adjacency matrix, written entry by entry from the edge list."""
+    a = np.zeros((graph.n_vertices, graph.n_vertices))
+    for i, j, w in graph.edges:
+        a[i, j] = a[j, i] = w
+    return a
 
 
 def chunked_knn(coords, k, chunk_bytes=1 << 20):
@@ -172,14 +179,14 @@ class TestGraphInvariants:
 class TestAdjacencyAndLaplacian:
     def test_single_edge_adjacency(self):
         g = Graph(n_vertices=2, edges=((0, 1, 1.0),))
-        np.testing.assert_array_equal(build_adjacency(g), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(build_shift_operator(g, ADJACENCY).matrix, [[0, 1], [1, 0]])
 
     def test_edgeless_adjacency(self):
         g = Graph(n_vertices=3, edges=())
-        np.testing.assert_array_equal(build_adjacency(g), np.zeros((3, 3)))
+        np.testing.assert_array_equal(build_shift_operator(g, ADJACENCY).matrix, np.zeros((3, 3)))
 
     def test_path_adjacency(self, path3):
-        a = build_adjacency(path3)
+        a = build_shift_operator(path3, ADJACENCY).matrix
         assert a[0, 1] == a[1, 2] == 1.0
         assert a[0, 2] == 0.0
         np.testing.assert_array_equal(a, a.T)
@@ -210,7 +217,7 @@ class TestAdjacencyAndLaplacian:
     def test_shift_kind_dispatch(self, path3):
         assert build_shift_operator(path3, "laplacian").kind == "laplacian"
         adj = build_shift_operator(path3, "adjacency")
-        np.testing.assert_array_equal(adj.matrix, build_adjacency(path3))
+        np.testing.assert_array_equal(adj.matrix, dense_adjacency(path3))
         with pytest.raises(InvariantViolation):
             build_shift_operator(path3, "normalized")
 
@@ -278,7 +285,7 @@ class TestAdjacencyAndLaplacian:
     @pytest.mark.parametrize("kind", [LAPLACIAN, ADJACENCY])
     def test_shift_equals_the_dense_build(self, kind, name):
         """The operator built from the edges equals the one built from
-        ``build_adjacency``: ``0 - A`` with the numpy row sums of A on its
+        :func:`dense_adjacency`: ``0 - A`` with the numpy row sums of A on its
         diagonal, and the CSR arrays scipy makes of that.  The off-diagonal
         entries and the CSR indices, pointers and dtypes agree bit for bit.
         A degree sums its row's d weights alone, and numpy sums the whole
@@ -294,7 +301,7 @@ class TestAdjacencyAndLaplacian:
         else:  # vertex n-1 has no edge, so no diagonal entry either
             weights = np.random.default_rng(1).uniform(0.1, 3.0, n - 2)
             graph = Graph(n, tuple((0, i, float(w)) for i, w in enumerate(weights, start=1)))
-        adjacency = build_adjacency(graph)
+        adjacency = dense_adjacency(graph)
         dense = adjacency.copy()
         if kind == LAPLACIAN:
             dense = 0.0 - dense

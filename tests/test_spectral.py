@@ -20,7 +20,6 @@ from graphpsd import (
     build_laplacian,
     build_spectral_model,
     eigendecompose,
-    filter_matrix,
     filter_rows,
     fit_lowpass_filter,
     frequency_response,
@@ -172,19 +171,19 @@ class TestVandermonde:
 class TestGraphFilters:
     def test_degree_zero_filter_is_identity(self, path3_basis):
         h = GraphFilter([1.0])
-        np.testing.assert_allclose(filter_matrix(h, path3_basis), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(basis_filter_rows(h, path3_basis), np.eye(3), atol=1e-12)
 
     def test_pure_shift(self, path3, path3_basis):
         h = GraphFilter([0.0, 1.0])
         lap = build_laplacian(path3).matrix
-        np.testing.assert_allclose(filter_matrix(h, path3_basis), lap, atol=1e-12)
+        np.testing.assert_allclose(basis_filter_rows(h, path3_basis), lap, atol=1e-12)
 
     def test_identity_plus_laplacian(self, path3, path3_basis):
         """h=[1,1] equals I + L, checked against the direct polynomial oracle."""
         h = GraphFilter([1.0, 1.0])
         lap = build_laplacian(path3).matrix
         oracle = polynomial_filter_oracle([1.0, 1.0], lap)
-        np.testing.assert_allclose(filter_matrix(h, path3_basis), oracle, atol=1e-12)
+        np.testing.assert_allclose(basis_filter_rows(h, path3_basis), oracle, atol=1e-12)
         np.testing.assert_allclose(oracle, np.eye(3) + lap)
 
     def test_random_filters_match_polynomial_oracle(self, sensor100, sensor100_basis):
@@ -193,13 +192,13 @@ class TestGraphFilters:
         for length in (1, 2, 4):
             coeffs = rng.standard_normal(length)
             direct = polynomial_filter_oracle(coeffs, lap)
-            viabasis = filter_matrix(GraphFilter(coeffs), sensor100_basis)
+            viabasis = basis_filter_rows(GraphFilter(coeffs), sensor100_basis)
             scale = max(np.abs(direct).max(), 1.0)
             assert np.abs(viabasis - direct).max() <= 1e-8 * scale
 
     def test_filter_commutes_with_shift(self, sensor100, sensor100_basis):
         lap = build_laplacian(sensor100).matrix
-        h = filter_matrix(GraphFilter([0.3, -0.2, 0.05]), sensor100_basis)
+        h = basis_filter_rows(GraphFilter([0.3, -0.2, 0.05]), sensor100_basis)
         scale = np.abs(h @ lap).max()
         assert np.abs(h @ lap - lap @ h).max() <= 1e-8 * scale
 
@@ -240,7 +239,7 @@ class TestPowerSpectrumAndCovariance:
         for _ in range(5):
             filt = GraphFilter(rng.standard_normal(4))
             p = true_power_spectrum(filt, sensor100_basis)
-            h = filter_matrix(filt, sensor100_basis)
+            h = basis_filter_rows(filt, sensor100_basis)
             u = sensor100_basis.eigenvectors
             rotated = np.diag(u.T @ (h @ h.T) @ u)
             scale = max(p.max(), 1.0)
@@ -342,7 +341,7 @@ class TestFilterRows:
     def test_rows_of_the_filter_matrix(self, sensor100, sensor100_basis, sensor100_filter):
         vertices = (71, 3, 40, 99, 0, 56, 12)
         rows = filter_rows(sensor100_filter, build_laplacian(sensor100), vertices)
-        full = filter_matrix(sensor100_filter, sensor100_basis)
+        full = basis_filter_rows(sensor100_filter, sensor100_basis)
         assert rows.shape == (len(vertices), 100)
         assert self.relative_error(rows, full[list(vertices)]) <= 1e-13
 
@@ -352,7 +351,7 @@ class TestFilterRows:
         filt = fit_lowpass_filter(basis)
         vertices = tuple(range(0, 300, 13))
         rows = filter_rows(filt, shift, vertices)
-        assert self.relative_error(rows, filter_matrix(filt, basis)[list(vertices)]) <= 1e-13
+        assert self.relative_error(rows, basis_filter_rows(filt, basis)[list(vertices)]) <= 1e-13
 
     def test_random_filters_match_polynomial_oracle(self, sensor100):
         shift = build_laplacian(sensor100)
