@@ -5,10 +5,13 @@ matrix, built straight from the graph's edges.  Its dense N x N matrix is
 built afresh when read, which the eigensolver does once.  Every product
 with the shift is the operator's own: ``shift @ block`` for one step, and
 ``shift.powers(columns, count)`` for the blocks ``S^q E`` of unit columns
-``E`` that the vertex domain's objective and model read.  Both multiply by
-the CSR arrays wrapped as a ``scipy.sparse`` matrix, the package's only use
-of scipy, which is imported there, on first use, so a spectral-domain
-process never loads scipy at all.
+``E`` that the vertex domain's objective and model read.  Both call
+scipy's compiled CSR kernels (``csr_matvec`` and ``csr_matvecs`` of
+``scipy.sparse._sparsetools``) on the CSR arrays, the package's only use
+of scipy.  That one extension module is loaded alone, from its file, on
+the first product: the ``scipy.sparse`` package around it, whose import
+pulls in ``numpy.f2py``, ``numpy.ma`` and ``numpy.testing``, is never
+imported, and a spectral-domain process loads no scipy module at all.
 
 Edge lists are checked and canonicalized as arrays, and a graph keeps
 those arrays beside its edge tuple for every later reader.  The
@@ -30,7 +33,11 @@ dense row.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import pathlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,8 +155,9 @@ class ShiftOperator:
     ``data``, ``indices`` and ``indptr``, the indices of scipy's index
     type.  Nothing of size N x N is kept.  :attr:`matrix` builds the dense
     matrix afresh on each read.  ``shift @ block`` and :meth:`powers` are
-    the package's products with the shift; both multiply by :attr:`sparse`,
-    the three arrays wrapped as a ``scipy.sparse.csr_array`` on first use.
+    the package's products with the shift; both pass the three arrays to
+    scipy's compiled CSR kernel, the one ``scipy.sparse`` would call, so a
+    product has the bits of ``csr_array((data, indices, indptr)) @ block``.
 
     ``ShiftOperator(kind, matrix)`` keeps the nonzeros of a dense matrix,
     which must be square and symmetric (to 1e-12 of its largest entry): one
@@ -207,21 +215,25 @@ class ShiftOperator:
         m.flags.writeable = False
         return m
 
-    @functools.cached_property
-    def sparse(self):
-        """The shift as a ``scipy.sparse.csr_array`` over its own arrays, built on first use.
-
-        scipy.sparse is imported here, the package's one import of scipy.
-        """
-        import scipy.sparse
-
-        return scipy.sparse.csr_array(
-            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-        )
-
     def __matmul__(self, block):
-        """The product ``S @ block`` of an (n, ...) array, by the sparse shift."""
-        return self.sparse @ block
+        """The product ``S @ block`` of an (n,) or (n, m) array, as a new float array.
+
+        The block is read as a C-contiguous float array and multiplied into
+        a zeroed one by ``csr_matvec`` (a vector or an (n, 1) block) or
+        ``csr_matvecs``, the kernels and outputs of scipy's own dispatch.
+        """
+        block = np.ascontiguousarray(block, dtype=float)
+        if block.ndim not in (1, 2) or block.shape[0] != self.n:
+            raise InvariantViolation(
+                f"cannot multiply the {self.n} x {self.n} shift by a block of shape {block.shape}"
+            )
+        out = np.zeros(block.shape)
+        csr = (self.indptr, self.indices, self.data, block.ravel(), out.ravel())
+        if block.ndim == 1 or block.shape[1] == 1:
+            _sparsetools().csr_matvec(self.n, self.n, *csr)
+        else:
+            _sparsetools().csr_matvecs(self.n, self.n, block.shape[1], *csr)
+        return out
 
     def powers(self, columns, count):
         """Yield the (n, len(columns)) blocks ``S^q E`` for q < ``count``.
@@ -237,6 +249,39 @@ class ShiftOperator:
             yield power
             if q + 1 < count:
                 power = self @ power
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``, loaded alone.
+
+    The module scipy has already loaded is reused.  Otherwise the extension
+    file is loaded from scipy's ``sparse`` folder, found by
+    ``importlib.util.find_spec``, which runs no scipy code, and is entered
+    in ``sys.modules``, where a later ``import scipy.sparse`` finds and
+    reuses it.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None:
+        folder = pathlib.Path(scipy_spec.origin).parent / "sparse"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = folder / f"_sparsetools{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    from importlib import metadata  # on this error path only
+
+    try:
+        version = f"scipy {metadata.version('scipy')}"
+    except metadata.PackageNotFoundError:
+        version = "no installed scipy"
+    raise ImportError(f"cannot find {name}, the compiled CSR kernel, in {version}", name=name)
 
 
 def _adjacency_entries(graph):

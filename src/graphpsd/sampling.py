@@ -19,8 +19,8 @@ SVD of the small R factor decides the rank and gives the minimum-norm
 solution.  All of it is numpy: scipy loads its own OpenBLAS, whose threads
 contend with numpy's.  The vertex model's columns come from the shift's
 one power routine, ``ShiftOperator.powers``, the only products with the
-shift here; the operator owns its ``scipy.sparse`` form, imported on first
-use, so the spectral domain runs on numpy alone.
+shift here; the operator calls scipy's compiled CSR kernel, loaded alone on
+its first product, so the spectral domain runs on numpy alone.
 
 The covariance reaches the solver as its K x K matrix; row ``i + j K`` of a
 model's ``matrix`` is the vertex pair (i, j).

@@ -627,12 +627,16 @@ class TestOneBlas:
 
 class TestSparseOnDemand:
     def test_spectral_pipeline_never_imports_scipy_sparse(self, tmp_path):
-        """Only the vertex domain's products with the shift use
-        ``scipy.sparse``, and its import is most of the package's start-up
-        time, so it loads on first use; until then no scipy module is
-        loaded at all.  A module-level import of scipy brings that cost
-        back; a fresh interpreter shows it, because the test modules import
-        scipy themselves."""
+        """Only the vertex domain's products with the shift use scipy: its
+        compiled CSR kernel, loaded alone on the first product, so a
+        spectral run loads no scipy module at all.  A vertex run, through
+        the library and through the CLI, loads the kernel and never the
+        ``scipy.sparse`` package, whose import pulls in ``numpy.f2py``,
+        ``numpy.ma`` and ``numpy.testing`` and is most of a process's
+        start-up; a later ``import scipy.sparse`` reuses the loaded kernel.
+        A module-level import of scipy brings that cost back; a fresh
+        interpreter shows it, because the test modules import scipy
+        themselves."""
         script = textwrap.dedent(
             """
             import os, sys
@@ -663,7 +667,17 @@ class TestSparseOnDemand:
                 assert main(argv) == 0, argv
                 assert not loaded(), argv[0]
             run_experiment(ExperimentConfig(graph=graph, k=12, n_snapshots=200, domain="vertex"))
-            assert "scipy.sparse" in sys.modules, "the vertex domain did not load scipy.sparse"
+            vertex = ["run", *small, "--k", "12", "--domain", "vertex",
+                      "--out", os.path.join(out, "vertex")]
+            assert main(vertex) == 0, vertex
+            assert "scipy.sparse._sparsetools" in sys.modules, "no vertex product was made"
+            heavy = [m for m in ("scipy.sparse", "numpy.f2py", "numpy.ma", "numpy.testing")
+                     if m in sys.modules]
+            assert not heavy, heavy
+            import scipy.sparse._compressed
+            from graphpsd.graphs import _sparsetools
+
+            assert scipy.sparse._compressed._sparsetools is _sparsetools(), "a second kernel"
             """
         )
         src = str(pathlib.Path(graphpsd.__file__).resolve().parent.parent)
@@ -683,12 +697,9 @@ class TestDesignMemory:
     def test_greedy_never_builds_the_pair_tensor(self, domain, q, m):
         """Greedy design at N=300 peaks below a tenth of the N x N x M tensor
         of pair rows (216 MB spectral, 9.4 MB vertex at Q=13).  The setting's
-        own arrays (graph, shift and its CSR view, basis) are built before
-        measuring, so the first CSR view's import of scipy.sparse is not
-        counted either."""
+        own arrays (graph, shift, basis) are built before measuring."""
         n = 300
         setting = prepare(ExperimentConfig(graph=GraphSpec(n=n), domain=domain, q=q, k=8))
-        setting.shift.sparse  # built on first use
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -773,12 +784,12 @@ class TestVertexDomainWithoutEigenvectors:
         prepare(small_cfg(domain=domain))
         assert len(calls) == eigh_calls
 
-    def test_one_sparse_conversion_per_run(self, monkeypatch):
-        """The design objective, the model and the filter rows share the
-        shift's one CSR view."""
+    def test_vertex_run_builds_no_csr_array(self, monkeypatch):
+        """The design objective, the model and the filter rows multiply by
+        the shift's own CSR arrays: a vertex run builds no ``csr_array``."""
         calls = count_calls(monkeypatch, scipy.sparse, "csr_array")
         run_experiment(small_cfg(domain="vertex", k=6))
-        assert len(calls) == 1
+        assert calls == []
 
     def test_population_covariance_is_the_principal_submatrix(self):
         setting = prepare(small_cfg(domain="vertex", n_snapshots=0))

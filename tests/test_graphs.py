@@ -1,14 +1,18 @@
 """Graph construction, shift operators, sensor-graph generation, file format."""
 
 import ast
+import importlib.machinery
+import importlib.util
 import json
 import math
 import pathlib
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse
 
 import graphpsd
@@ -315,12 +319,70 @@ class TestAdjacencyAndLaplacian:
         assert np.all(np.abs(np.diagonal(got) - np.diagonal(dense)) <= bound)
         expected = scipy.sparse.csr_array(dense)
         for part in ("data", "indices", "indptr"):
-            assert getattr(shift.sparse, part).dtype == getattr(expected, part).dtype
+            assert getattr(shift, part).dtype == getattr(expected, part).dtype
         for part in ("indices", "indptr"):
-            assert getattr(shift.sparse, part).tobytes() == getattr(expected, part).tobytes()
+            assert getattr(shift, part).tobytes() == getattr(expected, part).tobytes()
         rows = np.repeat(np.arange(n), np.diff(expected.indptr))
         beside = rows != expected.indices
-        assert shift.sparse.data[beside].tobytes() == expected.data[beside].tobytes()
+        assert shift.data[beside].tobytes() == expected.data[beside].tobytes()
+
+
+class TestShiftProduct:
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        rng = np.random.default_rng(7)
+        wide = rng.standard_normal((300, 80))
+        return {
+            "vector": rng.standard_normal(300),
+            "column": rng.standard_normal((300, 1)),
+            "c_block": rng.standard_normal((300, 40)),
+            "f_block": np.asfortranarray(rng.standard_normal((300, 40))),
+            "sliced": wide[:, ::2],
+        }
+
+    @pytest.mark.parametrize("name", ["vector", "column", "c_block", "f_block", "sliced"])
+    @pytest.mark.parametrize("kind", [LAPLACIAN, ADJACENCY])
+    def test_product_has_the_bits_of_scipy_sparse(self, blocks, kind, name):
+        """``shift @ block`` calls the kernel scipy's CSR product calls, on the
+        same zeroed output, so the two agree bit for bit."""
+        shift = build_shift_operator(random_sensor_graph(300, 6, seed=3), kind)
+        block = blocks[name]
+        view = scipy.sparse.csr_array((shift.data, shift.indices, shift.indptr), shape=(300, 300))
+        got, want = shift @ block, view @ block
+        assert got.shape == want.shape == block.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(299,), (300, 2, 2), ()], ids=["short", "3d", "scalar"])
+    def test_block_must_have_n_rows(self, shape):
+        shift = build_laplacian(random_sensor_graph(300, 6, seed=3))
+        with pytest.raises(InvariantViolation, match="cannot multiply the 300 x 300 shift"):
+            shift @ np.ones(shape)
+
+    def test_loader_reuses_scipys_kernel_module(self):
+        """Once scipy.sparse is imported, its own kernel module is the one used."""
+        import scipy.sparse._compressed
+
+        graphs._sparsetools.cache_clear()
+        assert graphs._sparsetools() is scipy.sparse._compressed._sparsetools
+
+    def test_missing_kernel_names_it_and_the_scipy_version(self, monkeypatch, tmp_path):
+        find_spec = importlib.util.find_spec
+
+        def empty_scipy(name, package=None):
+            if name == "scipy":
+                return importlib.machinery.ModuleSpec(name, None, origin=str(tmp_path / "__init__.py"))
+            return find_spec(name, package)
+
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
+        graphs._sparsetools.cache_clear()
+        try:
+            message = rf"scipy\.sparse\._sparsetools.* scipy {re.escape(scipy.__version__)}$"
+            with pytest.raises(ImportError, match=message):
+                build_laplacian(random_sensor_graph(20, 4, seed=1)) @ np.ones(20)
+        finally:
+            graphs._sparsetools.cache_clear()
 
 
 class TestShiftPowers:
